@@ -89,6 +89,18 @@ def _setting(args: argparse.Namespace, file_values: dict[str, str], key: str, de
     return default
 
 
+def _preamble_settings(
+    args: argparse.Namespace, file_values: dict[str, str]
+) -> tuple[int, int, int, int]:
+    """Resolve the shared preamble settings (n, r1, r2, cp), defaults 128/2/8/16."""
+    return (
+        _setting(args, file_values, "n", 128, int),
+        _setting(args, file_values, "r1", 2, int),
+        _setting(args, file_values, "r2", 8, int),
+        _setting(args, file_values, "cp", 16, int),
+    )
+
+
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Parse '0:2:20' (start:step:stop inclusive) or '0,5,10' into a grid."""
     text = text.strip()
@@ -144,21 +156,9 @@ def write_manifest(out_path: Path, config: dict, output_paths: list[str]) -> Pat
     return manifest_path
 
 
-def _channel_from(args: argparse.Namespace, file_values: dict[str, str], mode_default: str = "varying") -> ChannelProfile:
-    return ChannelProfile(
-        path_count=_setting(args, file_values, "paths", 4, int),
-        decay=_setting(args, file_values, "decay", 2.0, float),
-        mode=_setting(args, file_values, "mode", mode_default, str),
-        normalize_power=True,
-    )
-
-
 def _cmd_preamble(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    n_fft = _setting(args, file_values, "n", 128, int)
-    r1 = _setting(args, file_values, "r1", 2, int)
-    r2 = _setting(args, file_values, "r2", 8, int)
-    cp = _setting(args, file_values, "cp", 16, int)
+    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
     frame = build_preamble(spec)
     out = Path(args.out)
@@ -170,7 +170,7 @@ def _cmd_preamble(args: argparse.Namespace) -> int:
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    n_fft = _setting(args, file_values, "n", 128, int)
+    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     snr_db = _setting(args, file_values, "snr", 20.0, float)
     cfo = _setting(args, file_values, "cfo", 20.0, float)
     paths = _setting(args, file_values, "paths", 1, int)
@@ -178,9 +178,9 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     seed = _setting(args, file_values, "seed", 1, int)
     cfg = ExperimentConfig(
         n_fft=n_fft,
-        r1=_setting(args, file_values, "r1", 2, int),
-        r2=_setting(args, file_values, "r2", 8, int),
-        cp_len=_setting(args, file_values, "cp", 16, int),
+        r1=r1,
+        r2=r2,
+        cp_len=cp,
         channel=ChannelProfile(path_count=paths, decay=decay, mode="varying"),
         cfo_true=cfo,
         snr_grid_db=(snr_db,),
@@ -228,6 +228,7 @@ def _sweep_rows(cfg: ExperimentConfig) -> list[str]:
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
+    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     seed = _setting(args, file_values, "seed", 1, int)
     trials = _setting(args, file_values, "trials", 10000, int)
     grid = _setting(args, file_values, "snr_grid", (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0,
@@ -238,11 +239,8 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     ffo_on = _setting(args, file_values, "ffo", False, _parse_bool)
     paths = _setting(args, file_values, "paths", 4, int)
     decay = _setting(args, file_values, "decay", 2.0, float)
-    cp = _setting(args, file_values, "cp", 16, int)
-    r1 = _setting(args, file_values, "r1", 2, int)
-    r2 = _setting(args, file_values, "r2", 8, int)
     mode = _setting(args, file_values, "mode", "both", str)
-    n_list = [64, 128] if args.paper else [_setting(args, file_values, "n", 128, int)]
+    n_list = [64, 128] if args.paper else [n_fft]
     modes = ["varying", "static"] if mode == "both" else [mode]
 
     out = Path(args.out)
@@ -272,10 +270,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    n_fft = _setting(args, file_values, "n", 128, int)
-    r1 = _setting(args, file_values, "r1", 2, int)
-    r2 = _setting(args, file_values, "r2", 8, int)
-    cp = _setting(args, file_values, "cp", 16, int)
+    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
     samples = read_iq(args.infile)
     if samples.size < spec.frame_len:
@@ -310,38 +305,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--config": dict(help="flat key = value config file; flags override")}
+    # Preamble and config-file flags shared by every command.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--n", type=int, help="FFT size (power of two)")
+    shared.add_argument("--r1", type=int, help="first chirp rate")
+    shared.add_argument("--r2", type=int, help="second chirp rate")
+    shared.add_argument("--cp", type=int, help="cyclic prefix length")
+    shared.add_argument("--config", help="flat key = value config file; flags override")
 
-    p = sub.add_parser("preamble", help="write the two-symbol preamble as raw IQ")
-    p.add_argument("--n", type=int, help="FFT size (power of two)")
-    p.add_argument("--r1", type=int, help="first chirp rate")
-    p.add_argument("--r2", type=int, help="second chirp rate")
-    p.add_argument("--cp", type=int, help="cyclic prefix length")
-    p.add_argument("--config", **common["--config"])
+    p = sub.add_parser("preamble", parents=[shared], help="write the two-symbol preamble as raw IQ")
     p.add_argument("--out", required=True, help="output IQ path")
     p.set_defaults(func=_cmd_preamble)
 
-    p = sub.add_parser("fig1", help="single-shot correlation comb profiles (CSV)")
-    p.add_argument("--n", type=int, help="FFT size")
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2", type=int)
-    p.add_argument("--cp", type=int)
+    p = sub.add_parser("fig1", parents=[shared], help="single-shot correlation comb profiles (CSV)")
     p.add_argument("--snr", type=float, help="SNR in dB")
     p.add_argument("--cfo", type=float, help="true offset in subcarriers")
     p.add_argument("--paths", type=int, help="channel tap count (default 1)")
     p.add_argument("--decay", type=float, help="delay profile constant")
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", **common["--config"])
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_fig1)
 
-    p = sub.add_parser("fig2", help="failure-probability sweep (CSV + manifest)")
+    p = sub.add_parser("fig2", parents=[shared], help="failure-probability sweep (CSV + manifest)")
     p.add_argument("--paper", action="store_true",
                    help="preset: N in {64,128}, r 2/8, cfo 20, L=4, D=2, both modes")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2", type=int)
-    p.add_argument("--cp", type=int)
     p.add_argument("--cfo", type=float)
     p.add_argument("--paths", type=int)
     p.add_argument("--decay", type=float)
@@ -352,17 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators", type=_parse_estimators, help="comma list: proposed,sca")
     p.add_argument("--ffo", type=_parse_bool, help="enable the fractional stage (on/off)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", **common["--config"])
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_fig2)
 
-    p = sub.add_parser("estimate", help="estimate the offset carried by an IQ capture")
+    p = sub.add_parser("estimate", parents=[shared],
+                       help="estimate the offset carried by an IQ capture")
     p.add_argument("--in", dest="infile", required=True, help="input IQ path")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2", type=int)
-    p.add_argument("--cp", type=int)
-    p.add_argument("--config", **common["--config"])
     p.set_defaults(func=_cmd_estimate)
 
     return parser

@@ -6,7 +6,10 @@ measures the offset modulo the chirp rate, giving a fractional estimate in
 
 Stage 2 (frequency domain): after derotating both symbols by the fractional
 estimate, each spectrum is circularly correlated against the known reference
-spectrum of its own chirp.  A residual integer offset q shifts the whole
+spectrum of its own chirp.  That correlation is computed as "dechirp, then
+one FFT": multiplying the symbol by the conjugate chirp and taking a single
+DFT gives the same values as the spectral correlation, by Parseval, in
+O(N log N) instead of O(N^2).  A residual integer offset q shifts the whole
 spectrum, so the correlation magnitude is a comb with teeth at
 tau = (q - rate*m) mod N, one tooth per channel path m.  Because the two
 symbols use different rates, the two combs only line up at the m = 0 anchor,
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,31 +136,22 @@ def compensate(y: np.ndarray, ffo: float) -> np.ndarray:
     return y * np.exp(-2j * np.pi * ffo * n / y.shape[0])
 
 
-@lru_cache(maxsize=16)
-def _reference_comb_matrix(n_fft: int, rate: int) -> np.ndarray:
-    """Circulant of the reference chirp spectrum: M[tau, k] = X((k - tau) mod N)."""
-    ref = dft(cazac_generate(CazacParams(n_fft=n_fft, rate=rate)))
-    k = np.arange(n_fft)
-    m = ref[(k[None, :] - k[:, None]) % n_fft]
-    m.flags.writeable = False
-    return m
-
-
 def freq_correlate(y_comp: np.ndarray, params: CazacParams) -> np.ndarray:
     """Circular spectrum correlation against the reference chirp.
 
     Computes R(tau) = (1/N) * sum_k X((k - tau) mod N) * conj(Z(k)) for all
     tau, where Z is the unitary DFT of the compensated symbol and X that of
-    the clean chirp.  With an integer residual offset the magnitude is zero
-    everywhere except the comb teeth (q - rate*m) mod N.
+    the clean chirp.  By Parseval this correlation is one DFT of the
+    dechirped symbol: R(tau) = conj(DFT(conj(x) * y)(tau)) / sqrt(N), with
+    x the clean chirp in time.  With an integer residual offset the
+    magnitude is zero everywhere except the comb teeth (q - rate*m) mod N.
     """
     y_comp = np.asarray(y_comp)
     if y_comp.shape[0] != params.n_fft:
         raise ConfigError(
             f"buffer length {y_comp.shape[0]} does not match n_fft {params.n_fft}"
         )
-    z = dft(y_comp)
-    return _reference_comb_matrix(params.n_fft, params.rate) @ np.conj(z) / params.n_fft
+    return np.conj(dft(np.conj(cazac_generate(params)) * y_comp)) / np.sqrt(params.n_fft)
 
 
 def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import ReceivedFrame
 from .errors import ConfigError, DegenerateSignalError
-from .estimator import CfoEstimate, PeakReport
+from .estimator import CfoEstimate, PeakReport, compensate, estimate_ffo
 from .signal import PreambleFrame, _is_power_of_two, assemble_frame, dft, idft
 
 
@@ -102,12 +102,10 @@ def sca_estimate(
         raise ConfigError(f"search_range must be <= n_fft/4 = {n // 4}, got {search_range}")
     y1, y2 = rx.symbols
     if ffo_stage:
-        half = np.vdot(y1[: n // 2], y1[n // 2 :])
-        if abs(half) < 1e-12:
-            raise DegenerateSignalError("half-symbol correlation carries no phase")
-        ffo = float(np.angle(half) / np.pi)
-        y1 = y1 * np.exp(-2j * np.pi * ffo * np.arange(n) / n)
-        y2 = y2 * np.exp(-2j * np.pi * ffo * np.arange(n) / n)
+        # The half-symbol correlation is the lag-N/2 autocorrelation.
+        ffo = estimate_ffo(y1, 2)
+        y1 = compensate(y1, ffo)
+        y2 = compensate(y2, ffo)
     else:
         ffo = 0.0
     x1 = dft(y1)

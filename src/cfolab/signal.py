@@ -1,4 +1,4 @@
-"""Chirp preamble sequences, unitary radix-2 transforms, and frame assembly.
+"""Chirp preamble sequences, unitary transforms, and frame assembly.
 
 The preamble is built from quadratic-phase chirps x(n) = exp(j*pi*rate*n^2/N).
 With an even rate that divides N, the sequence is unit-modulus, periodic with
@@ -118,60 +118,23 @@ def cazac_generate(params: CazacParams) -> np.ndarray:
     return _cazac_cached(params.n_fft, params.rate)
 
 
-@lru_cache(maxsize=16)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.flags.writeable = False
-    return rev
-
-
-@lru_cache(maxsize=32)
-def _stage_twiddles(n: int, forward: bool) -> tuple[np.ndarray, ...]:
-    sign = -1.0 if forward else 1.0
-    stages = []
-    size = 2
-    while size <= n:
-        tw = np.exp(sign * 2j * np.pi * np.arange(size // 2) / size)
-        tw.flags.writeable = False
-        stages.append(tw)
-        size *= 2
-    return tuple(stages)
-
-
-def _fft_radix2(x: np.ndarray, forward: bool) -> np.ndarray:
-    n = x.shape[0]
-    out = np.ascontiguousarray(x[_bit_reversal(n)], dtype=np.complex128)
-    for tw in _stage_twiddles(n, forward):
-        size = 2 * tw.shape[0]
-        blocks = out.reshape(-1, size)
-        even = blocks[:, : size // 2]
-        odd = blocks[:, size // 2 :] * tw
-        out = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
-    return out
-
-
 def dft(x: np.ndarray) -> np.ndarray:
     """Unitary forward DFT: X(k) = (1/sqrt(N)) * sum_n x(n) exp(-j2*pi*k*n/N).
 
-    Radix-2 only; the length must be a power of two.
+    The length must be a power of two.
     """
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or not _is_power_of_two(x.shape[0]):
         raise ConfigError(f"dft requires a 1-d power-of-two length buffer, got shape {x.shape}")
-    return _fft_radix2(x, forward=True) / np.sqrt(x.shape[0])
+    return np.fft.fft(x, norm="ortho")
 
 
 def idft(x: np.ndarray) -> np.ndarray:
     """Unitary inverse DFT, exp(+j2*pi*k*n/N) kernel with the same 1/sqrt(N) factor."""
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or not _is_power_of_two(x.shape[0]):
         raise ConfigError(f"idft requires a 1-d power-of-two length buffer, got shape {x.shape}")
-    return _fft_radix2(x, forward=False) / np.sqrt(x.shape[0])
+    return np.fft.ifft(x, norm="ortho")
 
 
 def assemble_frame(symbols: list[np.ndarray] | tuple[np.ndarray, ...], cp_len: int) -> PreambleFrame:

@@ -140,6 +140,20 @@ def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     )
 
 
+def _impairment(cfg: ExperimentConfig, snr_db: float) -> ImpairmentSpec:
+    return ImpairmentSpec(cfo=cfg.cfo_true, snr_db=snr_db, noise_enabled=math.isfinite(snr_db))
+
+
+def run_single_frame(
+    cfg: ExperimentConfig, snr_db: float, rng: np.random.Generator
+):
+    """Transmit one frame and estimate it; returns (received frame, estimate)."""
+    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+    rx = transmit(frame, cfg.channel, _impairment(cfg, snr_db), rng)
+    est = estimate_cfo(rx, spec, ffo_stage=cfg.ffo_stage_enabled)
+    return rx, est
+
+
 def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int) -> TrialRecord:
     """Transmit one frame and run one estimator on it.
 
@@ -151,18 +165,13 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     if estimator not in _ESTIMATOR_IDS:
         raise ConfigError(f"unknown estimator {estimator!r}")
     rng = trial_rng(cfg, snr_db, estimator, trial_index)
-    imp = ImpairmentSpec(
-        cfo=cfg.cfo_true, snr_db=snr_db, noise_enabled=math.isfinite(snr_db)
-    )
-    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
     try:
         if estimator == ESTIMATOR_PROPOSED:
-            rx = transmit(frame, cfg.channel, imp, rng)
-            est = estimate_cfo(rx, spec, ffo_stage=cfg.ffo_stage_enabled)
+            _, est = run_single_frame(cfg, snr_db, rng)
             ffo_ref = wrap_offset(cfg.cfo_true, cfg.r1) if cfg.ffo_stage_enabled else 0.0
         else:
             pre = _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
-            rx = transmit(pre.frame, cfg.channel, imp, rng)
+            rx = transmit(pre.frame, cfg.channel, _impairment(cfg, snr_db), rng)
             est = sca_estimate(rx, pre, ffo_stage=cfg.ffo_stage_enabled)
             ffo_ref = wrap_offset(cfg.cfo_true, 2.0) if cfg.ffo_stage_enabled else 0.0
     except DegenerateSignalError:
@@ -207,17 +216,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                     )
                 )
     return SweepResult(config=cfg, cells=tuple(cells))
-
-
-def run_single_frame(
-    cfg: ExperimentConfig, snr_db: float, rng: np.random.Generator
-):
-    """Transmit one frame and estimate it; returns (received frame, estimate)."""
-    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    imp = ImpairmentSpec(cfo=cfg.cfo_true, snr_db=snr_db, noise_enabled=math.isfinite(snr_db))
-    rx = transmit(frame, cfg.channel, imp, rng)
-    est = estimate_cfo(rx, spec, ffo_stage=cfg.ffo_stage_enabled)
-    return rx, est
 
 
 def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.ndarray:

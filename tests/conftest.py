@@ -20,6 +20,13 @@ def chirp(n_fft: int, rate: int) -> np.ndarray:
     return np.exp(1j * np.pi * rate * n * n / n_fft)
 
 
+def dft_matrix(n: int) -> np.ndarray:
+    """Explicit unitary DFT matrix F[k, n] = exp(-j*2*pi*k*n/N) / sqrt(N), O(N^2)."""
+    k = np.arange(n)
+    # Reduce k*n mod N in integers so the phase stays exact for large N.
+    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+
+
 def synth_rx(n_fft, rate, taps, cfo, phase0):
     """Directly evaluate the circular received-signal model, term by term.
 

@@ -19,7 +19,7 @@ from cfolab.estimator import (
 )
 from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
-from conftest import rayleigh_taps, synth_rx
+from conftest import chirp, dft_matrix, rayleigh_taps, synth_rx
 
 
 def _spec(n_fft=128, cp=16):
@@ -184,6 +184,28 @@ def test_freq_correlate_matches_comb_closed_form(seed):
     y = synth_rx(n_fft, rate, taps, cfo=float(q), phase0=phase0)
     got = freq_correlate(y, CazacParams(n_fft, rate))
     np.testing.assert_allclose(got, _comb_prediction(n_fft, rate, taps, q, phase0), atol=1e-9)
+
+
+@pytest.mark.parametrize("rate", [2, 8])
+@pytest.mark.parametrize("n_fft", [64, 1024])
+def test_freq_correlate_matches_definitional_sum(n_fft, rate):
+    """R(tau) = (1/N) * sum_k X((k - tau) mod N) * conj(Z(k)) on random input.
+
+    X and Z come from an explicit DFT matrix, so the oracle shares no FFT,
+    and no dechirp shortcut, with the implementation.
+    """
+    rng = np.random.default_rng(n_fft + rate)
+    y = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
+    f = dft_matrix(n_fft)
+    x_f = f @ chirp(n_fft, rate)
+    z_conj = np.conj(f @ y)
+    k = np.arange(n_fft)
+    expected = np.array(
+        [np.sum(x_f[(k - tau) % n_fft] * z_conj) for tau in range(n_fft)]
+    ) / n_fft
+    np.testing.assert_allclose(
+        freq_correlate(y, CazacParams(n_fft, rate)), expected, rtol=0, atol=1e-9
+    )
 
 
 def test_freq_correlate_length_mismatch():

@@ -13,7 +13,7 @@ from cfolab.signal import (
     idft,
 )
 
-from conftest import chirp
+from conftest import chirp, dft_matrix
 
 VALID_PARAMS = [
     CazacParams(64, 2),
@@ -98,6 +98,22 @@ def test_dft_matches_numpy_fft():
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         np.testing.assert_allclose(dft(x), np.fft.fft(x) / np.sqrt(n), atol=1e-10)
         np.testing.assert_allclose(idft(x), np.fft.ifft(x) * np.sqrt(n), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_dft_matches_explicit_matrix(n):
+    """dft/idft equal the definitional O(N^2) sums, built independently of any FFT."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = dft_matrix(n)
+    np.testing.assert_allclose(dft(x), f @ x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(idft(x), np.conj(f) @ x, rtol=0, atol=1e-9)
+
+
+def test_dft_returns_double_precision():
+    x = np.ones(8, dtype=np.complex64)
+    assert dft(x).dtype == np.complex128
+    assert idft(x.real).dtype == np.complex128
 
 
 def test_dft_parseval():
