@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import os
 import sys
@@ -55,10 +56,17 @@ def write_iq(path: str | Path, samples: np.ndarray) -> None:
 
 
 def read_iq(path: str | Path) -> np.ndarray:
-    """Read interleaved little-endian float32 I/Q into complex128."""
+    """Read interleaved little-endian float32 I/Q into complex128.
+
+    Raises:
+        ConfigError: odd value count, or a NaN or infinite value.
+    """
     raw = np.fromfile(str(path), dtype="<f4")
     if raw.size % 2 != 0:
         raise ConfigError(f"{path}: odd number of float32 values, not an I/Q file")
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ConfigError(f"{path}: sample {bad[0] // 2} is not finite ({raw[bad[0]]})")
     return (raw[0::2] + 1j * raw[1::2]).astype(np.complex128)
 
 
@@ -293,11 +301,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "loc_2": est.peaks.loc_2,
         "failed": est.failed,
     }
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     return EXIT_ESTIMATION if est.failed else EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser unchanged (each call fills a new namespace),
+    so every call of main shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="cfolab",
         description="Carrier frequency offset estimation lab over dual chirp-rate preambles.",

@@ -72,7 +72,10 @@ def wrap_offset(eps: float, rate: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PeakReport:
-    """Magnitude profiles of both frequency correlations and their peak bins."""
+    """Magnitude profiles of both frequency correlations and their peak bins.
+
+    From estimate_cfo_batch every field has a leading trial axis.
+    """
 
     corr_1: np.ndarray
     corr_2: np.ndarray
@@ -96,44 +99,62 @@ class CfoEstimate:
     failed: bool = False
 
 
-def time_autocorr(y: np.ndarray, rate: int) -> complex:
-    """Average lag-N/rate autocorrelation of one received symbol.
+def time_autocorr(y: np.ndarray, rate: int) -> complex | np.ndarray:
+    """Average lag-N/rate autocorrelation of one received symbol, or of a stack.
 
     Returns (1/(N - N/rate)) * sum_n y(n + N/rate) * conj(y(n)).  For the
     chirp preamble over a noiseless multipath channel this equals
     sum_m |h(m)|^2 * exp(j*2*pi*cfo/rate): the cross-path terms cancel, so
-    the phase encodes the offset modulo the rate.
+    the phase encodes the offset modulo the rate.  y may carry leading axes
+    (a stack of symbols along the last axis); one symbol gives a complex.
     """
     y = np.asarray(y)
-    n = y.shape[0]
+    n = y.shape[-1]
     if rate < 2 or n % rate != 0:
         raise ConfigError(f"rate must be >= 2 and divide the buffer length, got rate={rate} len={n}")
     lag = n // rate
-    return complex(np.vdot(y[: n - lag], y[lag:]) / (n - lag))
+    # A stacked (1, k) @ (k, 1) product is one BLAS dot per symbol: the sum
+    # np.vdot forms, bit for bit, which np.sum and einsum are not.
+    r_t = (np.conj(y[..., None, : n - lag]) @ y[..., lag:, None])[..., 0, 0] / (n - lag)
+    return complex(r_t) if r_t.ndim == 0 else r_t
 
 
-def estimate_ffo(y: np.ndarray, rate: int) -> float:
+def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
     """Fractional-offset estimate (rate/(2*pi)) * arg(autocorrelation).
 
     The principal argument lands the result in (-rate/2, rate/2]; the true
     offset is recovered modulo the rate, and the leftover integer ambiguity
-    is the second stage's job.
+    is the second stage's job.  y is one symbol (a float is returned) or a
+    (T, N) stack (a (T,) array is returned).  In a stack, a row whose
+    autocorrelation is too small to carry a phase reads NaN instead of
+    raising, so one unusable trial does not stop the others.
 
     Raises:
-        DegenerateSignalError: autocorrelation magnitude too small to carry
-            a phase (all-zero or pathological input).
+        DegenerateSignalError: one symbol whose autocorrelation magnitude is
+            too small to carry a phase (all-zero or pathological input).
     """
-    r_t = time_autocorr(y, rate)
-    if abs(r_t) < _DEGENERATE_FLOOR:
+    r_t = np.atleast_1d(time_autocorr(y, rate))
+    # math.atan2 per row: numpy's vectorized arctan2 may differ from it in
+    # the last bit, which would move printed estimates.
+    ffo = rate / (2.0 * np.pi) * np.array([math.atan2(r.imag, r.real) for r in r_t.tolist()])
+    degenerate = np.abs(r_t) < _DEGENERATE_FLOOR
+    if np.ndim(y) > 1:
+        ffo[degenerate] = np.nan
+        return ffo
+    if degenerate[0]:
         raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
-    return rate / (2.0 * np.pi) * math.atan2(r_t.imag, r_t.real)
+    return float(ffo[0])
 
 
-def compensate(y: np.ndarray, ffo: float) -> np.ndarray:
-    """Derotate a symbol window by exp(-j*2*pi*ffo*n/N), n = 0..N-1."""
+def compensate(y: np.ndarray, ffo: float | np.ndarray) -> np.ndarray:
+    """Derotate symbol windows by exp(-j*2*pi*ffo*n/N), n = 0..N-1.
+
+    y may carry leading axes; ffo is a scalar or broadcasts against
+    y.shape[:-1].
+    """
     y = np.asarray(y)
-    n = np.arange(y.shape[0])
-    return y * np.exp(-2j * np.pi * ffo * n / y.shape[0])
+    n = np.arange(y.shape[-1])
+    return y * np.exp(-2j * np.pi * np.asarray(ffo)[..., None] * n / y.shape[-1])
 
 
 def freq_correlate(y_comp: np.ndarray, params: CazacParams) -> np.ndarray:
@@ -145,11 +166,12 @@ def freq_correlate(y_comp: np.ndarray, params: CazacParams) -> np.ndarray:
     dechirped symbol: R(tau) = conj(DFT(conj(x) * y)(tau)) / sqrt(N), with
     x the clean chirp in time.  With an integer residual offset the
     magnitude is zero everywhere except the comb teeth (q - rate*m) mod N.
+    y_comp may carry leading axes; the correlation runs along the last.
     """
     y_comp = np.asarray(y_comp)
-    if y_comp.shape[0] != params.n_fft:
+    if y_comp.shape[-1] != params.n_fft:
         raise ConfigError(
-            f"buffer length {y_comp.shape[0]} does not match n_fft {params.n_fft}"
+            f"buffer length {y_comp.shape[-1]} does not match n_fft {params.n_fft}"
         )
     return np.conj(dft(np.conj(cazac_generate(params)) * y_comp)) / np.sqrt(params.n_fft)
 
@@ -202,6 +224,36 @@ def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:
     return int(resolved)
 
 
+def estimate_cfo_batch(
+    y: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True
+) -> tuple[np.ndarray, np.ndarray, PeakReport]:
+    """Run both stages on a (T, 2, N) stack of received symbol pairs.
+
+    Each stage is one array pass over the trial axis; only the peak walk
+    runs per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN for rows whose
+    autocorrelation is too small to carry a phase (estimate_cfo raises
+    DegenerateSignalError there); ifo (T,) is the resolved integer as a
+    float, NaN where the walk gave up; peaks holds (T, N) magnitude
+    profiles and (T,) peak bins.
+    """
+    if ffo_stage:
+        ffo = estimate_ffo(y[:, 0], spec.params_1.rate)
+        y = compensate(y, ffo[:, None])
+    else:
+        ffo = np.zeros(y.shape[0])
+    corr_1 = np.abs(freq_correlate(y[:, 0], spec.params_1))
+    corr_2 = np.abs(freq_correlate(y[:, 1], spec.params_2))
+    loc_1 = np.argmax(corr_1, axis=-1)
+    loc_2 = np.argmax(corr_2, axis=-1)
+    ifo = np.empty(y.shape[0])
+    for i, (l1, l2) in enumerate(zip(loc_1.tolist(), loc_2.tolist())):
+        try:
+            ifo[i] = resolve_ifo(l1, l2, spec.params_2.rate, spec.n_fft)
+        except ResolutionError:
+            ifo[i] = np.nan
+    return ffo, ifo, PeakReport(corr_1=corr_1, corr_2=corr_2, loc_1=loc_1, loc_2=loc_2)
+
+
 def estimate_cfo(rx: ReceivedFrame, spec: PreambleSpec, ffo_stage: bool = True) -> CfoEstimate:
     """Run both stages on a received two-symbol frame.
 
@@ -211,22 +263,21 @@ def estimate_cfo(rx: ReceivedFrame, spec: PreambleSpec, ffo_stage: bool = True) 
     reference chirp and resolves the residual integer from the two peak
     locations.  With ffo_stage False the fractional stage is skipped and the
     symbols are used as-is (ffo = 0), which is only meaningful for integer
-    offsets.
+    offsets.  This is estimate_cfo_batch for one frame.
+
+    Raises:
+        DegenerateSignalError: the first symbol's autocorrelation is too
+            small to carry a phase.
     """
-    y1, y2 = rx.symbols
-    if ffo_stage:
-        ffo = estimate_ffo(y1, spec.params_1.rate)
-        y1 = compensate(y1, ffo)
-        y2 = compensate(y2, ffo)
-    else:
-        ffo = 0.0
-    corr_1 = np.abs(freq_correlate(y1, spec.params_1))
-    corr_2 = np.abs(freq_correlate(y2, spec.params_2))
-    loc_1 = int(np.argmax(corr_1))
-    loc_2 = int(np.argmax(corr_2))
-    peaks = PeakReport(corr_1=corr_1, corr_2=corr_2, loc_1=loc_1, loc_2=loc_2)
-    try:
-        ifo = resolve_ifo(loc_1, loc_2, spec.params_2.rate, spec.n_fft)
-    except ResolutionError:
-        return CfoEstimate(ffo=ffo, ifo_residual=None, total=None, peaks=peaks, failed=True)
-    return CfoEstimate(ffo=ffo, ifo_residual=ifo, total=ifo + ffo, peaks=peaks)
+    ffo, ifo, batch = estimate_cfo_batch(np.stack(rx.symbols)[None], spec, ffo_stage)
+    if math.isnan(ffo[0]):
+        raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
+    peaks = PeakReport(
+        corr_1=batch.corr_1[0], corr_2=batch.corr_2[0],
+        loc_1=int(batch.loc_1[0]), loc_2=int(batch.loc_2[0]),
+    )
+    if math.isnan(ifo[0]):
+        return CfoEstimate(ffo=float(ffo[0]), ifo_residual=None, total=None, peaks=peaks, failed=True)
+    return CfoEstimate(
+        ffo=float(ffo[0]), ifo_residual=int(ifo[0]), total=float(ifo[0] + ffo[0]), peaks=peaks
+    )

@@ -21,6 +21,7 @@ Trans. Commun. 45 (1997) 1613-1621, as the comparison baseline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,52 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
     )
 
 
+def sca_estimate_batch(
+    y: np.ndarray,
+    pre: ScaPreamble,
+    search_range: int | None = None,
+    ffo_stage: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the Schmidl-Cox estimator on a (T, 2, N) stack of received symbol pairs.
+
+    Returns (ffo, ifo, metric): ffo (T,) is NaN for rows without a usable
+    phase or energy (sca_estimate raises DegenerateSignalError there), ifo
+    (T,) is the even integer estimate 2g as a float, and metric (T, 2S+1)
+    holds B(g) for g = -S..S with S = search_range.
+    """
+    n = pre.n_fft
+    if search_range is None:
+        search_range = n // 4
+    if search_range > n // 4:
+        raise ConfigError(f"search_range must be <= n_fft/4 = {n // 4}, got {search_range}")
+    if ffo_stage:
+        # The half-symbol correlation is the lag-N/2 autocorrelation.
+        ffo = estimate_ffo(y[:, 0], 2)
+        y = compensate(y, ffo[:, None])
+    else:
+        ffo = np.zeros(y.shape[0])
+    x = dft(y)
+    energy = np.sum(np.abs(x[:, 1]) ** 2, axis=-1)
+
+    # B(g) sums over even bins k = 2j the terms conj(X1(k+2g)) * conj(v(j)) *
+    # X2(k+2g).  Both spectra are laid out once as ext[m] = X[2*((m - S) mod
+    # N/2)], so the bins for shift g are the window ext[g+S : g+S+N/2]: one
+    # strided view per spectrum, with no (2S+1, N/2) index gather.
+    half = n // 2
+    shifts = np.arange(-search_range, search_range + 1)
+    ext = x[:, :, 2 * ((np.arange(2 * search_range + half) - search_range) % half)]
+    ext[:, 0] = np.conj(ext[:, 0])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, half, axis=-1)
+    terms = windows[:, 0] * np.conj(pre.v)
+    terms *= windows[:, 1]
+    # All-zero rows divide by zero here; they are flagged through ffo below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        metric = np.abs(terms.sum(axis=-1)) ** 2 / (2.0 * energy[:, None] ** 2)
+    g_hat = shifts[np.argmax(metric, axis=-1)]
+    ffo[energy < 1e-12] = np.nan
+    return ffo, 2.0 * g_hat, metric
+
+
 def sca_estimate(
     rx: ReceivedFrame,
     pre: ScaPreamble,
@@ -93,37 +140,24 @@ def sca_estimate(
     autocorrelation of symbol 1 (range +-1 subcarrier); both symbols are then
     derotated and the even shift 2g with |g| <= search_range maximizing B(g)
     gives the integer part.  search_range defaults to N/4, which spans every
-    distinct even shift.  Ties go to the lowest g.
-    """
-    n = pre.n_fft
-    if search_range is None:
-        search_range = n // 4
-    if search_range > n // 4:
-        raise ConfigError(f"search_range must be <= n_fft/4 = {n // 4}, got {search_range}")
-    y1, y2 = rx.symbols
-    if ffo_stage:
-        # The half-symbol correlation is the lag-N/2 autocorrelation.
-        ffo = estimate_ffo(y1, 2)
-        y1 = compensate(y1, ffo)
-        y2 = compensate(y2, ffo)
-    else:
-        ffo = 0.0
-    x1 = dft(y1)
-    x2 = dft(y2)
-    energy = np.sum(np.abs(x2) ** 2)
-    if energy < 1e-12:
-        raise DegenerateSignalError("all-zero training symbols")
+    distinct even shift.  Ties go to the lowest g.  This is
+    sca_estimate_batch for one frame.
 
-    even = np.arange(0, n, 2)
-    shifts = np.arange(-search_range, search_range + 1)
-    idx = (even[None, :] + 2 * shifts[:, None]) % n
-    terms = np.conj(x1[idx]) * np.conj(pre.v)[None, :] * x2[idx]
-    metric = np.abs(terms.sum(axis=1)) ** 2 / (2.0 * energy**2)
-    g_hat = int(shifts[int(np.argmax(metric))])
+    Raises:
+        DegenerateSignalError: the training symbols carry no usable phase or
+            energy.
+    """
+    ffo, ifo, metric = sca_estimate_batch(np.stack(rx.symbols)[None], pre, search_range, ffo_stage)
+    if math.isnan(ffo[0]):
+        raise DegenerateSignalError("training symbols carry no usable phase or energy")
+    n = pre.n_fft
+    shifts = np.arange(metric.shape[-1]) - metric.shape[-1] // 2
 
     # Diagnostics mapped onto spectrum bins: metric value at tau = 2g mod N.
     profile = np.zeros(n)
-    np.maximum.at(profile, (2 * shifts) % n, metric)
+    np.maximum.at(profile, (2 * shifts) % n, metric[0])
     loc = int(np.argmax(profile))
     peaks = PeakReport(corr_1=profile, corr_2=profile, loc_1=loc, loc_2=loc)
-    return CfoEstimate(ffo=ffo, ifo_residual=2 * g_hat, total=2 * g_hat + ffo, peaks=peaks)
+    return CfoEstimate(
+        ffo=float(ffo[0]), ifo_residual=int(ifo[0]), total=float(ifo[0] + ffo[0]), peaks=peaks
+    )

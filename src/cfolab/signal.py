@@ -121,19 +121,20 @@ def cazac_generate(params: CazacParams) -> np.ndarray:
 def dft(x: np.ndarray) -> np.ndarray:
     """Unitary forward DFT: X(k) = (1/sqrt(N)) * sum_n x(n) exp(-j2*pi*k*n/N).
 
-    The length must be a power of two.
+    Transforms along the last axis, whose length must be a power of two;
+    leading axes are a stack of independent transforms.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or not _is_power_of_two(x.shape[0]):
-        raise ConfigError(f"dft requires a 1-d power-of-two length buffer, got shape {x.shape}")
+    if x.ndim == 0 or not _is_power_of_two(x.shape[-1]):
+        raise ConfigError(f"dft requires a power-of-two length along the last axis, got shape {x.shape}")
     return np.fft.fft(x, norm="ortho")
 
 
 def idft(x: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT, exp(+j2*pi*k*n/N) kernel with the same 1/sqrt(N) factor."""
+    """Unitary inverse DFT along the last axis: exp(+j2*pi*k*n/N) kernel, same 1/sqrt(N) factor."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or not _is_power_of_two(x.shape[0]):
-        raise ConfigError(f"idft requires a 1-d power-of-two length buffer, got shape {x.shape}")
+    if x.ndim == 0 or not _is_power_of_two(x.shape[-1]):
+        raise ConfigError(f"idft requires a power-of-two length along the last axis, got shape {x.shape}")
     return np.fft.ifft(x, norm="ortho")
 
 

@@ -3,20 +3,38 @@
 Every trial derives its own random stream from (master_seed, snr cell,
 estimator id, trial index), so sweep results are bit-identical regardless of
 execution order and individual trials can be replayed in isolation.
+
+A sweep runs each estimator's trials over the whole SNR grid as array passes
+over a leading trial axis, in chunks of bounded size: only the random draws
+loop per trial, each from its own generator.  run_trial is the same pass over
+a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelProfile, ImpairmentSpec, transmit
-from .errors import ConfigError, DegenerateSignalError
-from .estimator import estimate_cfo, wrap_offset
-from .sca import ScaPreamble, sca_build_preamble, sca_estimate
+from .channel import (
+    ChannelProfile,
+    ImpairmentSpec,
+    complex_taps,
+    draw_frame,
+    noise_std,
+    propagate,
+    tap_std,
+    transmit,
+)
+from .errors import ConfigError
+from .estimator import estimate_cfo, estimate_cfo_batch, wrap_offset
+
+# sca_estimate, the one-frame form of sca_estimate_batch, stays bound here
+# beside transmit and estimate_cfo: bench/spans.py traces these names.
+from .sca import ScaPreamble, sca_build_preamble, sca_estimate, sca_estimate_batch  # noqa: F401
 from .signal import CazacParams, PreambleFrame, PreambleSpec, build_preamble
 
 ESTIMATOR_PROPOSED = "proposed"
@@ -25,6 +43,10 @@ _ESTIMATOR_IDS = {ESTIMATOR_PROPOSED: 0, ESTIMATOR_SCA: 1}
 
 # Stream tag separating the SCA preamble draw from trial streams.
 _SCA_PREAMBLE_TAG = 0x5CA_9EA3
+
+# Memory bound of the sweep engine: trials run in chunks sized so that the
+# largest array of a chunk stays under this many bytes.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -129,14 +151,18 @@ def _sca_preamble_for(master_seed: int, n_fft: int, cp_len: int) -> ScaPreamble:
 
 
 def _snr_key(snr_db: float) -> int:
-    """Stable nonnegative integer key for an SNR value (works for +inf too)."""
-    return int(np.float64(snr_db).view(np.uint64))
+    """Stable nonnegative integer key for an SNR value (works for +inf too): its float64 bits."""
+    return struct.unpack("=Q", struct.pack("=d", snr_db))[0]
 
 
 def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int) -> np.random.Generator:
-    """Derive the deterministic random stream for one trial cell."""
-    return np.random.default_rng(
-        [cfg.master_seed, _snr_key(snr_db), _ESTIMATOR_IDS[estimator], trial_index]
+    """Derive the deterministic random stream for one trial cell.
+
+    Generator(PCG64(seed)) is what np.random.default_rng(seed) builds, at a
+    third less cost per call.
+    """
+    return np.random.Generator(
+        np.random.PCG64([cfg.master_seed, _snr_key(snr_db), _ESTIMATOR_IDS[estimator], trial_index])
     )
 
 
@@ -154,67 +180,137 @@ def run_single_frame(
     return rx, est
 
 
+def _run_trials(
+    cfg: ExperimentConfig,
+    estimator: str,
+    snrs: np.ndarray,
+    trial_indices: np.ndarray,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a batch of trials as one array pass.
+
+    Trial i draws from trial_rng(cfg, snrs[i], estimator, trial_indices[i]);
+    scale[i] is noise_std at snrs[i].  Returns (ifo_correct, ffo_error,
+    total_error) per trial.  ffo_error is NaN for a degenerate trial;
+    total_error is NaN for a degenerate trial and for one whose integer
+    stage failed.
+    """
+    if estimator == ESTIMATOR_PROPOSED:
+        spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+        ffo_rate = cfg.r1
+    else:
+        pre = _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
+        frame = pre.frame
+        ffo_rate = 2.0
+    profile = cfg.channel
+    count = len(snrs)
+    tap_normals = np.empty((count, 2, 2 * profile.path_count))
+    phase_0 = np.empty(count)
+    # Zeros, so rows drawn without noise add exact zeros in propagate.
+    white = np.zeros((count, 4 * frame.block_len))
+    noisy = (scale != 0).tolist()
+    for i, (snr, t) in enumerate(zip(snrs.tolist(), trial_indices.tolist())):
+        rng = trial_rng(cfg, snr, estimator, t)
+        phase_0[i] = draw_frame(profile, rng, tap_normals[i], white[i] if noisy[i] else None)
+
+    taps = complex_taps(tap_std(profile), tap_normals)
+    stream = propagate(frame, taps, phase_0, cfg.cfo_true, white, scale)
+    start = frame.cp_len
+    symbols = stream.reshape(count, 2, frame.block_len)[:, :, start : start + cfg.n_fft]
+    if estimator == ESTIMATOR_PROPOSED:
+        ffo, ifo, _ = estimate_cfo_batch(symbols, spec, ffo_stage=cfg.ffo_stage_enabled)
+    else:
+        ffo, ifo, _ = sca_estimate_batch(symbols, pre, ffo_stage=cfg.ffo_stage_enabled)
+    ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
+    total_error = (ifo + ffo) - cfg.cfo_true
+    return np.abs(total_error) < 0.5, ffo - ffo_ref, total_error
+
+
 def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int) -> TrialRecord:
     """Transmit one frame and run one estimator on it.
 
     ifo_correct records whether the integer part was resolved: the total
     estimate lies within half a subcarrier of the true offset.  With the
     fractional stage disabled and an integer true offset, this reduces to
-    the resolved integer equalling the offset exactly.
+    the resolved integer equalling the offset exactly.  A trial whose input
+    carries no usable phase has ffo_error and total_error NaN; one whose
+    integer stage fails keeps its ffo_error and has total_error NaN.  This
+    is the sweep engine's pass over a batch of one.
     """
     if estimator not in _ESTIMATOR_IDS:
         raise ConfigError(f"unknown estimator {estimator!r}")
-    rng = trial_rng(cfg, snr_db, estimator, trial_index)
-    try:
-        if estimator == ESTIMATOR_PROPOSED:
-            _, est = run_single_frame(cfg, snr_db, rng)
-            ffo_ref = wrap_offset(cfg.cfo_true, cfg.r1) if cfg.ffo_stage_enabled else 0.0
-        else:
-            pre = _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
-            rx = transmit(pre.frame, cfg.channel, _impairment(cfg, snr_db), rng)
-            est = sca_estimate(rx, pre, ffo_stage=cfg.ffo_stage_enabled)
-            ffo_ref = wrap_offset(cfg.cfo_true, 2.0) if cfg.ffo_stage_enabled else 0.0
-    except DegenerateSignalError:
-        return TrialRecord(snr_db, estimator, False, math.nan, math.nan)
-    if est.failed:
-        return TrialRecord(snr_db, estimator, False, est.ffo - ffo_ref, math.nan)
+    correct, ffo_error, total_error = _run_trials(
+        cfg, estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
+        np.array([noise_std(cfg.channel, snr_db)]),
+    )
     return TrialRecord(
         snr_db=snr_db,
         estimator=estimator,
-        ifo_correct=abs(est.total - cfg.cfo_true) < 0.5,
-        ffo_error=est.ffo - ffo_ref,
-        total_error=est.total - cfg.cfo_true,
+        ifo_correct=bool(correct[0]),
+        ffo_error=float(ffo_error[0]),
+        total_error=float(total_error[0]),
     )
 
 
+def _chunk_trials(cfg: ExperimentConfig, estimator: str) -> int:
+    """Trials per engine pass, so that the pass's largest array fits CHUNK_BYTES."""
+    # The frame stream (complex) and its noise draws (two reals per sample).
+    largest = 16 * 2 * (cfg.n_fft + cfg.cp_len)
+    if estimator == ESTIMATOR_SCA:
+        # The shift metric's terms: (2 * n_fft/4 + 1) shifts x n_fft/2 even bins.
+        largest = max(largest, 16 * (2 * (cfg.n_fft // 4) + 1) * (cfg.n_fft // 2))
+    return max(1, CHUNK_BYTES // largest)
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run trials_per_point trials for every (snr, estimator) cell and aggregate."""
-    cells: list[SweepCell] = []
-    if cfg.trials_per_point > 0:
-        for snr_db in cfg.snr_grid_db:
-            for estimator in cfg.estimators:
-                failures = 0
-                sq_sum = 0.0
-                sq_count = 0
-                for t in range(cfg.trials_per_point):
-                    rec = run_trial(cfg, snr_db, estimator, t)
-                    if not rec.ifo_correct:
-                        failures += 1
-                    if math.isfinite(rec.ffo_error):
-                        sq_sum += rec.ffo_error * rec.ffo_error
-                        sq_count += 1
-                cells.append(
-                    SweepCell(
-                        snr_db=snr_db,
-                        estimator=estimator,
-                        mode=cfg.channel.mode,
-                        trials=cfg.trials_per_point,
-                        failures=failures,
-                        failure_prob=failures / cfg.trials_per_point,
-                        ffo_mse=sq_sum / sq_count if sq_count else math.nan,
-                        wilson_ci_95=wilson_interval(failures, cfg.trials_per_point),
-                    )
+    """Run trials_per_point trials for every (snr, estimator) cell and aggregate.
+
+    Each estimator's trials over the whole grid, in (snr, trial) order, run
+    as array passes of _chunk_trials trials each; every trial equals
+    run_trial for its cell and index.  Beyond one pass's arrays, memory
+    grows only with the outcomes kept per trial, a few tens of bytes each.
+    """
+    trials = cfg.trials_per_point
+    if trials == 0:
+        return SweepResult(config=cfg, cells=())
+    grid = np.array(cfg.snr_grid_db, dtype=float)
+    scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
+    total = grid.size * trials
+    stats = {}
+    for estimator in cfg.estimators:
+        correct = np.empty(total, dtype=bool)
+        ffo_error = np.empty(total)
+        step = _chunk_trials(cfg, estimator)
+        for lo in range(0, total, step):
+            cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
+            correct[lo : lo + step], ffo_error[lo : lo + step], _ = _run_trials(
+                cfg, estimator, grid[cell], t, scales[cell]
+            )
+        correct = correct.reshape(grid.size, trials)
+        ffo_error = ffo_error.reshape(grid.size, trials)
+        finite = np.isfinite(ffo_error)
+        stats[estimator] = (
+            np.count_nonzero(~correct, axis=1).tolist(),
+            # A running sum in trial order, as a loop over the trials forms it.
+            np.cumsum(np.where(finite, ffo_error**2, 0.0), axis=1)[:, -1].tolist(),
+            np.count_nonzero(finite, axis=1).tolist(),
+        )
+    cells = []
+    for k, snr_db in enumerate(cfg.snr_grid_db):
+        for estimator in cfg.estimators:
+            failures, sq_sum, sq_count = (column[k] for column in stats[estimator])
+            cells.append(
+                SweepCell(
+                    snr_db=snr_db,
+                    estimator=estimator,
+                    mode=cfg.channel.mode,
+                    trials=trials,
+                    failures=failures,
+                    failure_prob=failures / trials,
+                    ffo_mse=sq_sum / sq_count if sq_count else math.nan,
+                    wilson_ci_95=wilson_interval(failures, trials),
                 )
+            )
     return SweepResult(config=cfg, cells=tuple(cells))
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfolab.cli import load_config_file, read_iq, write_iq
+from cfolab.cli import load_config_file, main, read_iq, write_iq
 
 
 def run_cli(*args, cwd=None):
@@ -172,3 +172,50 @@ def test_config_file_parser():
 def test_unknown_command():
     result = run_cli("transmogrify")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("index,value", [
+    (16 + 5, np.nan),                    # symbol 1
+    (2 * 16 + 128 + 40, np.nan),         # symbol 2 only
+    (16 + 100, np.inf),
+])
+def test_estimate_rejects_non_finite_samples(tmp_path, index, value):
+    """Non-finite IQ is unusable input: exit 2 with an error line, no report."""
+    pre = tmp_path / "pre.iq"
+    assert run_cli("preamble", "--n", "128", "--out", str(pre)).returncode == 0
+    samples = read_iq(pre) * np.exp(2j * np.pi * 20.3 * np.arange(288) / 128)
+    samples[index] = complex(value, 0.0)
+    write_iq(pre, samples)
+    result = run_cli("estimate", "--in", str(pre), "--n", "128")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:") and "not finite" in result.stderr
+    assert result.stdout == ""
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """main() shares one parser per process; interleaved calls behave as fresh processes do."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    pre = tmp_path / "pre.iq"
+    assert run_cli("preamble", "--n", "64", "--out", str(pre)).returncode == 0
+    calls = [
+        ["estimate", "--in", str(pre), "--n", "64"],
+        ["fig2", "--n", "64", "--snr-grid", "0,10", "--trials", "6", "--seed", "4", "--out", "{}"],
+        ["fig2", "--n", "64", "--trials", "many", "--out", "{}"],
+        ["estimate", "--in", str(pre), "--n", "64"],
+    ]
+    for k, argv in enumerate(calls):
+        fresh_out, own_out = tmp_path / f"fresh{k}.csv", tmp_path / f"own{k}.csv"
+        fresh = run_cli(*(a.format(fresh_out) for a in argv))
+        try:
+            code = main([a.format(own_out) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == fresh.returncode, argv
+        assert captured.out.replace(str(own_out), "X") == fresh.stdout.replace(str(fresh_out), "X")
+        assert own_out.exists() == fresh_out.exists()
+        if fresh_out.exists():
+            assert own_out.read_bytes() == fresh_out.read_bytes()
+            manifests = [p.with_name(p.name + ".manifest.json").read_text().replace(str(p), "X")
+                         for p in (own_out, fresh_out)]
+            assert manifests[0] == manifests[1]

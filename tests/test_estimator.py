@@ -11,6 +11,7 @@ from cfolab.estimator import (
     compensate,
     decompose_cfo,
     estimate_cfo,
+    estimate_cfo_batch,
     estimate_ffo,
     freq_correlate,
     resolve_ifo,
@@ -312,6 +313,33 @@ def test_estimate_cfo_without_ffo_stage():
     assert est.ffo == 0.0
     assert est.ifo_residual == 20
     assert est.total == 20.0
+
+
+def test_estimate_cfo_batch_rows_match_single_frames():
+    """Each row of a stacked pass equals the one-frame estimate; a dead row reads NaN alone."""
+    spec = _spec(n_fft=64)
+    frames = [_transmit(spec, cfo, seed) for seed, cfo in enumerate((20.3, -13.6, 7.0, 0.4))]
+    stack = np.stack([np.stack(rx.symbols) for rx in frames] + [np.zeros((2, 64), dtype=complex)])
+    for ffo_stage in (True, False):
+        ffo, ifo, peaks = estimate_cfo_batch(stack, spec, ffo_stage)
+        for i, rx in enumerate(frames):
+            est = estimate_cfo(rx, spec, ffo_stage)
+            assert (ffo[i], ifo[i]) == (est.ffo, est.ifo_residual)
+            assert (peaks.loc_1[i], peaks.loc_2[i]) == (est.peaks.loc_1, est.peaks.loc_2)
+            np.testing.assert_array_equal(peaks.corr_1[i], est.peaks.corr_1)
+            np.testing.assert_array_equal(peaks.corr_2[i], est.peaks.corr_2)
+        assert math.isnan(ffo[-1]) == ffo_stage
+    dead = ReceivedFrame(n_fft=64, cp_len=16, stream=np.zeros(160, dtype=complex),
+                         symbols=(np.zeros(64, dtype=complex), np.zeros(64, dtype=complex)))
+    with pytest.raises(DegenerateSignalError):
+        estimate_cfo(dead, spec)
+
+
+def test_estimate_ffo_stack_marks_degenerate_rows():
+    y = np.stack([synth_rx(64, 2, [1.0], 0.3, 0.4), np.zeros(64), synth_rx(64, 2, [1.0], -0.7, 1.0)])
+    got = estimate_ffo(y, 2)
+    assert got[0] == estimate_ffo(y[0], 2) and got[2] == estimate_ffo(y[2], 2)
+    assert math.isnan(got[1])
 
 
 # ---------------------------------------------------------------------------

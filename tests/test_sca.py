@@ -1,11 +1,13 @@
 """Schmidl-Cox baseline: preamble structure, metric correctness, channel sensitivity."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.errors import ConfigError
-from cfolab.sca import sca_build_preamble, sca_estimate
+from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
 from cfolab.simlab import ExperimentConfig, run_trial
 
 
@@ -96,6 +98,20 @@ def test_degenerate_input():
     )
     with pytest.raises(DegenerateSignalError):
         sca_estimate(dead, pre)
+
+
+def test_batch_rows_match_single_frames():
+    """Each row of a stacked pass equals the one-frame estimate; a dead row reads NaN alone."""
+    pre = _preamble(n_fft=64)
+    frames = [_rx(pre, cfo, seed=s, snr_db=10.0) for s, cfo in enumerate((20.4, -13.0, 6.0))]
+    stack = np.stack([np.stack(rx.symbols) for rx in frames] + [np.zeros((2, 64), dtype=complex)])
+    for ffo_stage in (True, False):
+        ffo, ifo, metric = sca_estimate_batch(stack, pre, ffo_stage=ffo_stage)
+        assert metric.shape == (4, 33)
+        for i, rx in enumerate(frames):
+            est = sca_estimate(rx, pre, ffo_stage=ffo_stage)
+            assert (ffo[i], ifo[i], ifo[i] + ffo[i]) == (est.ffo, est.ifo_residual, est.total)
+        assert math.isnan(ffo[-1])
 
 
 def test_varying_channel_fails_more_than_static():

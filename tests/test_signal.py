@@ -151,6 +151,20 @@ def test_dft_of_cazac_constant_modulus_on_support():
     assert np.max(np.abs(x_f[off])) < 1e-10
 
 
+def test_transforms_run_along_the_last_axis_of_a_stack():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 2, 64)) + 1j * rng.standard_normal((3, 2, 64))
+    for transform in (dft, idft):
+        stacked = transform(x)
+        for i in range(3):
+            for s in range(2):
+                np.testing.assert_array_equal(stacked[i, s], transform(x[i, s]))
+    with pytest.raises(ConfigError):
+        dft(np.zeros((4, 12), dtype=complex))
+    with pytest.raises(ConfigError):
+        dft(np.complex128(1.0))
+
+
 @pytest.mark.parametrize("n", [3, 12, 100])
 def test_dft_rejects_non_power_of_two(n):
     with pytest.raises(ConfigError):

@@ -1,16 +1,22 @@
 """Monte Carlo engine: seeding, aggregation, correlation dumps."""
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from cfolab import simlab
 from cfolab.channel import ChannelProfile
+from cfolab.cli import main
 from cfolab.errors import ConfigError
 from cfolab.simlab import (
     ExperimentConfig,
+    SweepCell,
+    TrialRecord,
     dump_correlations,
     run_single_frame,
     run_sweep,
@@ -159,3 +165,126 @@ def test_config_is_frozen():
     cfg = _cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.n_fft = 64
+
+
+def _record_tuple(rec):
+    """A TrialRecord as a tuple whose NaN fields compare equal to each other."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in dataclasses.astuple(rec))
+
+
+def _reference_cells(cfg):
+    """The sweep as a plain loop over run_trial, aggregated cell by cell."""
+    cells = []
+    for snr_db in cfg.snr_grid_db:
+        for estimator in cfg.estimators:
+            failures, sq_sum, sq_count = 0, 0.0, 0
+            for t in range(cfg.trials_per_point):
+                rec = run_trial(cfg, snr_db, estimator, t)
+                failures += not rec.ifo_correct
+                if math.isfinite(rec.ffo_error):
+                    sq_sum += rec.ffo_error * rec.ffo_error
+                    sq_count += 1
+            cells.append(SweepCell(
+                snr_db=snr_db, estimator=estimator, mode=cfg.channel.mode,
+                trials=cfg.trials_per_point, failures=failures,
+                failure_prob=failures / cfg.trials_per_point,
+                ffo_mse=sq_sum / sq_count if sq_count else math.nan,
+                wilson_ci_95=wilson_interval(failures, cfg.trials_per_point),
+            ))
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("ffo", [False, True])
+@pytest.mark.parametrize("mode", ["static", "varying"])
+@pytest.mark.parametrize("estimator", ["proposed", "sca"])
+def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo):
+    """Every trial a sweep runs equals run_trial for its cell and index.
+
+    Chunks of 4 trials put boundaries inside and between the 10-trial
+    cells, over finite and infinite SNR; the cells, down to the last bit of
+    ffo_mse, equal a plain loop over run_trial, the engine's pass over a
+    batch of one.
+    """
+    cfg = _cfg(
+        n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), cfo_true=20.3 if ffo else 20.0,
+        ffo_stage_enabled=ffo, snr_grid_db=(-5.0, 10.0, math.inf), trials_per_point=10,
+        estimators=(estimator,),
+    )
+    rows = []
+    run_batch = simlab._run_trials
+
+    def recording(cfg, estimator, snrs, trial_indices, scale):
+        out = run_batch(cfg, estimator, snrs, trial_indices, scale)
+        rows.extend(zip(snrs.tolist(), trial_indices.tolist(), *(a.tolist() for a in out)))
+        return out
+
+    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg, estimator: 4)
+    monkeypatch.setattr(simlab, "_run_trials", recording)
+    result = run_sweep(cfg)
+    monkeypatch.undo()
+    assert sorted((snr, t) for snr, t, *_ in rows) == sorted(
+        (snr, t) for snr in cfg.snr_grid_db for t in range(10)
+    )
+    for snr, t, correct, ffo_error, total_error in rows:
+        rec = TrialRecord(snr, estimator, correct, ffo_error, total_error)
+        assert _record_tuple(rec) == _record_tuple(run_trial(cfg, snr, estimator, t)), (snr, t)
+    assert result.cells == _reference_cells(cfg)
+    assert any(cell.failures for cell in result.cells)
+
+
+def test_failed_resolution_is_a_failure_with_finite_ffo_error(monkeypatch):
+    """A peak walk that gives up counts as a failure but keeps its fractional error."""
+    from cfolab import estimator as estimator_module
+    from cfolab.errors import ResolutionError
+
+    def give_up(loc_1, loc_2, rate_2, n_fft):
+        raise ResolutionError("walk cap")
+
+    monkeypatch.setattr(estimator_module, "resolve_ifo", give_up)
+    cfg = _cfg(cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0,), trials_per_point=4,
+               estimators=("proposed",))
+    rec = run_trial(cfg, 10.0, "proposed", 0)
+    assert not rec.ifo_correct
+    assert math.isfinite(rec.ffo_error) and math.isnan(rec.total_error)
+    (cell,) = run_sweep(cfg).cells
+    assert cell.failures == 4 and math.isfinite(cell.ffo_mse)
+
+
+# sha256 of the CSVs of `cfolab fig2 --paper --trials 20 --seed 9 --ffo off|on`,
+# computed with the per-trial loop the batched engine replaced.
+FIG2_PAPER_SHA256 = {
+    ("off", 64): "4dadf0478977e7e67928e2c1069492a5a7d5bb92d2d422ea09ddb1fb1a7d6889",
+    ("off", 128): "61ee86f62e59b73246c77d83446540404362034703b216f9bb364833de2a62a1",
+    ("on", 64): "cac8eedff57e2074c52d2c33274511b5cfe809c84fea19239e98c3fc4b305cbc",
+    ("on", 128): "c4d3420868a8200471107fa60525962dc0b038f9ef1191805efe2360bb538102",
+}
+
+
+@pytest.mark.parametrize("ffo", ["off", "on"])
+def test_fig2_paper_csv_digests_are_pinned(tmp_path, capsys, ffo):
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--paper", "--trials", "20", "--seed", "9", "--ffo", ffo,
+                 "--out", str(out)]) == 0
+    for n_fft in (64, 128):
+        data = (tmp_path / f"fig2_n{n_fft}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FIG2_PAPER_SHA256[(ffo, n_fft)], n_fft
+
+
+# Traced peak allowed for a sweep: the engine's chunks keep it a few times
+# CHUNK_BYTES whatever the trial count (one pass over all of these trials
+# would hold about 60 MiB for either estimator).
+PEAK_CHUNKS = 6
+
+
+@pytest.mark.parametrize("estimator,trials", [("proposed", 190), ("sca", 8)])
+def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
+    cfg = _cfg(n_fft=1024, cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0, 20.0),
+               trials_per_point=trials, estimators=(estimator,))
+    assert 2 * trials >= 3 * simlab._chunk_trials(cfg, estimator)
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_CHUNKS * simlab.CHUNK_BYTES, peak / 2**20
