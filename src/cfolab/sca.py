@@ -14,9 +14,11 @@ Trans. Commun. 45 (1997) 1613-1621, as the comparison baseline:
       B(g) = |sum_{k even} conj(X1(k+2g)) * conj(v(k)) * X2(k+2g)|^2
              / (2 * (sum_k |X2(k)|^2)^2)
 
-  estimates the integer part.  The metric relies on the channel being equal
-  across the two symbols, which is exactly what a symbol-to-symbol varying
-  channel breaks.
+  estimates the integer part.  With P(j) = conj(X1(2j)) * X2(2j), the sum
+  is the circular cross-correlation of P with v over the N/2 even bins, so
+  every shift comes from one FFT of P and one inverse FFT: O(N log N) per
+  frame.  The metric relies on the channel being equal across the two
+  symbols, which is exactly what a symbol-to-symbol varying channel breaks.
 """
 
 from __future__ import annotations
@@ -109,20 +111,17 @@ def sca_estimate_batch(
     x = dft(y)
     energy = np.sum(np.abs(x[:, 1]) ** 2, axis=-1)
 
-    # B(g) sums over even bins k = 2j the terms conj(X1(k+2g)) * conj(v(j)) *
-    # X2(k+2g).  Both spectra are laid out once as ext[m] = X[2*((m - S) mod
-    # N/2)], so the bins for shift g are the window ext[g+S : g+S+N/2]: one
-    # strided view per spectrum, with no (2S+1, N/2) index gather.
+    # The sum in B(g) is sum_j conj(v(j)) * P((j + g) mod N/2): one FFT of P,
+    # a product with the conjugate spectrum of v, one inverse FFT.  sqrt(N/2)
+    # turns the unitary transforms' scale into the plain sum.  g = +-N/4 read
+    # the same bin, so they tie exactly and argmax keeps the lower g.
     half = n // 2
     shifts = np.arange(-search_range, search_range + 1)
-    ext = x[:, :, 2 * ((np.arange(2 * search_range + half) - search_range) % half)]
-    ext[:, 0] = np.conj(ext[:, 0])
-    windows = np.lib.stride_tricks.sliding_window_view(ext, half, axis=-1)
-    terms = windows[:, 0] * np.conj(pre.v)
-    terms *= windows[:, 1]
+    p = np.conj(x[:, 0, 0::2]) * x[:, 1, 0::2]
+    corr = idft(dft(p) * (np.conj(dft(pre.v)) * math.sqrt(half)))
     # All-zero rows divide by zero here; they are flagged through ffo below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        metric = np.abs(terms.sum(axis=-1)) ** 2 / (2.0 * energy[:, None] ** 2)
+        metric = np.abs(corr[:, shifts % half]) ** 2 / (2.0 * energy[:, None] ** 2)
     g_hat = shifts[np.argmax(metric, axis=-1)]
     ffo[energy < 1e-12] = np.nan
     return ffo, 2.0 * g_hat, metric

@@ -25,6 +25,7 @@ from .channel import (
     complex_taps,
     draw_frame,
     noise_std,
+    noise_variance,
     propagate,
     tap_std,
     transmit,
@@ -85,6 +86,18 @@ class ExperimentConfig:
             )
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        for snr_db in self.snr_grid_db:
+            # +inf is the noiseless channel; any other SNR needs a finite,
+            # nonzero noise variance.  NaN, -inf and SNRs whose linear power
+            # overflows or underflows have none.
+            if snr_db == math.inf:
+                continue
+            try:
+                variance = noise_variance(self.channel, snr_db)
+            except (OverflowError, ZeroDivisionError):
+                variance = math.nan
+            if not 0.0 < variance < math.inf:
+                raise ConfigError(f"SNR {snr_db} dB is outside what the channel can model")
 
     def preamble_spec(self) -> PreambleSpec:
         return PreambleSpec(
@@ -144,9 +157,27 @@ def _preamble_for(n_fft: int, r1: int, r2: int, cp_len: int) -> tuple[PreambleSp
     return spec, build_preamble(spec)
 
 
+def _entropy_words(*keys: int) -> np.ndarray:
+    """The uint32 entropy array np.random.SeedSequence builds from a list of these ints.
+
+    Each key becomes its 32-bit words, least significant first, and 0 one
+    zero word.  Seeding from this array gives the same stream as seeding
+    from the list, without numpy's per-int coercion.
+    """
+    words = []
+    for key in keys:
+        if key < 0:
+            raise ValueError(f"seed keys must be nonnegative, got {key}")
+        while key > 0xFFFFFFFF:
+            words.append(key & 0xFFFFFFFF)
+            key >>= 32
+        words.append(key)
+    return np.array(words, dtype=np.uint32)
+
+
 @lru_cache(maxsize=8)
 def _sca_preamble_for(master_seed: int, n_fft: int, cp_len: int) -> ScaPreamble:
-    rng = np.random.default_rng([master_seed, _SCA_PREAMBLE_TAG])
+    rng = np.random.default_rng(_entropy_words(master_seed, _SCA_PREAMBLE_TAG))
     return sca_build_preamble(n_fft, cp_len, rng)
 
 
@@ -158,11 +189,14 @@ def _snr_key(snr_db: float) -> int:
 def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int) -> np.random.Generator:
     """Derive the deterministic random stream for one trial cell.
 
-    Generator(PCG64(seed)) is what np.random.default_rng(seed) builds, at a
-    third less cost per call.
+    The stream is np.random.default_rng([master_seed, snr key, estimator id,
+    trial_index]); Generator(PCG64(...)) over the same entropy words builds
+    it at less cost per call.
     """
     return np.random.Generator(
-        np.random.PCG64([cfg.master_seed, _snr_key(snr_db), _ESTIMATOR_IDS[estimator], trial_index])
+        np.random.PCG64(
+            _entropy_words(cfg.master_seed, _snr_key(snr_db), _ESTIMATOR_IDS[estimator], trial_index)
+        )
     )
 
 
@@ -252,14 +286,11 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     )
 
 
-def _chunk_trials(cfg: ExperimentConfig, estimator: str) -> int:
+def _chunk_trials(cfg: ExperimentConfig) -> int:
     """Trials per engine pass, so that the pass's largest array fits CHUNK_BYTES."""
-    # The frame stream (complex) and its noise draws (two reals per sample).
-    largest = 16 * 2 * (cfg.n_fft + cfg.cp_len)
-    if estimator == ESTIMATOR_SCA:
-        # The shift metric's terms: (2 * n_fft/4 + 1) shifts x n_fft/2 even bins.
-        largest = max(largest, 16 * (2 * (cfg.n_fft // 4) + 1) * (cfg.n_fft // 2))
-    return max(1, CHUNK_BYTES // largest)
+    # The frame stream (complex) and its noise draws (two reals per sample):
+    # no estimator holds more than this per trial.
+    return max(1, CHUNK_BYTES // (16 * 2 * (cfg.n_fft + cfg.cp_len)))
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -276,11 +307,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     grid = np.array(cfg.snr_grid_db, dtype=float)
     scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
     total = grid.size * trials
+    step = _chunk_trials(cfg)
     stats = {}
     for estimator in cfg.estimators:
         correct = np.empty(total, dtype=bool)
         ffo_error = np.empty(total)
-        step = _chunk_trials(cfg, estimator)
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
             correct[lo : lo + step], ffo_error[lo : lo + step], _ = _run_trials(

@@ -67,6 +67,19 @@ def test_fig1_rejects_trials_flag(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("command,flag", [("fig1", "--snr"), ("fig2", "--snr-grid")])
+@pytest.mark.parametrize("snr", ["4000", "-inf", "nan"])
+def test_sweeps_reject_snr_the_channel_cannot_model(tmp_path, capsys, command, flag, snr):
+    out = tmp_path / "x.csv"
+    argv = [command, "--n", "64", f"{flag}={snr}", "--out", str(out)]
+    if command == "fig2":
+        argv += ["--trials", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SNR" in err, err
+    assert not out.exists()
+
+
 def test_fig2_small_sweep(tmp_path):
     out = tmp_path / "fig2.csv"
     result = run_cli(

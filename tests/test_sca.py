@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.errors import ConfigError
@@ -112,6 +114,69 @@ def test_batch_rows_match_single_frames():
             est = sca_estimate(rx, pre, ffo_stage=ffo_stage)
             assert (ffo[i], ifo[i], ifo[i] + ffo[i]) == (est.ffo, est.ifo_residual, est.total)
         assert math.isnan(ffo[-1])
+
+
+def _metric_oracle(y, v, search_range):
+    """B(g) by its defining sum over even bins, one explicit loop per row, shift and bin.
+
+    Rows whose symbol 2 carries no energy read NaN, as 0/0 does.
+    """
+    n = y.shape[-1]
+    spectra = np.fft.fft(y, norm="ortho").tolist()
+    v = v.tolist()
+    out = np.full((y.shape[0], 2 * search_range + 1), math.nan)
+    for t, (x1, x2) in enumerate(spectra):
+        energy = sum(abs(c) ** 2 for c in x2)
+        if energy == 0:
+            continue
+        for i, g in enumerate(range(-search_range, search_range + 1)):
+            acc = 0j
+            for j in range(n // 2):
+                k = (2 * j + 2 * g) % n
+                acc += x1[k].conjugate() * v[j].conjugate() * x2[k]
+            out[t, i] = abs(acc) ** 2 / (2 * energy**2)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_fft,search_range",
+    [(n, s) for n in (8, 64, 1024) for s in sorted({n // 4, 3, 0}) if s <= n // 4],
+)
+def test_metric_matches_definitional_sum(n_fft, search_range):
+    """The circular-correlation metric equals the direct sum; argmax agrees off near-ties."""
+    pre = _preamble(n_fft=n_fft, cp=4, seed=n_fft)
+    rng = np.random.default_rng(n_fft + search_range)
+    y = rng.standard_normal((4, 2, n_fft)) + 1j * rng.standard_normal((4, 2, n_fft))
+    y[1] = 0
+    _, ifo, metric = sca_estimate_batch(y, pre, search_range, ffo_stage=False)
+    ref = _metric_oracle(y, pre.v, search_range)
+    assert metric.shape == ref.shape
+    assert np.isnan(metric[1]).all()
+    for t in (0, 2, 3):
+        np.testing.assert_allclose(metric[t], ref[t], rtol=1e-9, atol=1e-12 * ref[t].max())
+        top = np.sort(ref[t])[::-1]
+        if top.size == 1 or top[0] - top[1] > 1e-9 * top[0]:
+            assert ifo[t] == 2 * (int(np.argmax(ref[t])) - search_range), t
+    if search_range == n_fft // 4 > 0:
+        # g = -N/4 and g = +N/4 are the same even shift: an exact tie, which
+        # argmax settles for the lower g.
+        np.testing.assert_array_equal(metric[:, 0], metric[:, -1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_fft=st.sampled_from([16, 64, 128]),
+    paths=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_noiseless_static_even_offset_recovered(n_fft, paths, seed, data):
+    """Any even offset 2g with |g| < N/4 is recovered exactly through a noiseless static channel."""
+    g0 = data.draw(st.integers(-(n_fft // 4) + 1, n_fft // 4 - 1), label="g0")
+    pre = _preamble(n_fft=n_fft, seed=seed)
+    est = sca_estimate(_rx(pre, 2.0 * g0, seed=seed, paths=paths), pre)
+    assert est.ifo_residual == 2 * g0
+    assert abs(est.total - 2 * g0) < 1e-9
 
 
 def test_varying_channel_fails_more_than_static():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from cfolab import simlab
 from cfolab.channel import ChannelProfile
 from cfolab.cli import main
 from cfolab.errors import ConfigError
+from cfolab.sca import sca_build_preamble
 from cfolab.simlab import (
     ExperimentConfig,
     SweepCell,
@@ -71,6 +73,33 @@ def test_trial_streams_differ_between_estimators():
     a = trial_rng(cfg, 10.0, "proposed", 3).standard_normal(8)
     b = trial_rng(cfg, 10.0, "sca", 3).standard_normal(8)
     assert not np.allclose(a, b)
+
+
+def test_trial_rng_is_the_seed_list_stream():
+    """trial_rng seeds PCG64 from [master, snr float64 bits, estimator id, trial], keys of any width."""
+    ids = {"proposed": 0, "sca": 1}
+    for master in (0, 1, 2**32, 2**64 - 1):
+        cfg = _cfg(master_seed=master)
+        for snr in (0.0, -0.0, 5e-324, 2.0, -5.0, math.inf):
+            snr_key = struct.unpack("<Q", struct.pack("<d", snr))[0]
+            for estimator, est_id in ids.items():
+                for t in (0, 1, 2**32 - 1, 2**32):
+                    expected = np.random.PCG64([master, snr_key, est_id, t]).state
+                    assert trial_rng(cfg, snr, estimator, t).bit_generator.state == expected
+        pre = simlab._sca_preamble_for(master, 64, 16)
+        ref = sca_build_preamble(64, 16, np.random.default_rng([master, 0x5CA_9EA3]))
+        np.testing.assert_array_equal(pre.frame.samples, ref.frame.samples)
+        np.testing.assert_array_equal(pre.v, ref.v)
+    with pytest.raises(ValueError):
+        trial_rng(_cfg(), 0.0, "sca", -1)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000.0, -4000.0])
+def test_config_rejects_snr_the_channel_cannot_model(snr_db):
+    """NaN, -inf and SNRs whose linear power over- or underflows have no noise variance."""
+    with pytest.raises(ConfigError, match="SNR"):
+        _cfg(snr_grid_db=(10.0, snr_db))
+    _cfg(snr_grid_db=(10.0, math.inf, 3000.0, -3000.0))
 
 
 def test_sweep_bit_identical():
@@ -218,7 +247,7 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
         rows.extend(zip(snrs.tolist(), trial_indices.tolist(), *(a.tolist() for a in out)))
         return out
 
-    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg, estimator: 4)
+    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg: 4)
     monkeypatch.setattr(simlab, "_run_trials", recording)
     result = run_sweep(cfg)
     monkeypatch.undo()
@@ -276,11 +305,11 @@ def test_fig2_paper_csv_digests_are_pinned(tmp_path, capsys, ffo):
 PEAK_CHUNKS = 6
 
 
-@pytest.mark.parametrize("estimator,trials", [("proposed", 190), ("sca", 8)])
+@pytest.mark.parametrize("estimator,trials", [("proposed", 190), ("sca", 190)])
 def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
     cfg = _cfg(n_fft=1024, cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0, 20.0),
                trials_per_point=trials, estimators=(estimator,))
-    assert 2 * trials >= 3 * simlab._chunk_trials(cfg, estimator)
+    assert 2 * trials >= 3 * simlab._chunk_trials(cfg)
     tracemalloc.start()
     try:
         run_sweep(cfg)
