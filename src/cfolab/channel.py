@@ -80,12 +80,11 @@ class ImpairmentSpec:
 
     cfo is normalized to the subcarrier spacing; snr_db relates the total
     mean received signal power to the per-sample complex noise variance.
-    snr_db may be +inf (or noise_enabled False) for a noiseless run.
+    Noise is drawn unless snr_db is infinite; +inf is the noiseless run.
     """
 
     cfo: float
     snr_db: float = math.inf
-    noise_enabled: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +96,6 @@ class ReceivedFrame:
     stream: np.ndarray
     symbols: tuple[np.ndarray, ...]
     realizations: tuple[ChannelRealization, ...] | None = None
-    impairment: ImpairmentSpec | None = None
 
 
 def tap_std(profile: ChannelProfile) -> np.ndarray:
@@ -250,7 +248,7 @@ def transmit(
         ConfigError: if the CP cannot absorb the channel memory or the
             offset exceeds half the signal bandwidth.
     """
-    noisy = imp.noise_enabled and not math.isinf(imp.snr_db)
+    noisy = not math.isinf(imp.snr_db)
     blk = frame.block_len
     tap_normals = np.empty((2, 2 * profile.path_count))
     white = np.empty((1, 4 * blk)) if noisy else None
@@ -271,5 +269,4 @@ def transmit(
         stream=stream,
         symbols=windows,
         realizations=(first, second),
-        impairment=imp,
     )

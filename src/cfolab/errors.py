@@ -8,10 +8,3 @@ class ConfigError(ValueError):
 class DegenerateSignalError(RuntimeError):
     """Input signal carries no usable information (e.g. all-zero buffer)."""
 
-
-class ResolutionError(RuntimeError):
-    """The integer-offset peak-walk did not terminate within its iteration cap.
-
-    Callers running Monte Carlo trials should count this as an estimator
-    failure rather than treat it as a crash.
-    """

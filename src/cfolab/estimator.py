@@ -14,7 +14,12 @@ spectrum, so the correlation magnitude is a comb with teeth at
 tau = (q - rate*m) mod N, one tooth per channel path m.  Because the two
 symbols use different rates, the two combs only line up at the m = 0 anchor,
 and a short peak-walk recovers q from the pair of global peak locations
-without requiring the channel to stay constant between symbols.
+without requiring the channel to stay constant between symbols.  The walk
+has a closed form: where it moves, it takes the rate-r2 peak loc_2 to the
+first bin at or above the rate-r1 peak loc_1 that is congruent to loc_2
+modulo r2, i.e. loc_1 + ((loc_2 - loc_1) mod r2).  It is exact for every
+|q| < N/2 - r2 as long as r2 * (L - 1) <= N/2 for an L-path channel (see
+resolve_ifo).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReceivedFrame
-from .errors import ConfigError, DegenerateSignalError, ResolutionError
+from .errors import ConfigError, DegenerateSignalError
 from .signal import CazacParams, PreambleSpec, cazac_generate, dft
 
 # Minimum autocorrelation magnitude below which the phase is meaningless.
@@ -180,45 +185,32 @@ def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:
     """Walk the high-rate peak onto the low-rate peak to recover the integer offset.
 
     Both peak locations alias the same integer offset q minus a rate-multiple
-    path delay.  Stepping the rate-2 peak upward in rate_2 increments (with a
-    half-spectrum wrap for negative offsets) re-aligns it with q; the guard
-    against walking when the peak already sits at or below rate_2 keeps small
-    positive offsets from being overshot.
+    path delay.  The paper's peak walk steps the rate-2 peak upward in rate_2
+    increments until it reaches the rate-1 peak, wrapping it into the lower
+    half first when the rate-1 peak sits there; with the rate-1 peak in the
+    upper half, a rate-2 peak at or below rate_2 stays put, which keeps small
+    positive offsets from being overshot.  Where the walk moves, it lands on
+    the first bin at or above loc_1 congruent to loc_2 modulo rate_2, so it
+    is one step: loc_1 + ((loc_2 - loc_1) mod rate_2), taken mod n_fft.
+
+    For comb peaks of an L-path channel under the separability rule, this
+    recovers every |q| < n_fft/2 - rate_2 exactly when rate_2 * (L - 1) <=
+    n_fft/2.  Past that, a long high-rate path delay can resolve to a wrong
+    offset without any sign of failure.
 
     Returns the signed integer offset in (-n_fft/2, n_fft/2].
 
     Raises:
         ConfigError: peak locations outside [0, n_fft).
-        ResolutionError: iteration cap exceeded (cannot happen for peak
-            locations produced by the comb, kept as a hard safety net).
     """
     if not (0 <= loc_1 < n_fft and 0 <= loc_2 < n_fft):
         raise ConfigError(
             f"peak locations must lie in [0, {n_fft}), got {loc_1}, {loc_2}"
         )
-    cap = 2 * (n_fft // rate_2) + 4
-    steps = 0
-    walked = loc_2
-    if loc_1 < n_fft / 2:
-        # Wrap the high-rate peak into the lower half, then raise it to the
-        # first comb tooth at or above the low-rate peak.
-        while walked >= n_fft / 2:
-            walked = (walked + rate_2) % n_fft
-            steps += 1
-            if steps > cap:
-                raise ResolutionError(f"peak walk exceeded {cap} iterations")
-        while walked < loc_1:
-            walked += rate_2
-            steps += 1
-            if steps > cap:
-                raise ResolutionError(f"peak walk exceeded {cap} iterations")
-    else:
-        while walked < loc_1 and walked > rate_2:
-            walked += rate_2
-            steps += 1
-            if steps > cap:
-                raise ResolutionError(f"peak walk exceeded {cap} iterations")
-    resolved = walked % n_fft
+    low = loc_1 < n_fft / 2
+    resolved = loc_2
+    if (low and loc_2 >= n_fft / 2) or (loc_2 < loc_1 and (low or loc_2 > rate_2)):
+        resolved = (loc_1 + (loc_2 - loc_1) % rate_2) % n_fft
     if resolved > n_fft / 2:
         resolved -= n_fft
     return int(resolved)
@@ -229,12 +221,12 @@ def estimate_cfo_batch(
 ) -> tuple[np.ndarray, np.ndarray, PeakReport]:
     """Run both stages on a (T, 2, N) stack of received symbol pairs.
 
-    Each stage is one array pass over the trial axis; only the peak walk
-    runs per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN for rows whose
+    Each stage is one array pass over the trial axis; only resolve_ifo runs
+    per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN for rows whose
     autocorrelation is too small to carry a phase (estimate_cfo raises
     DegenerateSignalError there); ifo (T,) is the resolved integer as a
-    float, NaN where the walk gave up; peaks holds (T, N) magnitude
-    profiles and (T,) peak bins.
+    float, and a NaN there is reported as a failed resolution; peaks holds
+    (T, N) magnitude profiles and (T,) peak bins.
     """
     if ffo_stage:
         ffo = estimate_ffo(y[:, 0], spec.params_1.rate)
@@ -245,12 +237,11 @@ def estimate_cfo_batch(
     corr_2 = np.abs(freq_correlate(y[:, 1], spec.params_2))
     loc_1 = np.argmax(corr_1, axis=-1)
     loc_2 = np.argmax(corr_2, axis=-1)
-    ifo = np.empty(y.shape[0])
-    for i, (l1, l2) in enumerate(zip(loc_1.tolist(), loc_2.tolist())):
-        try:
-            ifo[i] = resolve_ifo(l1, l2, spec.params_2.rate, spec.n_fft)
-        except ResolutionError:
-            ifo[i] = np.nan
+    rate_2, n_fft = spec.params_2.rate, spec.n_fft
+    ifo = np.array(
+        [resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in zip(loc_1.tolist(), loc_2.tolist())],
+        dtype=float,
+    )
     return ffo, ifo, PeakReport(corr_1=corr_1, corr_2=corr_2, loc_1=loc_1, loc_2=loc_2)
 
 

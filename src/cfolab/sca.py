@@ -85,23 +85,16 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
 
 
 def sca_estimate_batch(
-    y: np.ndarray,
-    pre: ScaPreamble,
-    search_range: int | None = None,
-    ffo_stage: bool = True,
+    y: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the Schmidl-Cox estimator on a (T, 2, N) stack of received symbol pairs.
 
     Returns (ffo, ifo, metric): ffo (T,) is NaN for rows without a usable
     phase or energy (sca_estimate raises DegenerateSignalError there), ifo
-    (T,) is the even integer estimate 2g as a float, and metric (T, 2S+1)
-    holds B(g) for g = -S..S with S = search_range.
+    (T,) is the even integer estimate 2g as a float, and metric (T, N/2+1)
+    holds B(g) for g = -N/4..N/4, which spans every distinct even shift.
     """
     n = pre.n_fft
-    if search_range is None:
-        search_range = n // 4
-    if search_range > n // 4:
-        raise ConfigError(f"search_range must be <= n_fft/4 = {n // 4}, got {search_range}")
     if ffo_stage:
         # The half-symbol correlation is the lag-N/2 autocorrelation.
         ffo = estimate_ffo(y[:, 0], 2)
@@ -116,37 +109,33 @@ def sca_estimate_batch(
     # turns the unitary transforms' scale into the plain sum.  g = +-N/4 read
     # the same bin, so they tie exactly and argmax keeps the lower g.
     half = n // 2
-    shifts = np.arange(-search_range, search_range + 1)
+    shifts = np.arange(-(n // 4), n // 4 + 1)
     p = np.conj(x[:, 0, 0::2]) * x[:, 1, 0::2]
     corr = idft(dft(p) * (np.conj(dft(pre.v)) * math.sqrt(half)))
-    # All-zero rows divide by zero here; they are flagged through ffo below.
+    # Dividing before squaring keeps the metric finite when the energy is
+    # huge (very low SNR).  All-zero rows divide by zero here; they are
+    # flagged through ffo below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        metric = np.abs(corr[:, shifts % half]) ** 2 / (2.0 * energy[:, None] ** 2)
+        metric = (np.abs(corr[:, shifts % half]) / energy[:, None]) ** 2 / 2.0
     g_hat = shifts[np.argmax(metric, axis=-1)]
     ffo[energy < 1e-12] = np.nan
     return ffo, 2.0 * g_hat, metric
 
 
-def sca_estimate(
-    rx: ReceivedFrame,
-    pre: ScaPreamble,
-    search_range: int | None = None,
-    ffo_stage: bool = True,
-) -> CfoEstimate:
+def sca_estimate(rx: ReceivedFrame, pre: ScaPreamble, ffo_stage: bool = True) -> CfoEstimate:
     """Estimate the offset with the Schmidl-Cox two-symbol method.
 
     The fractional part comes from the phase of the half-symbol
     autocorrelation of symbol 1 (range +-1 subcarrier); both symbols are then
-    derotated and the even shift 2g with |g| <= search_range maximizing B(g)
-    gives the integer part.  search_range defaults to N/4, which spans every
-    distinct even shift.  Ties go to the lowest g.  This is
+    derotated and the even shift 2g with |g| <= N/4 maximizing B(g) gives
+    the integer part.  Ties go to the lowest g.  This is
     sca_estimate_batch for one frame.
 
     Raises:
         DegenerateSignalError: the training symbols carry no usable phase or
             energy.
     """
-    ffo, ifo, metric = sca_estimate_batch(np.stack(rx.symbols)[None], pre, search_range, ffo_stage)
+    ffo, ifo, metric = sca_estimate_batch(np.stack(rx.symbols)[None], pre, ffo_stage)
     if math.isnan(ffo[0]):
         raise DegenerateSignalError("training symbols carry no usable phase or energy")
     n = pre.n_fft

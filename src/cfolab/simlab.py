@@ -77,6 +77,10 @@ class ExperimentConfig:
             raise ConfigError(f"|cfo_true| must be < n_fft/2, got {self.cfo_true}")
         if self.trials_per_point < 0:
             raise ConfigError(f"trials_per_point must be >= 0, got {self.trials_per_point}")
+        if not self.snr_grid_db:
+            raise ConfigError("snr_grid_db must hold at least one SNR")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one estimator")
         for est in self.estimators:
             if est not in _ESTIMATOR_IDS:
                 raise ConfigError(f"unknown estimator {est!r}")
@@ -200,16 +204,12 @@ def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     )
 
 
-def _impairment(cfg: ExperimentConfig, snr_db: float) -> ImpairmentSpec:
-    return ImpairmentSpec(cfo=cfg.cfo_true, snr_db=snr_db, noise_enabled=math.isfinite(snr_db))
-
-
 def run_single_frame(
     cfg: ExperimentConfig, snr_db: float, rng: np.random.Generator
 ):
     """Transmit one frame and estimate it; returns (received frame, estimate)."""
     spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    rx = transmit(frame, cfg.channel, _impairment(cfg, snr_db), rng)
+    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng)
     est = estimate_cfo(rx, spec, ffo_stage=cfg.ffo_stage_enabled)
     return rx, est
 

@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, byte-level determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +82,29 @@ def test_sweeps_reject_snr_the_channel_cannot_model(tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--snr-grid=10:2:0", "--estimators="])
+def test_fig2_rejects_a_sweep_without_cells(tmp_path, capsys, flag):
+    """An empty SNR grid or estimator list is a usage error, not a header-only CSV."""
+    out = tmp_path / "x.csv"
+    assert main(["fig2", "--n", "64", "--trials", "1", flag, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "at least one" in captured.err, captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fig2_at_minus_3000_db_stays_finite(tmp_path, capsys):
+    """At the lowest SNR the channel models, the Schmidl-Cox metric must not overflow."""
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig2", "--n", "64", "--snr-grid=-3000", "--trials", "3",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["proposed", "sca", "proposed", "sca"]
+
+
 def test_fig2_small_sweep(tmp_path):
     out = tmp_path / "fig2.csv"
     result = run_cli(
@@ -131,6 +156,22 @@ def test_estimate_loopback(tmp_path, cfo):
     report = json.loads(result.stdout)
     assert abs(report["total"] - cfo) < 1e-6
     assert report["failed"] is False
+
+
+def test_estimate_reports_an_unresolved_offset_as_failed(tmp_path, capsys, monkeypatch):
+    """A resolver that finds no offset (NaN) exits 3: failed true, fractional estimate kept."""
+    from cfolab import estimator as estimator_module
+
+    pre = tmp_path / "pre.iq"
+    assert main(["preamble", "--n", "128", "--out", str(pre)]) == 0
+    write_iq(pre, read_iq(pre) * np.exp(2j * np.pi * 20.3 * np.arange(288) / 128))
+    capsys.readouterr()
+    monkeypatch.setattr(estimator_module, "resolve_ifo", lambda *args: math.nan)
+    assert main(["estimate", "--in", str(pre), "--n", "128"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed"] is True
+    assert report["total"] is None and report["ifo_residual"] is None
+    assert abs(report["ffo"] - 0.3) < 1e-6
 
 
 def test_estimate_zero_file_is_degenerate(tmp_path):

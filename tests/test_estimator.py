@@ -252,6 +252,72 @@ def test_resolve_ifo_range():
             assert -32 < got <= 32
 
 
+def _peak_walk(loc_1, loc_2, rate_2, n_fft):
+    """The paper's peak walk, step by step: the oracle for resolve_ifo's closed form."""
+    walked = loc_2
+    if loc_1 < n_fft / 2:
+        while walked >= n_fft / 2:
+            walked = (walked + rate_2) % n_fft
+        while walked < loc_1:
+            walked += rate_2
+    else:
+        while walked < loc_1 and walked > rate_2:
+            walked += rate_2
+    resolved = walked % n_fft
+    if resolved > n_fft / 2:
+        resolved -= n_fft
+    return resolved
+
+
+def _rates(n_fft):
+    """Every chirp rate CazacParams accepts for n_fft: even powers of two up to n_fft/2."""
+    return [2**k for k in range(1, n_fft.bit_length() - 1)]
+
+
+@pytest.mark.parametrize("n_fft", [8, 16, 64, 128])
+def test_resolve_ifo_equals_peak_walk(n_fft):
+    """The closed form lands where the walk does on every pair of peak bins."""
+    for rate_2 in _rates(n_fft):
+        for loc_1 in range(n_fft):
+            for loc_2 in range(n_fft):
+                got = resolve_ifo(loc_1, loc_2, rate_2, n_fft)
+                assert type(got) is int
+                assert got == _peak_walk(loc_1, loc_2, rate_2, n_fft), (rate_2, loc_1, loc_2)
+
+
+def _separable_configs():
+    """Every (N, r1, r2, L) with 8 <= N <= 512 that the separability rule r1*L <= r2 < N/L admits.
+
+    r2 = N/2 is left out: no offset lies inside |q| < N/2 - r2 there.
+    """
+    for n_fft in (8, 16, 32, 64, 128, 256, 512):
+        for r1 in _rates(n_fft):
+            for r2 in _rates(n_fft)[:-1]:
+                for paths in range(1, n_fft):
+                    if not r1 * paths <= r2 < n_fft / paths:
+                        continue
+                    marks = ()
+                    if r2 * (paths - 1) > n_fft / 2:
+                        marks = pytest.mark.xfail(
+                            strict=True,
+                            reason="a rate-2 path delay r2*(L-1) > N/2 can leave loc_2 in "
+                            "loc_1's half and above it, where the walk does not move it: a "
+                            "confident wrong offset (ROADMAP item 4)",
+                        )
+                    yield pytest.param(n_fft, r1, r2, paths, marks=marks)
+
+
+@pytest.mark.parametrize("n_fft,r1,r2,paths", list(_separable_configs()))
+def test_resolve_ifo_recovers_every_comb_pair(n_fft, r1, r2, paths):
+    """Peaks (q - r1*m1, q - r2*m2) mod N resolve to q for every |q| < N/2 - r2 and path pair."""
+    for q in range(-(n_fft // 2 - r2) + 1, n_fft // 2 - r2):
+        for m1 in range(paths):
+            for m2 in range(paths):
+                loc_1 = (q - r1 * m1) % n_fft
+                loc_2 = (q - r2 * m2) % n_fft
+                assert resolve_ifo(loc_1, loc_2, r2, n_fft) == q, (q, m1, m2)
+
+
 # ---------------------------------------------------------------------------
 # full estimator
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
-from cfolab.errors import ConfigError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
 from cfolab.simlab import ExperimentConfig, run_trial
 
@@ -50,7 +49,7 @@ def test_preamble_differential_sequence():
 
 def _rx(pre, cfo, seed, mode="static", snr_db=np.inf, paths=4):
     profile = ChannelProfile(path_count=paths, decay=2.0, mode=mode)
-    imp = ImpairmentSpec(cfo=cfo, snr_db=snr_db, noise_enabled=np.isfinite(snr_db))
+    imp = ImpairmentSpec(cfo=cfo, snr_db=snr_db)
     return transmit(pre.frame, profile, imp, np.random.default_rng(seed))
 
 
@@ -79,12 +78,6 @@ def test_fractional_and_odd_offsets():
     for cfo in (20.4, -13.0, 7.0):
         est = sca_estimate(_rx(pre, cfo, seed=31), pre)
         assert abs(est.total - cfo) < 1e-6, cfo
-
-
-def test_search_range_validation():
-    pre = _preamble(n_fft=64)
-    with pytest.raises(ConfigError):
-        sca_estimate(_rx(pre, 0.0, seed=1), pre, search_range=17)
 
 
 def test_degenerate_input():
@@ -116,20 +109,20 @@ def test_batch_rows_match_single_frames():
         assert math.isnan(ffo[-1])
 
 
-def _metric_oracle(y, v, search_range):
-    """B(g) by its defining sum over even bins, one explicit loop per row, shift and bin.
+def _metric_oracle(y, v, window):
+    """B(g) for |g| <= window by its defining sum over even bins.
 
-    Rows whose symbol 2 carries no energy read NaN, as 0/0 does.
+    One explicit loop per row, shift and bin.  Rows whose symbol 2 carries no energy read NaN, as 0/0 does.
     """
     n = y.shape[-1]
     spectra = np.fft.fft(y, norm="ortho").tolist()
     v = v.tolist()
-    out = np.full((y.shape[0], 2 * search_range + 1), math.nan)
+    out = np.full((y.shape[0], 2 * window + 1), math.nan)
     for t, (x1, x2) in enumerate(spectra):
         energy = sum(abs(c) ** 2 for c in x2)
         if energy == 0:
             continue
-        for i, g in enumerate(range(-search_range, search_range + 1)):
+        for i, g in enumerate(range(-window, window + 1)):
             acc = 0j
             for j in range(n // 2):
                 k = (2 * j + 2 * g) % n
@@ -138,26 +131,30 @@ def _metric_oracle(y, v, search_range):
     return out
 
 
+# The oracle checks the shifts |g| <= window; the full window N/4 also checks
+# the argmax and the tie between g = -N/4 and g = +N/4.
 @pytest.mark.parametrize(
-    "n_fft,search_range",
-    [(n, s) for n in (8, 64, 1024) for s in sorted({n // 4, 3, 0}) if s <= n // 4],
+    "n_fft,window",
+    [(n, w) for n in (8, 64, 1024) for w in sorted({n // 4, 3, 0}) if w <= n // 4],
 )
-def test_metric_matches_definitional_sum(n_fft, search_range):
+def test_metric_matches_definitional_sum(n_fft, window):
     """The circular-correlation metric equals the direct sum; argmax agrees off near-ties."""
     pre = _preamble(n_fft=n_fft, cp=4, seed=n_fft)
-    rng = np.random.default_rng(n_fft + search_range)
+    rng = np.random.default_rng(n_fft + window)
     y = rng.standard_normal((4, 2, n_fft)) + 1j * rng.standard_normal((4, 2, n_fft))
     y[1] = 0
-    _, ifo, metric = sca_estimate_batch(y, pre, search_range, ffo_stage=False)
-    ref = _metric_oracle(y, pre.v, search_range)
-    assert metric.shape == ref.shape
+    _, ifo, metric = sca_estimate_batch(y, pre, ffo_stage=False)
+    assert metric.shape == (4, n_fft // 2 + 1)
+    center = n_fft // 4
+    metric = metric[:, center - window : center + window + 1]
+    ref = _metric_oracle(y, pre.v, window)
     assert np.isnan(metric[1]).all()
     for t in (0, 2, 3):
         np.testing.assert_allclose(metric[t], ref[t], rtol=1e-9, atol=1e-12 * ref[t].max())
         top = np.sort(ref[t])[::-1]
-        if top.size == 1 or top[0] - top[1] > 1e-9 * top[0]:
-            assert ifo[t] == 2 * (int(np.argmax(ref[t])) - search_range), t
-    if search_range == n_fft // 4 > 0:
+        if window == center and (top.size == 1 or top[0] - top[1] > 1e-9 * top[0]):
+            assert ifo[t] == 2 * (int(np.argmax(ref[t])) - window), t
+    if window == center > 0:
         # g = -N/4 and g = +N/4 are the same even shift: an exact tie, which
         # argmax settles for the lower g.
         np.testing.assert_array_equal(metric[:, 0], metric[:, -1])

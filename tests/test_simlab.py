@@ -262,12 +262,11 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
 
 
 def test_failed_resolution_is_a_failure_with_finite_ffo_error(monkeypatch):
-    """A peak walk that gives up counts as a failure but keeps its fractional error."""
+    """A resolver that finds no offset (NaN) counts as a failure but keeps its fractional error."""
     from cfolab import estimator as estimator_module
-    from cfolab.errors import ResolutionError
 
     def give_up(loc_1, loc_2, rate_2, n_fft):
-        raise ResolutionError("walk cap")
+        return math.nan
 
     monkeypatch.setattr(estimator_module, "resolve_ifo", give_up)
     cfg = _cfg(cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0,), trials_per_point=4,
