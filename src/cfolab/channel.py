@@ -54,7 +54,7 @@ class ChannelProfile:
 
     def mean_power(self) -> float:
         """Total ensemble mean received power for a unit-power input."""
-        return float(self.tap_powers().sum())
+        return _mean_power(self.path_count, self.decay, self.normalize_power)
 
 
 @lru_cache(maxsize=32)
@@ -64,6 +64,18 @@ def _tap_powers(path_count: int, decay: float, normalize_power: bool) -> np.ndar
         p = p / p.sum()
     p.flags.writeable = False
     return p
+
+
+@lru_cache(maxsize=32)
+def _mean_power(path_count: int, decay: float, normalize_power: bool) -> float:
+    return float(_tap_powers(path_count, decay, normalize_power).sum())
+
+
+@lru_cache(maxsize=32)
+def _tap_std(path_count: int, decay: float, normalize_power: bool) -> np.ndarray:
+    std = np.sqrt(_tap_powers(path_count, decay, normalize_power) / 2.0)
+    std.flags.writeable = False
+    return std
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +111,8 @@ class ReceivedFrame:
 
 
 def tap_std(profile: ChannelProfile) -> np.ndarray:
-    """Per-tap standard deviation of the real and of the imaginary part."""
-    return np.sqrt(profile.tap_powers() / 2.0)
+    """Per-tap standard deviation of the real and of the imaginary part (read-only)."""
+    return _tap_std(profile.path_count, profile.decay, profile.normalize_power)
 
 
 def complex_taps(std: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -176,6 +188,23 @@ def _cfo_ramp(cfo: float, n_fft: int, total_len: int) -> np.ndarray:
     return ramp
 
 
+@lru_cache(maxsize=16)
+def _frame_windows(frame: PreambleFrame, paths: int) -> np.ndarray:
+    """Read-only (2, block_len, paths) convolution windows of a frame's two blocks.
+
+    Window n of symbol s holds samples n-paths+1..n of its block, zeros
+    before the block starts, so its dot product with the reversed taps is
+    the full linear convolution truncated to the block.  PreambleFrame
+    compares by identity, and the cache keeps the frames it keys alive.
+    """
+    padded = np.concatenate(
+        [np.zeros((2, paths - 1), dtype=np.complex128), frame.samples.reshape(2, frame.block_len)],
+        axis=1,
+    )
+    padded.flags.writeable = False
+    return np.lib.stride_tricks.sliding_window_view(padded, paths, axis=1)
+
+
 def propagate(
     frame: PreambleFrame,
     taps: np.ndarray,
@@ -195,8 +224,11 @@ def propagate(
     adds exact zeros.
 
     Each output sample of the convolution is one dot product of L samples
-    with the reversed taps, the product np.convolve forms, so a row is
-    bit-identical to the one-frame np.convolve path.
+    with the reversed taps, so a row does not depend on the batch it sits
+    in: propagating a row alone or among any other rows gives the same
+    bits.  The dot products need not sum in np.convolve's order, so a row
+    can differ from np.convolve in the last bits (it does for L >= 8 with
+    numpy 2.4's OpenBLAS on x86-64).
 
     Raises:
         ConfigError: if the CP cannot absorb the channel memory or the
@@ -211,12 +243,7 @@ def propagate(
     if not abs(cfo) < frame.n_fft / 2:
         raise ConfigError(f"|cfo| must be < n_fft/2 = {frame.n_fft / 2}, got {cfo}")
     blk = frame.block_len
-    # Window n of symbol s holds samples n-L+1..n of its block, zeros before
-    # the block starts: the full linear convolution truncated to the block.
-    padded = np.concatenate(
-        [np.zeros((2, paths - 1), dtype=np.complex128), frame.samples.reshape(2, blk)], axis=1
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, paths, axis=1)
+    windows = _frame_windows(frame, paths)
     reversed_taps = np.ascontiguousarray(taps[..., ::-1])
     # (1, L) @ (L, 1) per output sample: numpy computes each as one BLAS dot.
     faded = windows[None, :, :, None, :] @ reversed_taps[:, :, None, :, None]

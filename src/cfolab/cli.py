@@ -21,6 +21,7 @@ import argparse
 import datetime as _dt
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -117,9 +118,13 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"expected start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValueError("grid start, step and stop must be finite")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        # Points up to stop inclusive: floor, with a tolerance for steps such
+        # as 0.1 that float division leaves a hair short (0.3 / 0.1).
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return tuple(start + i * step for i in range(count))
     return tuple(float(p) for p in text.split(","))
 

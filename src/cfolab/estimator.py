@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,7 +163,20 @@ def compensate(y: np.ndarray, ffo: float | np.ndarray) -> np.ndarray:
     return y * np.exp(-2j * np.pi * np.asarray(ffo)[..., None] * n / y.shape[-1])
 
 
-def freq_correlate(y_comp: np.ndarray, params: CazacParams) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _conj_chirps(params: CazacParams | tuple[CazacParams, ...]) -> np.ndarray:
+    """Conjugate reference chirps, read-only: (N,) for one CazacParams, (k, N) for k of them."""
+    if isinstance(params, CazacParams):
+        x = np.conj(cazac_generate(params))
+    else:
+        x = np.conj(np.stack([cazac_generate(p) for p in params]))
+    x.flags.writeable = False
+    return x
+
+
+def freq_correlate(
+    y_comp: np.ndarray, params: CazacParams | tuple[CazacParams, ...]
+) -> np.ndarray:
     """Circular spectrum correlation against the reference chirp.
 
     Computes R(tau) = (1/N) * sum_k X((k - tau) mod N) * conj(Z(k)) for all
@@ -172,13 +186,16 @@ def freq_correlate(y_comp: np.ndarray, params: CazacParams) -> np.ndarray:
     x the clean chirp in time.  With an integer residual offset the
     magnitude is zero everywhere except the comb teeth (q - rate*m) mod N.
     y_comp may carry leading axes; the correlation runs along the last.
+    params is one CazacParams, or a tuple of k sharing one n_fft whose
+    (k, N) chirps broadcast against y_comp: for a (T, k, N) stack, symbol s
+    correlates against chirp s, and all of them take one DFT.
     """
     y_comp = np.asarray(y_comp)
-    if y_comp.shape[-1] != params.n_fft:
-        raise ConfigError(
-            f"buffer length {y_comp.shape[-1]} does not match n_fft {params.n_fft}"
-        )
-    return np.conj(dft(np.conj(cazac_generate(params)) * y_comp)) / np.sqrt(params.n_fft)
+    conj_x = _conj_chirps(params)
+    n_fft = conj_x.shape[-1]
+    if y_comp.shape[-1] != n_fft:
+        raise ConfigError(f"buffer length {y_comp.shape[-1]} does not match n_fft {n_fft}")
+    return np.conj(dft(conj_x * y_comp)) / np.sqrt(n_fft)
 
 
 def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:
@@ -221,28 +238,30 @@ def estimate_cfo_batch(
 ) -> tuple[np.ndarray, np.ndarray, PeakReport]:
     """Run both stages on a (T, 2, N) stack of received symbol pairs.
 
-    Each stage is one array pass over the trial axis; only resolve_ifo runs
-    per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN for rows whose
-    autocorrelation is too small to carry a phase (estimate_cfo raises
-    DegenerateSignalError there); ifo (T,) is the resolved integer as a
-    float, and a NaN there is reported as a failed resolution; peaks holds
-    (T, N) magnitude profiles and (T,) peak bins.
+    Each stage is one array pass over the trial axis; the integer stage
+    dechirps both symbols against a cached conjugate chirp pair and takes
+    one DFT, one magnitude and one argmax over the whole stack.  Only
+    resolve_ifo runs per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN
+    for rows whose autocorrelation is too small to carry a phase
+    (estimate_cfo raises DegenerateSignalError there); ifo (T,) is the
+    resolved integer as a float, and a NaN there is reported as a failed
+    resolution; peaks holds (T, N) magnitude profiles and (T,) peak bins.
     """
     if ffo_stage:
         ffo = estimate_ffo(y[:, 0], spec.params_1.rate)
         y = compensate(y, ffo[:, None])
     else:
         ffo = np.zeros(y.shape[0])
-    corr_1 = np.abs(freq_correlate(y[:, 0], spec.params_1))
-    corr_2 = np.abs(freq_correlate(y[:, 1], spec.params_2))
-    loc_1 = np.argmax(corr_1, axis=-1)
-    loc_2 = np.argmax(corr_2, axis=-1)
+    corr = np.abs(freq_correlate(y, (spec.params_1, spec.params_2)))
+    loc = np.argmax(corr, axis=-1)
     rate_2, n_fft = spec.params_2.rate, spec.n_fft
     ifo = np.array(
-        [resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in zip(loc_1.tolist(), loc_2.tolist())],
+        [resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in loc.tolist()],
         dtype=float,
     )
-    return ffo, ifo, PeakReport(corr_1=corr_1, corr_2=corr_2, loc_1=loc_1, loc_2=loc_2)
+    return ffo, ifo, PeakReport(
+        corr_1=corr[:, 0], corr_2=corr[:, 1], loc_1=loc[:, 0], loc_2=loc[:, 1]
+    )
 
 
 def estimate_cfo(rx: ReceivedFrame, spec: PreambleSpec, ffo_stage: bool = True) -> CfoEstimate:

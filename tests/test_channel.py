@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cfolab import channel
 from cfolab.channel import (
     ChannelProfile,
     ImpairmentSpec,
     draw_channel,
     noise_variance,
+    propagate,
     transmit,
 )
 from cfolab.errors import ConfigError
@@ -179,3 +181,31 @@ def test_cfo_out_of_range_rejected():
     frame = _frame(n_fft=64, cp=16)
     with pytest.raises(ConfigError):
         transmit(frame, ChannelProfile(1, 2.0), ImpairmentSpec(40.0), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("paths", [1, 4, 8, 16])
+def test_propagate_row_does_not_depend_on_its_batch(paths):
+    """A row propagated alone, or among other rows in any order, gives the same bits.
+
+    The sweep engine relies on this: run_trial replays one trial of a sweep
+    as a batch of one.  The second and later calls read the frame's
+    convolution windows from the cache the first call filled.
+    """
+    frame = _frame(n_fft=64, cp=16)
+    rng = np.random.default_rng(paths)
+    count = 9
+    taps = rng.standard_normal((count, 2, paths)) + 1j * rng.standard_normal((count, 2, paths))
+    phase_0 = rng.uniform(0.0, 2 * np.pi, count)
+    white = rng.standard_normal((count, 4 * frame.block_len))
+    scale = rng.uniform(0.0, 1.0, count)
+    scale[3] = 0.0
+    hits = channel._frame_windows.cache_info().hits
+    batch = propagate(frame, taps, phase_0, 5.3, white, scale)
+    order = rng.permutation(count)
+    shuffled = propagate(frame, taps[order], phase_0[order], 5.3, white[order], scale[order])
+    np.testing.assert_array_equal(shuffled, batch[order])
+    for i in range(count):
+        row = slice(i, i + 1)
+        alone = propagate(frame, taps[row], phase_0[row], 5.3, white[row], scale[row])
+        np.testing.assert_array_equal(alone[0], batch[i])
+    assert channel._frame_windows.cache_info().hits >= hits + count + 1

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfolab.cli import load_config_file, main, read_iq, write_iq
+from cfolab.cli import _parse_snr_grid, load_config_file, main, read_iq, write_iq
 
 
 def run_cli(*args, cwd=None):
@@ -90,6 +90,33 @@ def test_fig2_rejects_a_sweep_without_cells(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "at least one" in captured.err, captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,grid", [
+    ("0:3:11", (0.0, 3.0, 6.0, 9.0)),
+    ("0:2:20", tuple(float(s) for s in range(0, 21, 2))),
+    ("5:5:5", (5.0,)),
+    ("0,5,10", (0.0, 5.0, 10.0)),
+])
+def test_snr_grid_stops_at_or_before_its_stop(text, grid):
+    assert _parse_snr_grid(text) == grid
+
+
+def test_snr_grid_counts_fractional_steps_up_to_the_stop():
+    assert _parse_snr_grid("0:2:23")[-1] == 22.0
+    tenths = _parse_snr_grid("0:0.1:1")
+    assert len(tenths) == 11 and tenths[-1] == 1.0
+    assert len(_parse_snr_grid("0:0.1:0.3")) == 4
+
+
+@pytest.mark.parametrize("grid", ["0:2:inf", "-inf:2:0", "0:inf:10", "nan:1:2"])
+def test_fig2_rejects_a_grid_range_with_a_non_finite_bound(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", "--n", "64", f"--snr-grid={grid}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --snr-grid" in capsys.readouterr().err
     assert not out.exists()
 
 

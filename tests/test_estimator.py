@@ -187,26 +187,53 @@ def test_freq_correlate_matches_comb_closed_form(seed):
     np.testing.assert_allclose(got, _comb_prediction(n_fft, rate, taps, q, phase0), atol=1e-9)
 
 
+def _definitional_correlation(y, f, rate):
+    """R(tau) = (1/N) * sum_k X((k - tau) mod N) * conj(Z(k)), X and Z through the matrix f."""
+    n_fft = y.shape[-1]
+    x_f = f @ chirp(n_fft, rate)
+    z_conj = np.conj(f @ y)
+    k = np.arange(n_fft)
+    return np.array(
+        [np.sum(x_f[(k - tau) % n_fft] * z_conj) for tau in range(n_fft)]
+    ) / n_fft
+
+
 @pytest.mark.parametrize("rate", [2, 8])
 @pytest.mark.parametrize("n_fft", [64, 1024])
 def test_freq_correlate_matches_definitional_sum(n_fft, rate):
     """R(tau) = (1/N) * sum_k X((k - tau) mod N) * conj(Z(k)) on random input.
 
     X and Z come from an explicit DFT matrix, so the oracle shares no FFT,
-    and no dechirp shortcut, with the implementation.
+    and no dechirp shortcut, with the implementation.  The pair form, a
+    (T, 2, N) stack against two chirps in one call, meets the same oracle
+    symbol by symbol.
     """
     rng = np.random.default_rng(n_fft + rate)
-    y = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
     f = dft_matrix(n_fft)
-    x_f = f @ chirp(n_fft, rate)
-    z_conj = np.conj(f @ y)
-    k = np.arange(n_fft)
-    expected = np.array(
-        [np.sum(x_f[(k - tau) % n_fft] * z_conj) for tau in range(n_fft)]
-    ) / n_fft
+    y = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
     np.testing.assert_allclose(
-        freq_correlate(y, CazacParams(n_fft, rate)), expected, rtol=0, atol=1e-9
+        freq_correlate(y, CazacParams(n_fft, rate)),
+        _definitional_correlation(y, f, rate), rtol=0, atol=1e-9,
     )
+    rates = (rate, 2 * rate)
+    stack = rng.standard_normal((3, 2, n_fft)) + 1j * rng.standard_normal((3, 2, n_fft))
+    got = freq_correlate(stack, tuple(CazacParams(n_fft, r) for r in rates))
+    assert got.shape == stack.shape
+    for t in range(3):
+        for s, r in enumerate(rates):
+            np.testing.assert_allclose(
+                got[t, s], _definitional_correlation(stack[t, s], f, r), rtol=0, atol=1e-9
+            )
+
+
+def test_freq_correlate_pair_matches_one_chirp_calls_bit_for_bit():
+    """One DFT over the (T, 2, N) stack gives each symbol's single-chirp correlation exactly."""
+    rng = np.random.default_rng(17)
+    spec = _spec()
+    stack = rng.standard_normal((11, 2, 128)) + 1j * rng.standard_normal((11, 2, 128))
+    pair = freq_correlate(stack, (spec.params_1, spec.params_2))
+    assert np.array_equal(pair[:, 0], freq_correlate(stack[:, 0], spec.params_1))
+    assert np.array_equal(pair[:, 1], freq_correlate(stack[:, 1], spec.params_2))
 
 
 def test_freq_correlate_length_mismatch():

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from cfolab import simlab
+from cfolab import channel, estimator, simlab
 from cfolab.channel import ChannelProfile
 from cfolab.cli import main
 from cfolab.errors import ConfigError
 from cfolab.sca import sca_build_preamble
+from cfolab.signal import CazacParams
 from cfolab.simlab import (
     ExperimentConfig,
     SweepCell,
@@ -316,3 +317,42 @@ def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_CHUNKS * simlab.CHUNK_BYTES, peak / 2**20
+
+
+# The per-config constants a sweep computes once and then reads.
+ENGINE_CACHES = (
+    channel._frame_windows,
+    channel._tap_std,
+    channel._mean_power,
+    estimator._conj_chirps,
+)
+
+
+def test_engine_caches_are_bounded_and_read_only():
+    frame = simlab._preamble_for(128, 2, 8, 16)[1]
+    params = (CazacParams(128, 2), CazacParams(128, 8))
+    arrays = (
+        channel._frame_windows(frame, 4),
+        channel._tap_std(4, 2.0, True),
+        estimator._conj_chirps(params[0]),
+        estimator._conj_chirps(params),
+    )
+    for cache in ENGINE_CACHES:
+        assert cache.cache_info().maxsize is not None, cache
+    for values in arrays:
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[..., 0] = 0.0
+    assert type(channel._mean_power(4, 2.0, True)) is float
+
+
+def test_engine_caches_stay_bounded_over_many_master_seeds():
+    """Every master seed builds a new Schmidl-Cox frame; the window cache must not keep them all."""
+    for cache in ENGINE_CACHES:
+        cache.cache_clear()
+    for seed in range(50):
+        run_sweep(_cfg(n_fft=64, snr_grid_db=(10.0,), trials_per_point=1, master_seed=1000 + seed))
+    for cache in ENGINE_CACHES:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, (cache, info)
+    assert channel._frame_windows.cache_info().misses > channel._frame_windows.cache_info().maxsize
