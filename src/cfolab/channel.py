@@ -9,6 +9,7 @@ phase is drawn per frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,31 +142,43 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRe
 
 
 def draw_frame(
-    profile: ChannelProfile,
+    modes: Sequence[str],
     rng: np.random.Generator,
     tap_normals: np.ndarray,
     white: np.ndarray | None,
 ) -> float:
-    """Draw one frame's random inputs in stream order; return its common phase.
+    """Draw one frame's random inputs for each of its channel modes; return its common phase.
 
-    The order is: symbol-1 tap normals (real parts, then imaginary parts)
-    and the common phase; in varying mode, symbol-2 tap normals and a second
-    phase that is drawn and discarded (one oscillator per frame); then, if
-    white is given, the noise normals (real parts, then imaginary parts).
-    tap_normals is a (2, 2L) buffer, one row per symbol; in static mode row 2
-    is a copy of row 1.  This is the order draw_channel twice (or once) and
-    two noise draws would consume, so every frame stays replayable from its
-    generator alone.
+    A frame draws, in stream order: symbol-1 tap normals (real parts, then
+    imaginary parts) and the common phase; in varying mode, symbol-2 tap
+    normals and a second phase that is drawn and discarded (one oscillator
+    per frame); then, if white is given, the noise normals (real parts,
+    then imaginary parts).  This is the order draw_channel twice (or once)
+    and two noise draws would consume, so every frame stays replayable
+    from its generator alone.
+
+    Every mode shares the prefix up to the common phase, so it is drawn
+    once.  Each mode then draws its continuation from the generator state
+    right after the prefix, restored between modes: a Generator keeps no
+    state outside its bit generator, so mode m's draws equal those a fresh
+    generator of the same seed gives for that mode alone.  tap_normals is
+    a (M, 2, 2L) buffer for the M modes, one row per symbol; in static mode
+    row 2 is a copy of row 1.  white, if given, is (M, 4*block).
     """
-    rng.standard_normal(out=tap_normals[0])
+    rng.standard_normal(out=tap_normals[0, 0])
     phase_0 = _draw_phase(rng)
-    if profile.mode == MODE_VARYING:
-        rng.standard_normal(out=tap_normals[1])
-        _draw_phase(rng)
-    else:
-        tap_normals[1] = tap_normals[0]
-    if white is not None:
-        rng.standard_normal(out=white)
+    prefix_end = rng.bit_generator.state if len(modes) > 1 else None
+    for m, mode in enumerate(modes):
+        if m:
+            rng.bit_generator.state = prefix_end
+            tap_normals[m, 0] = tap_normals[0, 0]
+        if mode == MODE_VARYING:
+            rng.standard_normal(out=tap_normals[m, 1])
+            _draw_phase(rng)
+        else:
+            tap_normals[m, 1] = tap_normals[m, 0]
+        if white is not None:
+            rng.standard_normal(out=white[m])
     return phase_0
 
 
@@ -277,10 +290,10 @@ def transmit(
     """
     noisy = not math.isinf(imp.snr_db)
     blk = frame.block_len
-    tap_normals = np.empty((2, 2 * profile.path_count))
+    tap_normals = np.empty((1, 2, 2 * profile.path_count))
     white = np.empty((1, 4 * blk)) if noisy else None
-    phase_0 = draw_frame(profile, rng, tap_normals, white[0] if noisy else None)
-    taps = complex_taps(tap_std(profile), tap_normals)
+    phase_0 = draw_frame((profile.mode,), rng, tap_normals, white)
+    taps = complex_taps(tap_std(profile), tap_normals[0])
     scale = np.array([noise_std(profile, imp.snr_db)]) if noisy else None
     stream = propagate(frame, taps[None], np.array([phase_0]), imp.cfo, white, scale)[0]
 

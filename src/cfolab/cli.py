@@ -37,13 +37,21 @@ from .simlab import (
     ESTIMATOR_PROPOSED,
     ESTIMATOR_SCA,
     ExperimentConfig,
+    SweepResult,
     dump_correlations,
-    run_sweep,
+    run_sweeps,
 )
+
+# run_sweep, the one-config form of run_sweeps, stays bound here: bench/spans.py
+# traces this name.
+from .simlab import run_sweep  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
+
+# Most points a start:step:stop SNR grid may hold; the paper's grid has 11.
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -73,8 +81,12 @@ def read_iq(path: str | Path) -> np.ndarray:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -123,9 +135,12 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if step <= 0:
             raise ValueError("grid step must be positive")
         # Points up to stop inclusive: floor, with a tolerance for steps such
-        # as 0.1 that float division leaves a hair short (0.3 / 0.1).
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        return tuple(start + i * step for i in range(count))
+        # as 0.1 that float division leaves a hair short (0.3 / 0.1).  The
+        # span is counted before any point is built; it can be infinite.
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        return tuple(start + i * step for i in range(math.floor(span) + 1))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -147,22 +162,31 @@ def _parse_bool(text: str) -> bool:
 
 
 def _timestamp() -> str:
-    """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output."""
+    """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output.
+
+    Raises:
+        ConfigError: SOURCE_DATE_EPOCH is not a whole number of seconds
+            that names a date.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = _dt.datetime.fromtimestamp(int(epoch), tz=_dt.timezone.utc)
-    else:
-        moment = _dt.datetime.now(tz=_dt.timezone.utc)
-    return moment.isoformat()
+    if epoch is None:
+        return _dt.datetime.now(tz=_dt.timezone.utc).isoformat()
+    try:
+        return _dt.datetime.fromtimestamp(int(epoch), tz=_dt.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH={epoch!r} is not a usable timestamp: {exc}") from exc
 
 
-def write_manifest(out_path: Path, config: dict, output_paths: list[str]) -> Path:
-    """Serialize the run manifest next to an output file."""
+def write_manifest(out_path: Path, config: dict, output_paths: list[str], started_at: str) -> Path:
+    """Serialize the run manifest next to an output file.
+
+    started_at is the command's _timestamp(), taken before it wrote anything.
+    """
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     payload = {
         "config": config,
         "tool_version": __version__,
-        "started_at": _timestamp(),
+        "started_at": started_at,
         "output_paths": output_paths,
     }
     manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -170,18 +194,21 @@ def write_manifest(out_path: Path, config: dict, output_paths: list[str]) -> Pat
 
 
 def _cmd_preamble(args: argparse.Namespace) -> int:
+    started_at = _timestamp()
     file_values = load_config_file(args.config) if args.config else {}
     n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
     frame = build_preamble(spec)
     out = Path(args.out)
     write_iq(out, frame.samples)
-    write_manifest(out, {"command": "preamble", "n": n_fft, "r1": r1, "r2": r2, "cp": cp}, [str(out)])
+    write_manifest(out, {"command": "preamble", "n": n_fft, "r1": r1, "r2": r2, "cp": cp},
+                   [str(out)], started_at)
     print(f"wrote {frame.samples.size} samples to {out}")
     return EXIT_OK
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
+    started_at = _timestamp()
     file_values = load_config_file(args.config) if args.config else {}
     n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     snr_db = _setting(args, file_values, "snr", 20.0, float)
@@ -213,14 +240,15 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
         {"command": "fig1", "n": n_fft, "snr": snr_db, "cfo": cfo, "paths": paths,
          "decay": decay, "seed": seed},
         [str(out)],
+        started_at,
     )
     print(f"wrote {len(table)} rows to {out}")
     return EXIT_OK
 
 
-def _sweep_rows(cfg: ExperimentConfig) -> list[str]:
+def _sweep_rows(result: SweepResult) -> list[str]:
     rows = []
-    for cell in run_sweep(cfg).cells:
+    for cell in result.cells:
         rows.append(
             ",".join(
                 [
@@ -240,6 +268,7 @@ def _sweep_rows(cfg: ExperimentConfig) -> list[str]:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
+    started_at = _timestamp()
     file_values = load_config_file(args.config) if args.config else {}
     n_fft, r1, r2, cp = _preamble_settings(args, file_values)
     seed = _setting(args, file_values, "seed", 1, int)
@@ -257,7 +286,19 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     modes = ["varying", "static"] if mode == "both" else [mode]
 
     out = Path(args.out)
-    written: list[str] = []
+    if not out.parent.is_dir():
+        raise ConfigError(f"{out}: directory {out.parent} does not exist")
+    # Every sweep in one call: the modes of an N share each trial's stream.
+    results = iter(run_sweeps([
+        ExperimentConfig(
+            n_fft=n_fft, r1=r1, r2=r2, cp_len=cp,
+            channel=ChannelProfile(path_count=paths, decay=decay, mode=chan_mode),
+            cfo_true=cfo, snr_grid_db=tuple(grid), trials_per_point=trials,
+            estimators=tuple(estimators), ffo_stage_enabled=ffo_on, master_seed=seed,
+        )
+        for n_fft in n_list
+        for chan_mode in modes
+    ]))
     for n_fft in n_list:
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
         config_dict = {
@@ -265,18 +306,11 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
             "paths": paths, "decay": decay, "modes": modes, "snr_grid": list(grid),
             "trials": trials, "estimators": list(estimators), "ffo": ffo_on, "seed": seed,
         }
-        for chan_mode in modes:
-            cfg = ExperimentConfig(
-                n_fft=n_fft, r1=r1, r2=r2, cp_len=cp,
-                channel=ChannelProfile(path_count=paths, decay=decay, mode=chan_mode),
-                cfo_true=cfo, snr_grid_db=tuple(grid), trials_per_point=trials,
-                estimators=tuple(estimators), ffo_stage_enabled=ffo_on, master_seed=seed,
-            )
-            rows.extend(_sweep_rows(cfg))
+        for _ in modes:
+            rows.extend(_sweep_rows(next(results)))
         target = out.with_name(f"{out.stem}_n{n_fft}{out.suffix}") if len(n_list) > 1 else out
         target.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        write_manifest(target, config_dict, [str(target)])
-        written.append(str(target))
+        write_manifest(target, config_dict, [str(target)], started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")
     return EXIT_OK
 
@@ -382,7 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         # estimation failure: there is nothing to estimate.
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A missing or unreadable input, or an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,20 +6,24 @@ execution order and individual trials can be replayed in isolation.
 
 A sweep runs each estimator's trials over the whole SNR grid as array passes
 over a leading trial axis, in chunks of bounded size: only the random draws
-loop per trial, each from its own generator.  run_trial is the same pass over
-a batch of one.
+loop per trial, each from its own generator.  The stream does not depend on
+the channel mode, so sweeps that differ only in mode share their passes and
+each trial's generator (run_sweeps).  run_trial is the same pass over a batch
+of one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import (
+    MODE_VARYING,
     ChannelProfile,
     ImpairmentSpec,
     complex_taps,
@@ -215,20 +219,22 @@ def run_single_frame(
 
 
 def _run_trials(
-    cfg: ExperimentConfig,
+    cfgs: tuple[ExperimentConfig, ...],
     estimator: str,
     snrs: np.ndarray,
     trial_indices: np.ndarray,
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a batch of trials as one array pass.
+    """Run a batch of trials as one array pass, for each config of a shared pass.
 
-    Trial i draws from trial_rng(cfg, snrs[i], estimator, trial_indices[i]);
-    scale[i] is noise_std at snrs[i].  Returns (ifo_correct, ffo_error,
-    total_error) per trial.  ffo_error is NaN for a degenerate trial;
-    total_error is NaN for a degenerate trial and for one whose integer
-    stage failed.
+    The configs differ at most in channel mode.  Trial i draws from
+    trial_rng(cfg, snrs[i], estimator, trial_indices[i]), one generator for
+    every mode (see channel.draw_frame); scale[i] is noise_std at snrs[i].
+    Returns (ifo_correct, ffo_error, total_error), each (trials, configs).
+    ffo_error is NaN for a degenerate trial; total_error is NaN for a
+    degenerate trial and for one whose integer stage failed.
     """
+    cfg = cfgs[0]
     if estimator == ESTIMATOR_PROPOSED:
         spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
         ffo_rate = cfg.r1
@@ -237,27 +243,34 @@ def _run_trials(
         frame = pre.frame
         ffo_rate = 2.0
     profile = cfg.channel
-    count = len(snrs)
-    tap_normals = np.empty((count, 2, 2 * profile.path_count))
+    modes = tuple(c.channel.mode for c in cfgs)
+    count, width = len(snrs), len(modes)
+    rows = count * width
+    tap_normals = np.empty((count, width, 2, 2 * profile.path_count))
     phase_0 = np.empty(count)
     # Zeros, so rows drawn without noise add exact zeros in propagate.
-    white = np.zeros((count, 4 * frame.block_len))
+    white = np.zeros((count, width, 4 * frame.block_len))
     noisy = (scale != 0).tolist()
     for i, (snr, t) in enumerate(zip(snrs.tolist(), trial_indices.tolist())):
         rng = trial_rng(cfg, snr, estimator, t)
-        phase_0[i] = draw_frame(profile, rng, tap_normals[i], white[i] if noisy[i] else None)
+        phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if noisy[i] else None)
 
-    taps = complex_taps(tap_std(profile), tap_normals)
-    stream = propagate(frame, taps, phase_0, cfg.cfo_true, white, scale)
+    taps = complex_taps(tap_std(profile), tap_normals.reshape(rows, 2, -1))
+    stream = propagate(
+        frame, taps, np.repeat(phase_0, width), cfg.cfo_true,
+        white.reshape(rows, -1), np.repeat(scale, width),
+    )
     start = frame.cp_len
-    symbols = stream.reshape(count, 2, frame.block_len)[:, :, start : start + cfg.n_fft]
+    symbols = stream.reshape(rows, 2, frame.block_len)[:, :, start : start + cfg.n_fft]
     if estimator == ESTIMATOR_PROPOSED:
         ffo, ifo, _ = estimate_cfo_batch(symbols, spec, ffo_stage=cfg.ffo_stage_enabled)
     else:
         ffo, ifo, _ = sca_estimate_batch(symbols, pre, ffo_stage=cfg.ffo_stage_enabled)
     ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
     total_error = (ifo + ffo) - cfg.cfo_true
-    return np.abs(total_error) < 0.5, ffo - ffo_ref, total_error
+    return tuple(
+        a.reshape(count, width) for a in (np.abs(total_error) < 0.5, ffo - ffo_ref, total_error)
+    )
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int) -> TrialRecord:
@@ -274,75 +287,122 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     if estimator not in _ESTIMATOR_IDS:
         raise ConfigError(f"unknown estimator {estimator!r}")
     correct, ffo_error, total_error = _run_trials(
-        cfg, estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
+        (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
         np.array([noise_std(cfg.channel, snr_db)]),
     )
     return TrialRecord(
         snr_db=snr_db,
         estimator=estimator,
-        ifo_correct=bool(correct[0]),
-        ffo_error=float(ffo_error[0]),
-        total_error=float(total_error[0]),
+        ifo_correct=bool(correct[0, 0]),
+        ffo_error=float(ffo_error[0, 0]),
+        total_error=float(total_error[0, 0]),
     )
 
 
 def _chunk_trials(cfg: ExperimentConfig) -> int:
-    """Trials per engine pass, so that the pass's largest array fits CHUNK_BYTES."""
+    """Trials per engine pass, so that the pass's largest array fits CHUNK_BYTES.
+
+    Each mode's trial of a shared pass counts as one.
+    """
     # The frame stream (complex) and its noise draws (two reals per sample):
     # no estimator holds more than this per trial.
     return max(1, CHUNK_BYTES // (16 * 2 * (cfg.n_fft + cfg.cp_len)))
 
 
-def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run trials_per_point trials for every (snr, estimator) cell and aggregate.
+def _pass_key(cfg: ExperimentConfig) -> str:
+    """Equal for configs that differ at most in channel mode.
+
+    A repr, not the config itself: configs compare -0.0 equal to 0.0, but
+    an SNR of -0.0 seeds other streams than 0.0.
+    """
+    return repr(replace(cfg, channel=replace(cfg.channel, mode=MODE_VARYING)))
+
+
+def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...]]:
+    """The cells of each config of a shared pass: configs that differ at most in channel mode.
 
     Each estimator's trials over the whole grid, in (snr, trial) order, run
-    as array passes of _chunk_trials trials each; every trial equals
-    run_trial for its cell and index.  Beyond one pass's arrays, memory
+    as array passes of _chunk_trials trials each, every mode's trial of a
+    (snr, trial) pair in the same pass.  Beyond one pass's arrays, memory
     grows only with the outcomes kept per trial, a few tens of bytes each.
     """
+    cfg = cfgs[0]
     trials = cfg.trials_per_point
     if trials == 0:
-        return SweepResult(config=cfg, cells=())
+        return [()] * len(cfgs)
+    width = len(cfgs)
     grid = np.array(cfg.snr_grid_db, dtype=float)
     scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
     total = grid.size * trials
-    step = _chunk_trials(cfg)
+    step = max(1, _chunk_trials(cfg) // width)
     stats = {}
     for estimator in cfg.estimators:
-        correct = np.empty(total, dtype=bool)
-        ffo_error = np.empty(total)
+        correct = np.empty((total, width), dtype=bool)
+        ffo_error = np.empty((total, width))
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
             correct[lo : lo + step], ffo_error[lo : lo + step], _ = _run_trials(
-                cfg, estimator, grid[cell], t, scales[cell]
+                cfgs, estimator, grid[cell], t, scales[cell]
             )
-        correct = correct.reshape(grid.size, trials)
-        ffo_error = ffo_error.reshape(grid.size, trials)
+        # (mode, snr, trial)
+        correct = correct.T.reshape(width, grid.size, trials)
+        ffo_error = ffo_error.T.reshape(width, grid.size, trials)
         finite = np.isfinite(ffo_error)
         stats[estimator] = (
-            np.count_nonzero(~correct, axis=1).tolist(),
+            np.count_nonzero(~correct, axis=2).tolist(),
             # A running sum in trial order, as a loop over the trials forms it.
-            np.cumsum(np.where(finite, ffo_error**2, 0.0), axis=1)[:, -1].tolist(),
-            np.count_nonzero(finite, axis=1).tolist(),
+            np.cumsum(np.where(finite, ffo_error**2, 0.0), axis=2)[:, :, -1].tolist(),
+            np.count_nonzero(finite, axis=2).tolist(),
         )
-    cells = []
-    for k, snr_db in enumerate(cfg.snr_grid_db):
-        for estimator in cfg.estimators:
-            failures, sq_sum, sq_count = (column[k] for column in stats[estimator])
-            cells.append(
-                SweepCell(
-                    snr_db=snr_db,
-                    estimator=estimator,
-                    mode=cfg.channel.mode,
-                    trials=trials,
-                    failures=failures,
-                    failure_prob=failures / trials,
-                    ffo_mse=sq_sum / sq_count if sq_count else math.nan,
-                    wilson_ci_95=wilson_interval(failures, trials),
+    results = []
+    for m, mode_cfg in enumerate(cfgs):
+        cells = []
+        for k, snr_db in enumerate(cfg.snr_grid_db):
+            for estimator in cfg.estimators:
+                failures, sq_sum, sq_count = (column[m][k] for column in stats[estimator])
+                cells.append(
+                    SweepCell(
+                        snr_db=snr_db,
+                        estimator=estimator,
+                        mode=mode_cfg.channel.mode,
+                        trials=trials,
+                        failures=failures,
+                        failure_prob=failures / trials,
+                        ffo_mse=sq_sum / sq_count if sq_count else math.nan,
+                        wilson_ci_95=wilson_interval(failures, trials),
+                    )
                 )
-            )
-    return SweepResult(config=cfg, cells=tuple(cells))
+        results.append(tuple(cells))
+    return results
+
+
+def run_sweeps(cfgs: Sequence[ExperimentConfig]) -> tuple[SweepResult, ...]:
+    """Run trials_per_point trials for every (snr, estimator) cell of each config and aggregate.
+
+    Returns one SweepResult per config, in input order; each equals
+    run_sweep(cfg) bit for bit, and every trial equals run_trial for its
+    cell and index.  Configs that differ only in channel mode run in
+    shared passes: each (snr, estimator, trial) builds one trial_rng
+    generator, draws the prefix the modes share once, and each mode draws
+    the rest of its frame from there (channel.draw_frame).
+    """
+    cfgs = tuple(cfgs)
+    groups: dict[str, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_pass_key(cfg), []).append(i)
+    cells: list[tuple[SweepCell, ...]] = [()] * len(cfgs)
+    for members in groups.values():
+        for i, group_cells in zip(members, _sweep_pass(tuple(cfgs[i] for i in members))):
+            cells[i] = group_cells
+    return tuple(SweepResult(config=cfg, cells=c) for cfg, c in zip(cfgs, cells))
+
+
+def run_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Run trials_per_point trials for every (snr, estimator) cell and aggregate.
+
+    This is run_sweeps for one config.
+    """
+    return run_sweeps((cfg,))[0]
 
 
 def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.ndarray:

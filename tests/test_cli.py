@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfolab.cli import _parse_snr_grid, load_config_file, main, read_iq, write_iq
+from cfolab.cli import MAX_GRID_POINTS, _parse_snr_grid, load_config_file, main, read_iq, write_iq
 
 
 def run_cli(*args, cwd=None):
@@ -118,6 +118,75 @@ def test_fig2_rejects_a_grid_range_with_a_non_finite_bound(tmp_path, capsys, gri
     assert exc.value.code == 2
     assert "argument --snr-grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_snr_grid_point_count_is_bounded_before_the_grid_is_built():
+    assert len(_parse_snr_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+    for text in (f"0:1:{MAX_GRID_POINTS}", "0:1e-300:1", "0:1e-300:1e300", "-1e308:1:1e308"):
+        with pytest.raises(ValueError, match="more than"):
+            _parse_snr_grid(text)
+
+
+@pytest.mark.parametrize("grid", ["0:1e-300:1", "0:1e-300:1e300"])
+def test_fig2_rejects_a_grid_range_with_too_many_points(tmp_path, capsys, grid):
+    """Too many points is a usage error from the flag and from a config file; no file is written."""
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", "--n", "64", f"--snr-grid={grid}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --snr-grid" in capsys.readouterr().err
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"snr_grid = {grid}\n", encoding="utf-8")
+    assert main(["fig2", "--n", "64", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "more than" in err, err
+    assert not out.exists()
+
+
+def test_estimate_of_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["estimate", "--in", str(tmp_path), "--n", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"n = 64\n# caf\xe9\n")
+    out = tmp_path / "pre.iq"
+    assert main(["preamble", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999"])
+@pytest.mark.parametrize("command", ["preamble", "fig1", "fig2"])
+def test_bad_source_date_epoch_is_rejected_before_any_output(tmp_path, capsys, monkeypatch,
+                                                             command, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "x.out"
+    argv = [command, "--n", "64", "--out", str(out)]
+    if command == "fig2":
+        argv += ["--trials", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SOURCE_DATE_EPOCH" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, monkeypatch):
+    from cfolab import cli
+
+    def no_sweep(cfgs):
+        raise AssertionError("swept before checking --out")
+
+    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    out = tmp_path / "missing" / "fig2.csv"
+    assert main(["fig2", "--paper", "--trials", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "does not exist" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fig2_at_minus_3000_db_stays_finite(tmp_path, capsys):

@@ -224,42 +224,132 @@ def _reference_cells(cfg):
     return tuple(cells)
 
 
+def _other_mode(cfg):
+    other = "static" if cfg.channel.mode == "varying" else "varying"
+    return dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, mode=other))
+
+
 @pytest.mark.parametrize("ffo", [False, True])
 @pytest.mark.parametrize("mode", ["static", "varying"])
 @pytest.mark.parametrize("estimator", ["proposed", "sca"])
 def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo):
-    """Every trial a sweep runs equals run_trial for its cell and index.
+    """Every trial of a shared pass, in either mode, equals run_trial for its cell and index.
 
-    Chunks of 4 trials put boundaries inside and between the 10-trial
-    cells, over finite and infinite SNR; the cells, down to the last bit of
-    ffo_mse, equal a plain loop over run_trial, the engine's pass over a
-    batch of one.
+    The sweep of `mode` and of the other mode share their passes; chunks
+    of 7 trials hold 3 (snr, trial) pairs of both modes, so boundaries fall
+    inside and between the 10-trial cells, over finite and infinite SNR.
+    Each mode's cells, down to the last bit of ffo_mse, equal a plain loop
+    over run_trial, the engine's pass over a batch of one.
     """
     cfg = _cfg(
         n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), cfo_true=20.3 if ffo else 20.0,
         ffo_stage_enabled=ffo, snr_grid_db=(-5.0, 10.0, math.inf), trials_per_point=10,
         estimators=(estimator,),
     )
+    cfgs = (cfg, _other_mode(cfg))
     rows = []
     run_batch = simlab._run_trials
 
-    def recording(cfg, estimator, snrs, trial_indices, scale):
-        out = run_batch(cfg, estimator, snrs, trial_indices, scale)
-        rows.extend(zip(snrs.tolist(), trial_indices.tolist(), *(a.tolist() for a in out)))
+    def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
+        assert pass_cfgs == cfgs
+        out = run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
+        assert all(a.shape == (len(snrs), 2) for a in out)
+        for m, mode_cfg in enumerate(pass_cfgs):
+            rows.extend(
+                (mode_cfg, snr, t, *values)
+                for snr, t, *values in zip(snrs.tolist(), trial_indices.tolist(),
+                                           *(a[:, m].tolist() for a in out))
+            )
         return out
 
-    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg: 4)
+    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg: 7)
     monkeypatch.setattr(simlab, "_run_trials", recording)
-    result = run_sweep(cfg)
+    results = simlab.run_sweeps(cfgs)
     monkeypatch.undo()
-    assert sorted((snr, t) for snr, t, *_ in rows) == sorted(
-        (snr, t) for snr in cfg.snr_grid_db for t in range(10)
-    )
-    for snr, t, correct, ffo_error, total_error in rows:
+    for mode_cfg in cfgs:
+        assert sorted((snr, t) for c, snr, t, *_ in rows if c is mode_cfg) == sorted(
+            (snr, t) for snr in cfg.snr_grid_db for t in range(10)
+        )
+    for mode_cfg, snr, t, correct, ffo_error, total_error in rows:
         rec = TrialRecord(snr, estimator, correct, ffo_error, total_error)
-        assert _record_tuple(rec) == _record_tuple(run_trial(cfg, snr, estimator, t)), (snr, t)
-    assert result.cells == _reference_cells(cfg)
-    assert any(cell.failures for cell in result.cells)
+        assert _record_tuple(rec) == _record_tuple(run_trial(mode_cfg, snr, estimator, t)), (
+            mode_cfg.channel.mode, snr, t)
+    for mode_cfg, result in zip(cfgs, results):
+        assert result.config is mode_cfg
+        assert result.cells == _reference_cells(mode_cfg)
+        assert any(cell.failures for cell in result.cells)
+
+
+def test_run_sweeps_equals_run_sweep_per_config():
+    """Shared passes change no cell: each result equals its config's own sweep, ffo_mse bit for bit.
+
+    The configs cover both modes, both estimators and the fractional stage
+    off and on, in one call and in mixed order.  A repeated config gets the
+    same result, and a grid of -0.0 dB, which equals 0.0 but seeds other
+    streams, is not merged with the 0.0 dB grid of the other mode.
+    """
+    cfgs = [
+        _cfg(n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), estimators=(estimator,),
+             cfo_true=20.3 if ffo else 20.0, ffo_stage_enabled=ffo,
+             snr_grid_db=(0.0, 6.0, math.inf), trials_per_point=12)
+        for ffo in (True, False)
+        for estimator in ("sca", "proposed")
+        for mode in ("static", "varying")
+    ]
+    signed_zero = dataclasses.replace(_other_mode(cfgs[0]), snr_grid_db=(-0.0, 6.0, math.inf))
+    cfgs += [cfgs[2], signed_zero]
+    results = simlab.run_sweeps(cfgs)
+    assert len(results) == len(cfgs)
+    for cfg, result in zip(cfgs, results):
+        single = run_sweep(cfg)
+        assert result == single
+        assert [struct.pack("<d", c.ffo_mse) for c in result.cells] == [
+            struct.pack("<d", c.ffo_mse) for c in single.cells
+        ]
+        assert {c.mode for c in result.cells} == {cfg.channel.mode}
+    assert results[-1].cells != results[1].cells
+    assert simlab.run_sweeps([]) == ()
+
+
+@pytest.mark.parametrize("paths", [1, 4])
+@pytest.mark.parametrize("snr_db", [10.0, math.inf])
+@pytest.mark.parametrize("modes", [("varying", "static"), ("static", "varying")])
+def test_shared_stream_draws_equal_fresh_generator_draws(paths, snr_db, modes):
+    """Each mode's draws from a shared stream equal a fresh trial_rng generator's draws.
+
+    The fresh draws are spelled out in the documented order: symbol-1 tap
+    normals and the phase; for varying mode, symbol-2 tap normals and a
+    discarded phase; then the noise, which a noiseless row does not draw.
+    """
+    cfg = _cfg(channel=ChannelProfile(paths, 2.0), snr_grid_db=(snr_db,))
+    block = 128 + 16
+    noisy = math.isfinite(snr_db)
+    for t in range(5):
+        rng = trial_rng(cfg, snr_db, "proposed", t)
+        taps = np.empty((2, 2, 2 * paths))
+        white = np.empty((2, 4 * block)) if noisy else None
+        phase = channel.draw_frame(modes, rng, taps, white)
+        for m, mode in enumerate(modes):
+            fresh = trial_rng(cfg, snr_db, "proposed", t)
+            first = fresh.standard_normal(2 * paths)
+            assert phase == 2.0 * np.pi * fresh.random()
+            second = first
+            if mode == "varying":
+                second = fresh.standard_normal(2 * paths)
+                fresh.random()
+            np.testing.assert_array_equal(taps[m], np.stack([first, second]))
+            if noisy:
+                np.testing.assert_array_equal(white[m], fresh.standard_normal(4 * block))
+            alone = trial_rng(cfg, snr_db, "proposed", t)
+            alone_taps = np.empty((1, 2, 2 * paths))
+            alone_white = np.empty((1, 4 * block)) if noisy else None
+            assert channel.draw_frame((mode,), alone, alone_taps, alone_white) == phase
+            np.testing.assert_array_equal(alone_taps[0], taps[m])
+            if noisy:
+                np.testing.assert_array_equal(alone_white[0], white[m])
+            assert alone.bit_generator.state == fresh.bit_generator.state
+        # The shared generator ends where the last mode's own stream ends.
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_failed_resolution_is_a_failure_with_finite_ffo_error(monkeypatch):
@@ -300,19 +390,21 @@ def test_fig2_paper_csv_digests_are_pinned(tmp_path, capsys, ffo):
 
 
 # Traced peak allowed for a sweep: the engine's chunks keep it a few times
-# CHUNK_BYTES whatever the trial count (one pass over all of these trials
-# would hold about 60 MiB for either estimator).
+# CHUNK_BYTES whatever the trial count (one pass over all of these trials of
+# both modes would hold about 120 MiB for either estimator).
 PEAK_CHUNKS = 6
 
 
 @pytest.mark.parametrize("estimator,trials", [("proposed", 190), ("sca", 190)])
 def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
+    """Both modes of a shared pass together stay within the chunk bound."""
     cfg = _cfg(n_fft=1024, cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0, 20.0),
                trials_per_point=trials, estimators=(estimator,))
-    assert 2 * trials >= 3 * simlab._chunk_trials(cfg)
+    cfgs = (cfg, _other_mode(cfg))
+    assert 2 * trials * len(cfgs) >= 3 * simlab._chunk_trials(cfg)
     tracemalloc.start()
     try:
-        run_sweep(cfg)
+        simlab.run_sweeps(cfgs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
