@@ -29,17 +29,15 @@ class ChannelProfile:
     Args:
         path_count: number of taps L.
         decay: exponential delay-profile constant; tap l has mean power
-            exp(-l/decay) before normalization.
+            exp(-l/decay), scaled so the powers sum to 1 and the
+            ensemble-mean received power is 1.
         mode: "static" reuses one tap realization for the whole frame;
             "varying" redraws taps independently per symbol (block fading).
-        normalize_power: scale every realization by 1/sqrt(sum exp(-l/decay))
-            so the ensemble-mean received power is 1.
     """
 
     path_count: int
     decay: float
     mode: str = MODE_VARYING
-    normalize_power: bool = True
 
     def __post_init__(self) -> None:
         if self.path_count < 1:
@@ -50,31 +48,30 @@ class ChannelProfile:
             raise ConfigError(f"mode must be '{MODE_STATIC}' or '{MODE_VARYING}', got {self.mode!r}")
 
     def tap_powers(self) -> np.ndarray:
-        """Ensemble mean power per tap, after optional normalization (read-only)."""
-        return _tap_powers(self.path_count, self.decay, self.normalize_power)
+        """Ensemble mean power per tap, normalized to sum to 1 (read-only)."""
+        return _tap_powers(self.path_count, self.decay)
 
     def mean_power(self) -> float:
         """Total ensemble mean received power for a unit-power input."""
-        return _mean_power(self.path_count, self.decay, self.normalize_power)
+        return _mean_power(self.path_count, self.decay)
 
 
 @lru_cache(maxsize=32)
-def _tap_powers(path_count: int, decay: float, normalize_power: bool) -> np.ndarray:
+def _tap_powers(path_count: int, decay: float) -> np.ndarray:
     p = np.exp(-np.arange(path_count) / decay)
-    if normalize_power:
-        p = p / p.sum()
+    p = p / p.sum()
     p.flags.writeable = False
     return p
 
 
 @lru_cache(maxsize=32)
-def _mean_power(path_count: int, decay: float, normalize_power: bool) -> float:
-    return float(_tap_powers(path_count, decay, normalize_power).sum())
+def _mean_power(path_count: int, decay: float) -> float:
+    return float(_tap_powers(path_count, decay).sum())
 
 
 @lru_cache(maxsize=32)
-def _tap_std(path_count: int, decay: float, normalize_power: bool) -> np.ndarray:
-    std = np.sqrt(_tap_powers(path_count, decay, normalize_power) / 2.0)
+def _tap_std(path_count: int, decay: float) -> np.ndarray:
+    std = np.sqrt(_tap_powers(path_count, decay) / 2.0)
     std.flags.writeable = False
     return std
 
@@ -113,7 +110,7 @@ class ReceivedFrame:
 
 def tap_std(profile: ChannelProfile) -> np.ndarray:
     """Per-tap standard deviation of the real and of the imaginary part (read-only)."""
-    return _tap_std(profile.path_count, profile.decay, profile.normalize_power)
+    return _tap_std(profile.path_count, profile.decay)
 
 
 def complex_taps(std: np.ndarray, normals: np.ndarray) -> np.ndarray:

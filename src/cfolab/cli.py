@@ -177,12 +177,16 @@ def _timestamp() -> str:
         raise ConfigError(f"SOURCE_DATE_EPOCH={epoch!r} is not a usable timestamp: {exc}") from exc
 
 
+def _manifest_path(out_path: Path) -> Path:
+    return out_path.with_name(out_path.name + ".manifest.json")
+
+
 def write_manifest(out_path: Path, config: dict, output_paths: list[str], started_at: str) -> Path:
     """Serialize the run manifest next to an output file.
 
     started_at is the command's _timestamp(), taken before it wrote anything.
     """
-    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
+    manifest_path = _manifest_path(out_path)
     payload = {
         "config": config,
         "tool_version": __version__,
@@ -216,6 +220,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     paths = _setting(args, file_values, "paths", 1, int)
     decay = _setting(args, file_values, "decay", 2.0, float)
     seed = _setting(args, file_values, "seed", 1, int)
+    ffo_on = _setting(args, file_values, "ffo", False, _parse_bool)
     cfg = ExperimentConfig(
         n_fft=n_fft,
         r1=r1,
@@ -226,7 +231,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
         snr_grid_db=(snr_db,),
         trials_per_point=1,
         estimators=(ESTIMATOR_PROPOSED,),
-        ffo_stage_enabled=_setting(args, file_values, "ffo", False, _parse_bool),
+        ffo_stage_enabled=ffo_on,
         master_seed=seed,
     )
     table = dump_correlations(cfg, snr_db, seed)
@@ -237,8 +242,8 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_manifest(
         out,
-        {"command": "fig1", "n": n_fft, "snr": snr_db, "cfo": cfo, "paths": paths,
-         "decay": decay, "seed": seed},
+        {"command": "fig1", "n": n_fft, "r1": r1, "r2": r2, "cp": cp, "snr": snr_db,
+         "cfo": cfo, "paths": paths, "decay": decay, "ffo": ffo_on, "seed": seed},
         [str(out)],
         started_at,
     )
@@ -288,6 +293,11 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():
         raise ConfigError(f"{out}: directory {out.parent} does not exist")
+    targets = [out.with_name(f"{out.stem}_n{n}{out.suffix}") for n in n_list] if args.paper else [out]
+    for target in targets:
+        for path in (target, _manifest_path(target)):
+            if path.is_dir():
+                raise ConfigError(f"{path} is a directory")
     # Every sweep in one call: the modes of an N share each trial's stream.
     results = iter(run_sweeps([
         ExperimentConfig(
@@ -299,7 +309,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
         for n_fft in n_list
         for chan_mode in modes
     ]))
-    for n_fft in n_list:
+    for n_fft, target in zip(n_list, targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
         config_dict = {
             "command": "fig2", "n": n_fft, "r1": r1, "r2": r2, "cp": cp, "cfo": cfo,
@@ -308,7 +318,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
         }
         for _ in modes:
             rows.extend(_sweep_rows(next(results)))
-        target = out.with_name(f"{out.stem}_n{n_fft}{out.suffix}") if len(n_list) > 1 else out
         target.write_text("\n".join(rows) + "\n", encoding="utf-8")
         write_manifest(target, config_dict, [str(target)], started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")

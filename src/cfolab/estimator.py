@@ -38,34 +38,6 @@ from .signal import CazacParams, PreambleSpec, cazac_generate, dft
 _DEGENERATE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class CfoDecomposition:
-    """Exact split of an offset into integer/fractional/residue parts.
-
-    eps_int is the nearest integer (eps_frac in [-0.5, 0.5)); eps_mod_r and
-    floor_div split eps_int by truncating division, so eps_mod_r carries the
-    sign of eps_int.  The parts always reconstruct exactly:
-    eps == floor_div * rate + eps_mod_r + eps_frac.
-    """
-
-    eps: float
-    eps_int: int
-    eps_frac: float
-    eps_mod_r: int
-    floor_div: int
-
-
-def decompose_cfo(eps: float, rate: int) -> CfoDecomposition:
-    """Split eps into the parts used by the fractional-stage wrap analysis."""
-    eps_int = math.floor(eps + 0.5)
-    eps_frac = eps - eps_int
-    floor_div = int(abs(eps_int) // rate) * (1 if eps_int >= 0 else -1)
-    eps_mod_r = eps_int - floor_div * rate
-    return CfoDecomposition(
-        eps=eps, eps_int=eps_int, eps_frac=eps_frac, eps_mod_r=eps_mod_r, floor_div=floor_div
-    )
-
-
 def wrap_offset(eps: float, rate: float) -> float:
     """Wrap eps into (-rate/2, rate/2], matching the principal-argument branch."""
     w = math.fmod(eps, rate)
@@ -95,13 +67,15 @@ class CfoEstimate:
 
     On success, total == ifo_residual + ffo.  When the integer stage fails to
     resolve, failed is True, ifo_residual/total are None, and ffo still holds
-    the fractional-stage output.
+    the fractional-stage output.  peaks holds the two correlation profiles
+    of the proposed estimator; it is None for Schmidl-Cox, whose metric
+    B(g) runs over even shifts and has no correlation combs.
     """
 
     ffo: float
     ifo_residual: int | None
     total: float | None
-    peaks: PeakReport
+    peaks: PeakReport | None
     failed: bool = False
 
 

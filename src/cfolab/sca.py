@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import ReceivedFrame
 from .errors import ConfigError, DegenerateSignalError
-from .estimator import CfoEstimate, PeakReport, compensate, estimate_ffo
+from .estimator import CfoEstimate, compensate, estimate_ffo
 from .signal import PreambleFrame, _is_power_of_two, assemble_frame, dft, idft
 
 
@@ -135,17 +135,9 @@ def sca_estimate(rx: ReceivedFrame, pre: ScaPreamble, ffo_stage: bool = True) ->
         DegenerateSignalError: the training symbols carry no usable phase or
             energy.
     """
-    ffo, ifo, metric = sca_estimate_batch(np.stack(rx.symbols)[None], pre, ffo_stage)
+    ffo, ifo, _ = sca_estimate_batch(np.stack(rx.symbols)[None], pre, ffo_stage)
     if math.isnan(ffo[0]):
         raise DegenerateSignalError("training symbols carry no usable phase or energy")
-    n = pre.n_fft
-    shifts = np.arange(metric.shape[-1]) - metric.shape[-1] // 2
-
-    # Diagnostics mapped onto spectrum bins: metric value at tau = 2g mod N.
-    profile = np.zeros(n)
-    np.maximum.at(profile, (2 * shifts) % n, metric[0])
-    loc = int(np.argmax(profile))
-    peaks = PeakReport(corr_1=profile, corr_2=profile, loc_1=loc, loc_2=loc)
     return CfoEstimate(
-        ffo=float(ffo[0]), ifo_residual=int(ifo[0]), total=float(ifo[0] + ffo[0]), peaks=peaks
+        ffo=float(ffo[0]), ifo_residual=int(ifo[0]), total=float(ifo[0] + ffo[0]), peaks=None
     )

@@ -53,6 +53,13 @@ _SCA_PREAMBLE_TAG = 0x5CA_9EA3
 # largest array of a chunk stays under this many bytes.
 CHUNK_BYTES = 4 << 20
 
+# Most trials one config may sweep, len(snr_grid_db) * trials_per_point.
+# The engine keeps 9 bytes of outcomes per trial and mode (a bool and a
+# float64), so the cap allows 144 MiB of outcome arrays per mode, and about
+# 416 MiB per mode at the peak of their aggregation (26 bytes per trial).
+# It holds 10**6 trials per point on the paper's 11-point grid.
+MAX_SWEEP_TRIALS = 2**24
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,6 +90,11 @@ class ExperimentConfig:
             raise ConfigError(f"trials_per_point must be >= 0, got {self.trials_per_point}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must hold at least one SNR")
+        if len(self.snr_grid_db) * self.trials_per_point > MAX_SWEEP_TRIALS:
+            raise ConfigError(
+                f"{len(self.snr_grid_db)} SNRs x {self.trials_per_point} trials is more than "
+                f"the {MAX_SWEEP_TRIALS} trials a sweep may run"
+            )
         if not self.estimators:
             raise ConfigError("estimators must name at least one estimator")
         for est in self.estimators:
@@ -106,13 +118,6 @@ class ExperimentConfig:
                 variance = math.nan
             if not 0.0 < variance < math.inf:
                 raise ConfigError(f"SNR {snr_db} dB is outside what the channel can model")
-
-    def preamble_spec(self) -> PreambleSpec:
-        return PreambleSpec(
-            params_1=CazacParams(self.n_fft, self.r1),
-            params_2=CazacParams(self.n_fft, self.r2),
-            cp_len=self.cp_len,
-        )
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,9 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     if trials <= 0:
         raise ConfigError("wilson interval needs at least one trial")
     p = failures / trials

@@ -212,8 +212,7 @@ def test_criterion_6_fractional_wrap_branches():
 
 def test_criterion_7_channel_statistics():
     with criterion(7, "tap powers within 3 SE and varying-mode independence"):
-        profile = ChannelProfile(path_count=4, decay=2.0, normalize_power=False,
-                                 mode="varying")
+        profile = ChannelProfile(path_count=4, decay=2.0, mode="varying")
         rng = np.random.default_rng(31337)
         draws = 100_000
         taps = np.empty((draws, 4), dtype=complex)
@@ -224,7 +223,8 @@ def test_criterion_7_channel_statistics():
             taps[i] = a.taps
             pair[i] = a.taps[0], b.taps[0]
         powers = np.abs(taps) ** 2
-        expected = np.exp(-np.arange(4) / 2.0)
+        shape = np.exp(-np.arange(4) / 2.0)
+        expected = shape / shape.sum()
         stderr = powers.std(axis=0, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(powers.mean(axis=0) - expected) < 3 * stderr)
         corr = np.abs(np.mean(pair[:, 0] * np.conj(pair[:, 1]))) / np.sqrt(

@@ -35,10 +35,12 @@ def test_profile_validation():
 
 
 def test_tap_power_profile():
-    """Sample mean tap powers match exp(-l/2) within 3 standard errors."""
-    profile = ChannelProfile(path_count=4, decay=2.0, normalize_power=False)
-    expected = np.exp(-np.arange(4) / 2.0)
-    np.testing.assert_allclose(expected, [1.0, 0.6065, 0.3679, 0.2231], atol=5e-4)
+    """Sample mean tap powers match exp(-l/2), normalized to sum 1, within 3 standard errors."""
+    profile = ChannelProfile(path_count=4, decay=2.0)
+    shape = np.exp(-np.arange(4) / 2.0)
+    np.testing.assert_allclose(shape, [1.0, 0.6065, 0.3679, 0.2231], atol=5e-4)
+    expected = shape / shape.sum()
+    np.testing.assert_allclose(profile.tap_powers(), expected, rtol=1e-15)
     taps = _draw_many(profile, np.random.default_rng(1234), 100_000)
     powers = np.abs(taps) ** 2
     mean = powers.mean(axis=0)
@@ -47,16 +49,17 @@ def test_tap_power_profile():
 
 
 def test_tap_power_flat_limit():
-    profile = ChannelProfile(path_count=4, decay=1e9, normalize_power=False)
-    np.testing.assert_allclose(profile.tap_powers(), np.ones(4), rtol=1e-8)
+    profile = ChannelProfile(path_count=4, decay=1e9)
+    np.testing.assert_allclose(profile.tap_powers(), np.full(4, 0.25), rtol=1e-8)
 
 
 def test_tap_power_rayleigh_distribution():
-    """Per-tap |h|^2 is exponential with mean exp(-l/decay) (KS at alpha=0.01)."""
-    profile = ChannelProfile(path_count=3, decay=2.0, normalize_power=False)
+    """Per-tap |h|^2 is exponential with mean exp(-l/decay) / sum (KS at alpha=0.01)."""
+    profile = ChannelProfile(path_count=3, decay=2.0)
     taps = _draw_many(profile, np.random.default_rng(99), 100_000)
+    shape = np.exp(-np.arange(3) / 2.0)
     for l in range(3):
-        scale = np.exp(-l / 2.0)
+        scale = shape[l] / shape.sum()
         result = stats.kstest(np.abs(taps[:, l]) ** 2, "expon", args=(0, scale))
         assert result.pvalue > 0.01
 

@@ -64,6 +64,21 @@ def test_fig1_byte_identical_rerun(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fig1_manifest_records_every_setting(tmp_path, capsys, monkeypatch):
+    """Every setting the CSV depends on is in the manifest, the fractional stage from a config file."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    conf = tmp_path / "run.conf"
+    conf.write_text("ffo = on\n")
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", "--r2", "16", "--cp", "20", "--cfo", "20.3", "--config", str(conf),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "fig1.csv.manifest.json").read_text())
+    assert manifest["config"] == {
+        "command": "fig1", "n": 128, "r1": 2, "r2": 16, "cp": 20, "snr": 20.0, "cfo": 20.3,
+        "paths": 1, "decay": 2.0, "ffo": True, "seed": 1,
+    }
+
+
 def test_fig1_rejects_trials_flag(tmp_path):
     result = run_cli("fig1", "--trials", "5", "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 2
@@ -186,6 +201,44 @@ def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "does not exist" in captured.err
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("paper,directory", [
+    (False, "fig2.csv"),
+    (False, "fig2.csv.manifest.json"),
+    (True, "fig2_n64.csv"),
+    (True, "fig2_n128.csv.manifest.json"),
+])
+def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monkeypatch,
+                                                          paper, directory):
+    from cfolab import cli
+
+    def no_sweep(cfgs):
+        raise AssertionError("swept before checking the output targets")
+
+    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    (tmp_path / directory).mkdir()
+    argv = ["fig2", "--paper"] if paper else ["fig2", "--n", "64"]
+    assert main(argv + ["--trials", "1", "--out", str(tmp_path / "fig2.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "is a directory" in captured.err, captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+
+def test_fig2_rejects_a_sweep_over_the_trial_cap_before_it_sweeps(tmp_path, capsys, monkeypatch):
+    from cfolab import cli
+
+    def no_sweep(cfgs):
+        raise AssertionError("swept past the trial cap")
+
+    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["fig2", "--n", "64", "--snr-grid", "0", "--trials", "1000000000000000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trials a sweep may run" in err, err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,6 @@ from cfolab.channel import ChannelProfile, ImpairmentSpec, ReceivedFrame, transm
 from cfolab.errors import ConfigError, DegenerateSignalError
 from cfolab.estimator import (
     compensate,
-    decompose_cfo,
     estimate_cfo,
     estimate_cfo_batch,
     estimate_ffo,
@@ -436,19 +435,8 @@ def test_estimate_ffo_stack_marks_degenerate_rows():
 
 
 # ---------------------------------------------------------------------------
-# decomposition helpers
+# offset wrapping
 # ---------------------------------------------------------------------------
-
-
-def test_decompose_reconstructs_exactly():
-    rng = np.random.default_rng(14)
-    for _ in range(200):
-        eps = float(rng.uniform(-60, 60))
-        for rate in (2, 8):
-            d = decompose_cfo(eps, rate)
-            assert d.floor_div * rate + d.eps_mod_r + d.eps_frac == pytest.approx(eps, abs=1e-12)
-            assert -0.5 <= d.eps_frac < 0.5
-            assert d.eps_int == math.floor(eps + 0.5)
 
 
 def test_wrap_offset_principal_range():

@@ -65,6 +65,7 @@ def test_end_to_end_static_noiseless():
     pre = _preamble()
     est = sca_estimate(_rx(pre, 20.0, seed=4), pre)
     assert abs(est.total - 20.0) < 1e-6
+    assert est.peaks is None and not est.failed
 
 
 def test_zero_offset():

@@ -53,6 +53,17 @@ def test_config_separability_enforced():
         _cfg(cfo_true=20.5, ffo_stage_enabled=False)
 
 
+def test_config_caps_the_sweep_size():
+    """A config may sweep MAX_SWEEP_TRIALS trials over its grid, and not one more."""
+    cap = simlab.MAX_SWEEP_TRIALS
+    assert cap >= 11 * 10**6  # the paper's 11-point grid at 10**6 trials per point
+    assert _cfg(snr_grid_db=(0.0,), trials_per_point=cap).trials_per_point == cap
+    assert _cfg(snr_grid_db=(0.0, 10.0), trials_per_point=cap // 2).trials_per_point == cap // 2
+    for grid, trials in (((0.0,), cap + 1), ((0.0, 10.0), cap // 2 + 1)):
+        with pytest.raises(ConfigError, match="trials a sweep may run"):
+            _cfg(snr_grid_db=grid, trials_per_point=trials)
+
+
 def test_trial_deterministic():
     cfg = _cfg()
     a = run_trial(cfg, 10.0, "proposed", 7)
@@ -425,7 +436,7 @@ def test_engine_caches_are_bounded_and_read_only():
     params = (CazacParams(128, 2), CazacParams(128, 8))
     arrays = (
         channel._frame_windows(frame, 4),
-        channel._tap_std(4, 2.0, True),
+        channel._tap_std(4, 2.0),
         estimator._conj_chirps(params[0]),
         estimator._conj_chirps(params),
     )
@@ -435,7 +446,7 @@ def test_engine_caches_are_bounded_and_read_only():
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[..., 0] = 0.0
-    assert type(channel._mean_power(4, 2.0, True)) is float
+    assert type(channel._mean_power(4, 2.0)) is float
 
 
 def test_engine_caches_stay_bounded_over_many_master_seeds():
