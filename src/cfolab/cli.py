@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage/validation error, 3 estimation failure.
 IQ format: raw little-endian IEEE-754 binary32, interleaved I then Q, no
 header; the sample count is inferred from the file size.
 
-Config files are flat UTF-8 ``key = value`` lines with ``#`` comments; any
-command-line flag overrides the file value for the same key.
+Each command declares its settings once, in SETTINGS: every key is both a
+config-file key and a flag (``_`` written ``-``).  Config files are flat
+UTF-8 ``key = value`` lines with ``#`` comments; a flag overrides the file
+value for the same key, and a key the command does not declare is an error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Mapping
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -97,31 +101,6 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _setting(args: argparse.Namespace, file_values: dict[str, str], key: str, default, parse):
-    """Resolve a setting: explicit flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        try:
-            return parse(file_values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def _preamble_settings(
-    args: argparse.Namespace, file_values: dict[str, str]
-) -> tuple[int, int, int, int]:
-    """Resolve the shared preamble settings (n, r1, r2, cp), defaults 128/2/8/16."""
-    return (
-        _setting(args, file_values, "n", 128, int),
-        _setting(args, file_values, "r1", 2, int),
-        _setting(args, file_values, "r2", 8, int),
-        _setting(args, file_values, "cp", 16, int),
-    )
-
-
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Parse '0:2:20' (start:step:stop inclusive) or '0,5,10' into a grid."""
     text = text.strip()
@@ -161,6 +140,68 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_mode(text: str) -> str:
+    if text not in ("static", "varying", "both"):
+        raise ValueError(f"expected static, varying or both, got {text!r}")
+    return text
+
+
+# A command's settings: key -> (parse, default, help).  The default is the
+# text a config file would hold and is parsed like one.
+Setting = tuple[Callable[[str], Any], str, str]
+
+_PREAMBLE_SETTINGS: dict[str, Setting] = {
+    "n": (int, "128", "FFT size (power of two)"),
+    "r1": (int, "2", "first chirp rate"),
+    "r2": (int, "8", "second chirp rate"),
+    "cp": (int, "16", "cyclic prefix length"),
+}
+_CHANNEL_SETTINGS: dict[str, Setting] = {
+    "cfo": (float, "20", "true offset in subcarriers"),
+    "decay": (float, "2", "delay profile constant"),
+    "ffo": (_parse_bool, "off", "enable the fractional stage (on/off)"),
+    "seed": (int, "1", "random seed"),
+}
+SETTINGS: dict[str, dict[str, Setting]] = {
+    "preamble": _PREAMBLE_SETTINGS,
+    "fig1": {**_PREAMBLE_SETTINGS, **_CHANNEL_SETTINGS,
+             "snr": (float, "20", "SNR in dB"), "paths": (int, "1", "channel tap count")},
+    "fig2": {**_PREAMBLE_SETTINGS, **_CHANNEL_SETTINGS,
+             "paths": (int, "4", "channel tap count"),
+             "snr_grid": (_parse_snr_grid, "0:2:20", "'start:step:stop' or comma list, in dB"),
+             "trials": (int, "10000", "trials per grid point"),
+             "mode": (_parse_mode, "both", "channel mode: static, varying or both"),
+             "estimators": (_parse_estimators, "proposed,sca", "comma list: proposed,sca")},
+    "estimate": _PREAMBLE_SETTINGS,
+}
+
+
+def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
+    """Resolve the command's SETTINGS: flag > config file > default.
+
+    fixed maps a key the command sets itself to the flag that makes it do
+    so.  Raises ConfigError for a config key the command does not declare,
+    a config value its parse rejects, or a fixed key given anyway.
+    """
+    table = SETTINGS[args.command]
+    file_values = load_config_file(args.config) if args.config else {}
+    for key in file_values:
+        if key not in table:
+            raise ConfigError(f"unknown config key {key!r}; {args.command} takes {', '.join(table)}")
+    settings = {}
+    for key, (parse, default, _) in table.items():
+        value = getattr(args, key)
+        if fixed and key in fixed and (value is not None or key in file_values):
+            raise ConfigError(f"{fixed[key]} sets {key} itself; drop {key} from the flags and config")
+        if value is None:
+            try:
+                value = parse(file_values.get(key, default))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        settings[key] = value
+    return settings
+
+
 def _timestamp() -> str:
     """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output.
 
@@ -197,56 +238,56 @@ def write_manifest(out_path: Path, config: dict, output_paths: list[str], starte
     return manifest_path
 
 
+def _check_targets(targets: list[Path]) -> None:
+    """Raise ConfigError unless each output file and its manifest can be created.
+
+    Writing commands call this before they compute, so a usage error writes no file.
+    """
+    for target in targets:
+        if not target.parent.is_dir():
+            raise ConfigError(f"{target}: directory {target.parent} does not exist")
+        for path in (target, _manifest_path(target)):
+            if path.is_dir():
+                raise ConfigError(f"{path} is a directory")
+
+
+def _experiment(settings: dict[str, Any], n_fft: int, mode: str, **sweep) -> ExperimentConfig:
+    return ExperimentConfig(
+        n_fft=n_fft, r1=settings["r1"], r2=settings["r2"], cp_len=settings["cp"],
+        channel=ChannelProfile(path_count=settings["paths"], decay=settings["decay"], mode=mode),
+        cfo_true=settings["cfo"], ffo_stage_enabled=settings["ffo"],
+        master_seed=settings["seed"], **sweep,
+    )
+
+
 def _cmd_preamble(args: argparse.Namespace) -> int:
     started_at = _timestamp()
-    file_values = load_config_file(args.config) if args.config else {}
-    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
-    spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
-    frame = build_preamble(spec)
+    settings = _settings(args)
     out = Path(args.out)
+    _check_targets([out])
+    n_fft = settings["n"]
+    frame = build_preamble(PreambleSpec(CazacParams(n_fft, settings["r1"]),
+                                        CazacParams(n_fft, settings["r2"]), settings["cp"]))
     write_iq(out, frame.samples)
-    write_manifest(out, {"command": "preamble", "n": n_fft, "r1": r1, "r2": r2, "cp": cp},
-                   [str(out)], started_at)
+    write_manifest(out, {"command": "preamble", **settings}, [str(out)], started_at)
     print(f"wrote {frame.samples.size} samples to {out}")
     return EXIT_OK
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
     started_at = _timestamp()
-    file_values = load_config_file(args.config) if args.config else {}
-    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
-    snr_db = _setting(args, file_values, "snr", 20.0, float)
-    cfo = _setting(args, file_values, "cfo", 20.0, float)
-    paths = _setting(args, file_values, "paths", 1, int)
-    decay = _setting(args, file_values, "decay", 2.0, float)
-    seed = _setting(args, file_values, "seed", 1, int)
-    ffo_on = _setting(args, file_values, "ffo", False, _parse_bool)
-    cfg = ExperimentConfig(
-        n_fft=n_fft,
-        r1=r1,
-        r2=r2,
-        cp_len=cp,
-        channel=ChannelProfile(path_count=paths, decay=decay, mode="varying"),
-        cfo_true=cfo,
-        snr_grid_db=(snr_db,),
-        trials_per_point=1,
-        estimators=(ESTIMATOR_PROPOSED,),
-        ffo_stage_enabled=ffo_on,
-        master_seed=seed,
-    )
+    settings = _settings(args)
+    out = Path(args.out)
+    _check_targets([out])
+    snr_db, seed = settings["snr"], settings["seed"]
+    cfg = _experiment(settings, settings["n"], "varying", snr_grid_db=(snr_db,),
+                      trials_per_point=1, estimators=(ESTIMATOR_PROPOSED,))
     table = dump_correlations(cfg, snr_db, seed)
     lines = ["tau,corr_r1,corr_r2"]
     for tau, c1, c2 in table:
         lines.append(f"{int(tau)},{_fmt(c1)},{_fmt(c2)}")
-    out = Path(args.out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(
-        out,
-        {"command": "fig1", "n": n_fft, "r1": r1, "r2": r2, "cp": cp, "snr": snr_db,
-         "cfo": cfo, "paths": paths, "decay": decay, "ffo": ffo_on, "seed": seed},
-        [str(out)],
-        started_at,
-    )
+    write_manifest(out, {"command": "fig1", **settings}, [str(out)], started_at)
     print(f"wrote {len(table)} rows to {out}")
     return EXIT_OK
 
@@ -274,60 +315,35 @@ def _sweep_rows(result: SweepResult) -> list[str]:
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
     started_at = _timestamp()
-    file_values = load_config_file(args.config) if args.config else {}
-    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
-    seed = _setting(args, file_values, "seed", 1, int)
-    trials = _setting(args, file_values, "trials", 10000, int)
-    grid = _setting(args, file_values, "snr_grid", (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0,
-                                                    14.0, 16.0, 18.0, 20.0), _parse_snr_grid)
-    cfo = _setting(args, file_values, "cfo", 20.0, float)
-    estimators = _setting(args, file_values, "estimators",
-                          (ESTIMATOR_PROPOSED, ESTIMATOR_SCA), _parse_estimators)
-    ffo_on = _setting(args, file_values, "ffo", False, _parse_bool)
-    paths = _setting(args, file_values, "paths", 4, int)
-    decay = _setting(args, file_values, "decay", 2.0, float)
-    mode = _setting(args, file_values, "mode", "both", str)
-    n_list = [64, 128] if args.paper else [n_fft]
-    modes = ["varying", "static"] if mode == "both" else [mode]
-
+    settings = _settings(args, {"n": "--paper"} if args.paper else None)
+    n_list = [64, 128] if args.paper else [settings["n"]]
+    modes = ["varying", "static"] if settings["mode"] == "both" else [settings["mode"]]
     out = Path(args.out)
-    if not out.parent.is_dir():
-        raise ConfigError(f"{out}: directory {out.parent} does not exist")
     targets = [out.with_name(f"{out.stem}_n{n}{out.suffix}") for n in n_list] if args.paper else [out]
-    for target in targets:
-        for path in (target, _manifest_path(target)):
-            if path.is_dir():
-                raise ConfigError(f"{path} is a directory")
+    _check_targets(targets)
     # Every sweep in one call: the modes of an N share each trial's stream.
     results = iter(run_sweeps([
-        ExperimentConfig(
-            n_fft=n_fft, r1=r1, r2=r2, cp_len=cp,
-            channel=ChannelProfile(path_count=paths, decay=decay, mode=chan_mode),
-            cfo_true=cfo, snr_grid_db=tuple(grid), trials_per_point=trials,
-            estimators=tuple(estimators), ffo_stage_enabled=ffo_on, master_seed=seed,
-        )
+        _experiment(settings, n_fft, chan_mode, snr_grid_db=settings["snr_grid"],
+                    trials_per_point=settings["trials"], estimators=settings["estimators"])
         for n_fft in n_list
         for chan_mode in modes
     ]))
+    config = {"command": "fig2", **settings, "modes": modes}
+    del config["mode"]
     for n_fft, target in zip(n_list, targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
-        config_dict = {
-            "command": "fig2", "n": n_fft, "r1": r1, "r2": r2, "cp": cp, "cfo": cfo,
-            "paths": paths, "decay": decay, "modes": modes, "snr_grid": list(grid),
-            "trials": trials, "estimators": list(estimators), "ffo": ffo_on, "seed": seed,
-        }
         for _ in modes:
             rows.extend(_sweep_rows(next(results)))
         target.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        write_manifest(target, config_dict, [str(target)], started_at)
+        write_manifest(target, {**config, "n": n_fft}, [str(target)], started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")
     return EXIT_OK
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    n_fft, r1, r2, cp = _preamble_settings(args, file_values)
-    spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
+    settings = _settings(args)
+    n_fft, cp = settings["n"], settings["cp"]
+    spec = PreambleSpec(CazacParams(n_fft, settings["r1"]), CazacParams(n_fft, settings["r2"]), cp)
     samples = read_iq(args.infile)
     if samples.size < spec.frame_len:
         raise ConfigError(
@@ -357,8 +373,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
 
-    Parsing leaves the parser unchanged (each call fills a new namespace),
-    so every call of main shares it.
+    Each command's flags come from its SETTINGS.  Parsing leaves the parser
+    unchanged (each call fills a new namespace), so every call of main
+    shares it.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
@@ -367,48 +384,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Preamble and config-file flags shared by every command.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--n", type=int, help="FFT size (power of two)")
-    shared.add_argument("--r1", type=int, help="first chirp rate")
-    shared.add_argument("--r2", type=int, help="second chirp rate")
-    shared.add_argument("--cp", type=int, help="cyclic prefix length")
-    shared.add_argument("--config", help="flat key = value config file; flags override")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        for key, (parse, default, text) in SETTINGS[name].items():
+            # No flag default: an absent flag is None, so the config file can set the key.
+            p.add_argument("--" + key.replace("_", "-"), type=parse,
+                           help=f"{text} (default: {default})")
+        p.add_argument("--config", help="flat key = value config file; flags override")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("preamble", parents=[shared], help="write the two-symbol preamble as raw IQ")
+    p = command("preamble", _cmd_preamble, "write the two-symbol preamble as raw IQ")
     p.add_argument("--out", required=True, help="output IQ path")
-    p.set_defaults(func=_cmd_preamble)
-
-    p = sub.add_parser("fig1", parents=[shared], help="single-shot correlation comb profiles (CSV)")
-    p.add_argument("--snr", type=float, help="SNR in dB")
-    p.add_argument("--cfo", type=float, help="true offset in subcarriers")
-    p.add_argument("--paths", type=int, help="channel tap count (default 1)")
-    p.add_argument("--decay", type=float, help="delay profile constant")
-    p.add_argument("--seed", type=int)
+    p = command("fig1", _cmd_fig1, "single-shot correlation comb profiles (CSV)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_fig1)
-
-    p = sub.add_parser("fig2", parents=[shared], help="failure-probability sweep (CSV + manifest)")
+    p = command("fig2", _cmd_fig2, "failure-probability sweep (CSV + manifest)")
     p.add_argument("--paper", action="store_true",
                    help="preset: N in {64,128}, r 2/8, cfo 20, L=4, D=2, both modes")
-    p.add_argument("--cfo", type=float)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--snr-grid", dest="snr_grid", type=_parse_snr_grid,
-                   help="'start:step:stop' or comma list, in dB")
-    p.add_argument("--trials", type=int, help="trials per grid point")
-    p.add_argument("--mode", choices=["static", "varying", "both"])
-    p.add_argument("--estimators", type=_parse_estimators, help="comma list: proposed,sca")
-    p.add_argument("--ffo", type=_parse_bool, help="enable the fractional stage (on/off)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser("estimate", parents=[shared],
-                       help="estimate the offset carried by an IQ capture")
+    p = command("estimate", _cmd_estimate, "estimate the offset carried by an IQ capture")
     p.add_argument("--in", dest="infile", required=True, help="input IQ path")
-    p.set_defaults(func=_cmd_estimate)
-
     return parser
 
 

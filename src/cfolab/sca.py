@@ -61,19 +61,30 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
 
     Symbol 1 loads random QPSK on even bins (odd bins zero), which makes its
     time-domain halves identical; symbol 2 loads random QPSK on every bin.
-    Both time symbols are scaled to unit average power.
+    Both time symbols are scaled to unit average power.  A draw whose
+    differential sequence v repeats under some nonzero circular shift (up to
+    a constant phase) is drawn again: B(g) would tie at that shift even
+    through a noiseless channel, so the integer search could not resolve it.
+    Such draws only occur with a few even bins (about 1 in 64 for N = 16).
     """
     if not _is_power_of_two(n_fft):
         raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
-    pn_even_1 = _random_qpsk(rng, n_fft // 2)
-    pn_2 = _random_qpsk(rng, n_fft)
+    half = n_fft // 2
+    while True:
+        pn_even_1 = _random_qpsk(rng, half)
+        pn_2 = _random_qpsk(rng, n_fft)
+        v = pn_2[0::2] / pn_even_1
+        # |sum_j conj(v(j)) v(j + g)| reaches N/2 only when v(j + g) / v(j)
+        # is the same for every j.
+        autocorr = np.abs(np.fft.ifft(np.abs(np.fft.fft(v)) ** 2))
+        if half == 1 or autocorr[1:].max() < half * (1.0 - 1e-9):
+            break
     spectrum_1 = np.zeros(n_fft, dtype=np.complex128)
     spectrum_1[0::2] = pn_even_1
     sym_1 = idft(spectrum_1)
     sym_1 = sym_1 / np.sqrt(np.mean(np.abs(sym_1) ** 2))
     sym_2 = idft(pn_2)
     sym_2 = sym_2 / np.sqrt(np.mean(np.abs(sym_2) ** 2))
-    v = pn_2[0::2] / pn_even_1
     return ScaPreamble(
         n_fft=n_fft,
         cp_len=cp_len,

@@ -54,10 +54,10 @@ _SCA_PREAMBLE_TAG = 0x5CA_9EA3
 CHUNK_BYTES = 4 << 20
 
 # Most trials one config may sweep, len(snr_grid_db) * trials_per_point.
-# The engine keeps 9 bytes of outcomes per trial and mode (a bool and a
-# float64), so the cap allows 144 MiB of outcome arrays per mode, and about
-# 416 MiB per mode at the peak of their aggregation (26 bytes per trial).
-# It holds 10**6 trials per point on the paper's 11-point grid.
+# Memory does not grow with the trial count (the engine keeps per-cell
+# tallies), so the cap bounds run time: at about 50 us a trial on 2 cores,
+# 2**24 trials take some 14 minutes per estimator and mode.  It holds
+# 10**6 trials per point on the paper's 11-point grid.
 MAX_SWEEP_TRIALS = 2**24
 
 
@@ -329,8 +329,8 @@ def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...
 
     Each estimator's trials over the whole grid, in (snr, trial) order, run
     as array passes of _chunk_trials trials each, every mode's trial of a
-    (snr, trial) pair in the same pass.  Beyond one pass's arrays, memory
-    grows only with the outcomes kept per trial, a few tens of bytes each.
+    (snr, trial) pair in the same pass.  Each pass adds its outcomes into
+    per-cell tallies, so memory does not grow with the trial count.
     """
     cfg = cfgs[0]
     trials = cfg.trials_per_point
@@ -343,29 +343,25 @@ def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...
     step = max(1, _chunk_trials(cfg) // width)
     stats = {}
     for estimator in cfg.estimators:
-        correct = np.empty((total, width), dtype=bool)
-        ffo_error = np.empty((total, width))
+        # Per (snr, mode): failures, the sum of squared finite ffo_error and
+        # the finite count.  ufunc.at adds in index order, so each sum runs
+        # in trial order, as a loop over the trials forms it.
+        tally = np.zeros((3, grid.size, width))
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
-            correct[lo : lo + step], ffo_error[lo : lo + step], _ = _run_trials(
-                cfgs, estimator, grid[cell], t, scales[cell]
-            )
-        # (mode, snr, trial)
-        correct = correct.T.reshape(width, grid.size, trials)
-        ffo_error = ffo_error.T.reshape(width, grid.size, trials)
-        finite = np.isfinite(ffo_error)
-        stats[estimator] = (
-            np.count_nonzero(~correct, axis=2).tolist(),
-            # A running sum in trial order, as a loop over the trials forms it.
-            np.cumsum(np.where(finite, ffo_error**2, 0.0), axis=2)[:, :, -1].tolist(),
-            np.count_nonzero(finite, axis=2).tolist(),
-        )
+            correct, ffo_error, _ = _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
+            finite = np.isfinite(ffo_error)
+            np.add.at(tally[0], cell, ~correct)
+            np.add.at(tally[1], cell, np.where(finite, ffo_error**2, 0.0))
+            np.add.at(tally[2], cell, finite)
+        stats[estimator] = tally.tolist()
     results = []
     for m, mode_cfg in enumerate(cfgs):
         cells = []
         for k, snr_db in enumerate(cfg.snr_grid_db):
             for estimator in cfg.estimators:
-                failures, sq_sum, sq_count = (column[m][k] for column in stats[estimator])
+                failures, sq_sum, sq_count = (column[k][m] for column in stats[estimator])
+                failures = int(failures)
                 cells.append(
                     SweepCell(
                         snr_db=snr_db,

@@ -10,7 +10,17 @@ import warnings
 import numpy as np
 import pytest
 
-from cfolab.cli import MAX_GRID_POINTS, _parse_snr_grid, load_config_file, main, read_iq, write_iq
+from cfolab.cli import (
+    MAX_GRID_POINTS,
+    SETTINGS,
+    _parse_snr_grid,
+    _settings,
+    build_parser,
+    load_config_file,
+    main,
+    read_iq,
+    write_iq,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -422,3 +432,147 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
             manifests = [p.with_name(p.name + ".manifest.json").read_text().replace(str(p), "X")
                          for p in (own_out, fresh_out)]
             assert manifests[0] == manifests[1]
+
+
+# A value other than its default for every setting key; together they make a
+# valid preamble and sweep for every command.
+SAMPLES = {
+    "n": "64", "r1": "4", "r2": "16", "cp": "20", "cfo": "10", "decay": "3", "ffo": "on",
+    "seed": "5", "snr": "15", "paths": "2", "snr_grid": "5,15", "trials": "3",
+    "mode": "static", "estimators": "sca",
+}
+SETTING_KEYS = [(command, key) for command, table in SETTINGS.items() for key in table]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _resolve(command, *argv, config=None):
+    """The settings main would resolve for these flags, without running the command."""
+    path_flag = "--in" if command == "estimate" else "--out"
+    extra = ["--config", str(config)] if config else []
+    return _settings(build_parser().parse_args([command, *argv, *extra, path_flag, "x"]))
+
+
+def _sample(command, key, tmp_path):
+    """The key's parsed sample and default, and a config file that sets the sample."""
+    parse, default, _ = SETTINGS[command][key]
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {SAMPLES[key]}\n", encoding="utf-8")
+    assert parse(SAMPLES[key]) != parse(default)
+    return parse(SAMPLES[key]), parse(default), conf
+
+
+@pytest.mark.parametrize("command,key", SETTING_KEYS)
+def test_flag_sets_each_setting(tmp_path, command, key):
+    sample, default, _ = _sample(command, key, tmp_path)
+    assert _resolve(command)[key] == default
+    assert _resolve(command, _flag(key), SAMPLES[key])[key] == sample
+
+
+@pytest.mark.parametrize("command,key", SETTING_KEYS)
+def test_config_key_sets_each_setting(tmp_path, command, key):
+    sample, _, conf = _sample(command, key, tmp_path)
+    assert _resolve(command, config=conf)[key] == sample
+
+
+@pytest.mark.parametrize("command,key", SETTING_KEYS)
+def test_flag_beats_the_config_file_for_each_setting(tmp_path, command, key):
+    """A given flag wins even when it spells the default."""
+    _, default, conf = _sample(command, key, tmp_path)
+    assert _resolve(command, _flag(key), SETTINGS[command][key][1], config=conf)[key] == default
+
+
+@pytest.mark.parametrize("command", ["preamble", "fig1", "fig2"])
+def test_manifest_records_each_setting(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = [command]
+    for key in SETTINGS[command]:
+        argv += [_flag(key), SAMPLES[key]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+    expected = {"command": command}
+    for key, (parse, _, _) in SETTINGS[command].items():
+        expected[key] = parse(SAMPLES[key])
+    if command == "fig2":
+        expected["modes"] = [expected.pop("mode")]
+    assert config == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("command,line", [
+    ("fig2", "trails = 3"),
+    ("fig1", "trials = 3"),
+    ("preamble", "seed = 2"),
+    ("estimate", "mode = static"),
+])
+def test_config_key_the_command_does_not_declare_is_a_usage_error(tmp_path, capsys, command,
+                                                                   line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n", encoding="utf-8")
+    path_flag = "--in" if command == "estimate" else "--out"
+    assert main([command, "--config", str(conf), path_flag, str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    key = line.split()[0]
+    assert captured.err.startswith("error:") and repr(key) in captured.err, captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+@pytest.mark.parametrize("command,line", [("fig2", "mode = sideways"), ("fig1", "ffo = maybe")])
+def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n", encoding="utf-8")
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {line.split()[0]!r}:"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+def test_fig1_ffo_flag_equals_the_config_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    conf = tmp_path / "run.conf"
+    conf.write_text("ffo = on\n", encoding="utf-8")
+    flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main(["fig1", "--cfo", "20.3", "--ffo", "on", "--out", str(flag)]) == 0
+    assert main(["fig1", "--cfo", "20.3", "--config", str(conf), "--out", str(key)]) == 0
+    assert flag.read_bytes() == key.read_bytes()
+    manifests = [(tmp_path / f"{p.name}.manifest.json").read_text().replace(p.name, "X")
+                 for p in (flag, key)]
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fig2_paper_with_an_explicit_n_is_a_usage_error(tmp_path, capsys, source):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n = 64\n", encoding="utf-8")
+    given = ["--n", "128"] if source == "flag" else ["--config", str(conf)]
+    assert main(["fig2", "--paper", "--trials", "1", *given, "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--paper" in captured.err, captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+@pytest.mark.parametrize("target", ["out", "manifest", "missing directory"])
+@pytest.mark.parametrize("command,compute", [("preamble", "build_preamble"),
+                                             ("fig1", "dump_correlations")])
+def test_preamble_and_fig1_check_the_output_targets_before_they_compute(
+        tmp_path, capsys, monkeypatch, command, compute, target):
+    from cfolab import cli
+
+    def no_compute(*args):
+        raise AssertionError("computed before checking the output targets")
+
+    monkeypatch.setattr(cli, compute, no_compute)
+    out = tmp_path / "x.out"
+    if target == "missing directory":
+        out = tmp_path / "missing" / "x.out"
+    else:
+        (tmp_path / ("x.out" if target == "out" else "x.out.manifest.json")).mkdir()
+    made = sorted(tmp_path.iterdir())
+    assert main([command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == "", captured.err
+    assert sorted(tmp_path.iterdir()) == made
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))

@@ -47,6 +47,14 @@ def test_preamble_differential_sequence():
     assert np.max(np.abs(np.abs(pre.v) - 1.0)) < 1e-12
 
 
+def test_preamble_differential_sequence_unambiguous():
+    """No nonzero circular shift of v matches v up to a phase, so B(g) has one noiseless peak."""
+    for seed in (322900229, *range(300)):
+        v = _preamble(n_fft=16, seed=seed).v
+        for g in range(1, 8):
+            assert abs(np.vdot(v, np.roll(v, -g))) < 8 - 1e-9, (seed, g)
+
+
 def _rx(pre, cfo, seed, mode="static", snr_db=np.inf, paths=4):
     profile = ChannelProfile(path_count=paths, decay=2.0, mode=mode)
     imp = ImpairmentSpec(cfo=cfo, snr_db=snr_db)

@@ -422,6 +422,28 @@ def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
     assert peak < PEAK_CHUNKS * simlab.CHUNK_BYTES, peak / 2**20
 
 
+def test_sweep_peak_does_not_grow_with_the_trial_count(monkeypatch):
+    """Each pass adds its outcomes into per-cell tallies: 8x the trials, the same traced peak."""
+    monkeypatch.setattr(simlab, "CHUNK_BYTES", 64 << 10)
+
+    def peak(trials):
+        cfg = _cfg(n_fft=64, trials_per_point=trials, estimators=("proposed",))
+        tracemalloc.start()
+        try:
+            simlab.run_sweeps((cfg, _other_mode(cfg)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    # Fill the interpreter's tuple free lists first: otherwise they grow over
+    # a run of many small passes and show in the peak.
+    spare = [tuple(range(k)) + (object(),) for k in range(8) for _ in range(3000)]
+    del spare
+    small, large = peak(100), peak(800)
+    assert large - small < 4096, (small, large)
+
+
 # The per-config constants a sweep computes once and then reads.
 ENGINE_CACHES = (
     channel._frame_windows,
