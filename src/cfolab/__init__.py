@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelProfile,
-    ChannelRealization,
     ImpairmentSpec,
     ReceivedFrame,
     draw_channel,
@@ -51,7 +50,6 @@ __all__ = [
     "CazacParams",
     "CfoEstimate",
     "ChannelProfile",
-    "ChannelRealization",
     "ConfigError",
     "DegenerateSignalError",
     "ESTIMATOR_PROPOSED",

@@ -76,14 +76,6 @@ def _tap_std(path_count: int, decay: float) -> np.ndarray:
     return std
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the channel: complex taps plus the frame's common phase."""
-
-    taps: np.ndarray
-    phase_0: float
-
-
 @dataclass(frozen=True)
 class ImpairmentSpec:
     """Receiver-side impairments for one transmission.
@@ -99,13 +91,14 @@ class ImpairmentSpec:
 
 @dataclass(frozen=True, eq=False)
 class ReceivedFrame:
-    """Channel output: the CP-intact stream plus the two CP-stripped windows."""
+    """Channel output: the CP-intact frame stream and the channel's draws.
 
-    n_fft: int
-    cp_len: int
+    taps is (2, L), one row per symbol (equal in static mode); phase_0 is the one common phase.
+    """
+
     stream: np.ndarray
-    symbols: tuple[np.ndarray, ...]
-    realizations: tuple[ChannelRealization, ...] | None = None
+    taps: np.ndarray
+    phase_0: float
 
 
 def tap_std(profile: ChannelProfile) -> np.ndarray:
@@ -128,14 +121,14 @@ def _draw_phase(rng: np.random.Generator) -> float:
     return 2.0 * np.pi * rng.random()
 
 
-def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one tap realization and a common phase.
+def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Draw one tap realization and a common phase; return (taps, phase_0).
 
     Each tap is zero-mean circularly-symmetric complex Gaussian with variance
     equal to its profile power; phase_0 is uniform on [0, 2*pi).
     """
     taps = complex_taps(tap_std(profile), rng.standard_normal(2 * profile.path_count))
-    return ChannelRealization(taps=taps, phase_0=_draw_phase(rng))
+    return taps, _draw_phase(rng)
 
 
 def draw_frame(
@@ -277,33 +270,19 @@ def transmit(
     Per symbol, the CP-extended block is convolved with that symbol's taps,
     then the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft + phase_0))
     with n running continuously from the first frame sample.  Complex white
-    noise is added last.  Returns the CP-intact stream and the two
-    CP-stripped N-sample windows.  This is propagate for one frame, with
-    the draws of draw_frame.
+    noise is added last.  Returns the CP-intact stream with the taps and
+    the common phase it was drawn with.  This is propagate for one frame,
+    with the draws of draw_frame.
 
     Raises:
         ConfigError: if the CP cannot absorb the channel memory or the
             offset exceeds half the signal bandwidth.
     """
     noisy = not math.isinf(imp.snr_db)
-    blk = frame.block_len
     tap_normals = np.empty((1, 2, 2 * profile.path_count))
-    white = np.empty((1, 4 * blk)) if noisy else None
+    white = np.empty((1, 4 * frame.block_len)) if noisy else None
     phase_0 = draw_frame((profile.mode,), rng, tap_normals, white)
     taps = complex_taps(tap_std(profile), tap_normals[0])
     scale = np.array([noise_std(profile, imp.snr_db)]) if noisy else None
     stream = propagate(frame, taps[None], np.array([phase_0]), imp.cfo, white, scale)[0]
-
-    first = ChannelRealization(taps=taps[0], phase_0=phase_0)
-    second = first
-    if profile.mode == MODE_VARYING:
-        second = ChannelRealization(taps=taps[1], phase_0=phase_0)
-    cp = frame.cp_len
-    windows = tuple(stream[s * blk + cp : s * blk + cp + frame.n_fft].copy() for s in range(2))
-    return ReceivedFrame(
-        n_fft=frame.n_fft,
-        cp_len=cp,
-        stream=stream,
-        symbols=windows,
-        realizations=(first, second),
-    )
+    return ReceivedFrame(stream=stream, taps=taps, phase_0=phase_0)

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .channel import ChannelProfile, ReceivedFrame
+from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
 from .signal import CazacParams, PreambleSpec, build_preamble
@@ -177,11 +177,11 @@ SETTINGS: dict[str, dict[str, Setting]] = {
 
 
 def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
-    """Resolve the command's SETTINGS: flag > config file > default.
+    """Resolve the command's SETTINGS: parse the flag's text, else the file's, else the default.
 
     fixed maps a key the command sets itself to the flag that makes it do
     so.  Raises ConfigError for a config key the command does not declare,
-    a config value its parse rejects, or a fixed key given anyway.
+    a value its parse rejects (naming its flag or key), or a fixed key given anyway.
     """
     table = SETTINGS[args.command]
     file_values = load_config_file(args.config) if args.config else {}
@@ -190,15 +190,14 @@ def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) 
             raise ConfigError(f"unknown config key {key!r}; {args.command} takes {', '.join(table)}")
     settings = {}
     for key, (parse, default, _) in table.items():
-        value = getattr(args, key)
-        if fixed and key in fixed and (value is not None or key in file_values):
+        flag = getattr(args, key)
+        if fixed and key in fixed and (flag is not None or key in file_values):
             raise ConfigError(f"{fixed[key]} sets {key} itself; drop {key} from the flags and config")
-        if value is None:
-            try:
-                value = parse(file_values.get(key, default))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-        settings[key] = value
+        source = f"config key {key!r}" if flag is None else "--" + key.replace("_", "-")
+        try:
+            settings[key] = parse(file_values.get(key, default) if flag is None else flag)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     return settings
 
 
@@ -349,14 +348,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{args.infile}: {samples.size} samples, need at least {spec.frame_len}"
         )
-    blk = n_fft + cp
-    rx = ReceivedFrame(
-        n_fft=n_fft,
-        cp_len=cp,
-        stream=samples[: spec.frame_len],
-        symbols=(samples[cp : cp + n_fft], samples[blk + cp : blk + cp + n_fft]),
-    )
-    est = estimate_cfo(rx, spec, ffo_stage=True)
+    est = estimate_cfo(samples[: spec.frame_len], spec, ffo_stage=True)
     report = {
         "ffo": est.ffo,
         "ifo_residual": est.ifo_residual,
@@ -373,9 +365,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
 
-    Each command's flags come from its SETTINGS.  Parsing leaves the parser
-    unchanged (each call fills a new namespace), so every call of main
-    shares it.
+    Each command's flags come from its SETTINGS and keep their text for
+    _settings to parse.  Parsing leaves the parser unchanged (each call
+    fills a new namespace), so every call of main shares it.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
@@ -386,10 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        for key, (parse, default, text) in SETTINGS[name].items():
+        for key, (_, default, text) in SETTINGS[name].items():
             # No flag default: an absent flag is None, so the config file can set the key.
-            p.add_argument("--" + key.replace("_", "-"), type=parse,
-                           help=f"{text} (default: {default})")
+            p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default})")
         p.add_argument("--config", help="flat key = value config file; flags override")
         p.set_defaults(func=func)
         return p
@@ -400,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p = command("fig2", _cmd_fig2, "failure-probability sweep (CSV + manifest)")
     p.add_argument("--paper", action="store_true",
-                   help="preset: N in {64,128}, r 2/8, cfo 20, L=4, D=2, both modes")
+                   help="sweep N = 64 and 128 (x.csv: x_n64.csv, x_n128.csv); other settings "
+                        "keep their defaults, the paper's values, unless a flag or config key "
+                        "sets them")
     p.add_argument("--out", required=True, help="output CSV path")
     p = command("estimate", _cmd_estimate, "estimate the offset carried by an IQ capture")
     p.add_argument("--in", dest="infile", required=True, help="input IQ path")

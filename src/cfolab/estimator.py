@@ -20,6 +20,9 @@ first bin at or above the rate-r1 peak loc_1 that is congruent to loc_2
 modulo r2, i.e. loc_1 + ((loc_2 - loc_1) mod r2).  It is exact for every
 |q| < N/2 - r2 as long as r2 * (L - 1) <= N/2 for an L-path channel (see
 resolve_ifo).
+
+This estimator and the Schmidl-Cox baseline (sca) share one front end,
+receive, the one place that decides where the symbols sit in the stream.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ReceivedFrame
 from .errors import ConfigError, DegenerateSignalError
 from .signal import CazacParams, PreambleSpec, cazac_generate, dft
 
@@ -207,10 +209,34 @@ def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:
     return int(resolved)
 
 
+def receive(
+    stream: np.ndarray, n_fft: int, cp_len: int, rate: int, ffo_stage: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Front end of both estimators: (T, 2*(N+cp)) frame streams in, (ffo, windows) out.
+
+    Takes each frame's two CP-stripped symbols as a (T, 2, N) view, then
+    estimates ffo (T,) from the first (NaN where it carries no phase) and
+    derotates both by it; with ffo_stage False, ffo is 0 and the view is
+    returned.  Raises ConfigError for streams of any other shape.
+    """
+    stream = np.asarray(stream)
+    block = n_fft + cp_len
+    if stream.ndim != 2 or stream.shape[1] != 2 * block:
+        raise ConfigError(
+            f"expected frame streams of 2*(n_fft + cp_len) = {2 * block} samples, "
+            f"got an array of shape {stream.shape}"
+        )
+    windows = stream.reshape(stream.shape[0], 2, block)[:, :, cp_len:]
+    if not ffo_stage:
+        return np.zeros(stream.shape[0]), windows
+    ffo = estimate_ffo(windows[:, 0], rate)
+    return ffo, compensate(windows, ffo[:, None])
+
+
 def estimate_cfo_batch(
-    y: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True
+    stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True
 ) -> tuple[np.ndarray, np.ndarray, PeakReport]:
-    """Run both stages on a (T, 2, N) stack of received symbol pairs.
+    """Run both stages on (T, frame_len) received frame streams.
 
     Each stage is one array pass over the trial axis; the integer stage
     dechirps both symbols against a cached conjugate chirp pair and takes
@@ -220,12 +246,11 @@ def estimate_cfo_batch(
     (estimate_cfo raises DegenerateSignalError there); ifo (T,) is the
     resolved integer as a float, and a NaN there is reported as a failed
     resolution; peaks holds (T, N) magnitude profiles and (T,) peak bins.
+
+    Raises:
+        ConfigError: the streams are not (T, spec.frame_len).
     """
-    if ffo_stage:
-        ffo = estimate_ffo(y[:, 0], spec.params_1.rate)
-        y = compensate(y, ffo[:, None])
-    else:
-        ffo = np.zeros(y.shape[0])
+    ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.params_1.rate, ffo_stage)
     corr = np.abs(freq_correlate(y, (spec.params_1, spec.params_2)))
     loc = np.argmax(corr, axis=-1)
     rate_2, n_fft = spec.params_2.rate, spec.n_fft
@@ -238,8 +263,8 @@ def estimate_cfo_batch(
     )
 
 
-def estimate_cfo(rx: ReceivedFrame, spec: PreambleSpec, ffo_stage: bool = True) -> CfoEstimate:
-    """Run both stages on a received two-symbol frame.
+def estimate_cfo(stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True) -> CfoEstimate:
+    """Run both stages on one received frame stream of spec.frame_len samples.
 
     The fractional estimate comes from the first (low-rate) symbol and
     derotates both symbols, each with its own n = 0 index origin; the
@@ -250,10 +275,11 @@ def estimate_cfo(rx: ReceivedFrame, spec: PreambleSpec, ffo_stage: bool = True) 
     offsets.  This is estimate_cfo_batch for one frame.
 
     Raises:
+        ConfigError: the stream does not hold spec.frame_len samples.
         DegenerateSignalError: the first symbol's autocorrelation is too
             small to carry a phase.
     """
-    ffo, ifo, batch = estimate_cfo_batch(np.stack(rx.symbols)[None], spec, ffo_stage)
+    ffo, ifo, batch = estimate_cfo_batch(np.asarray(stream)[None], spec, ffo_stage)
     if math.isnan(ffo[0]):
         raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
     peaks = PeakReport(

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ReceivedFrame
 from .errors import ConfigError, DegenerateSignalError
-from .estimator import CfoEstimate, compensate, estimate_ffo
+from .estimator import CfoEstimate, receive
 from .signal import PreambleFrame, _is_power_of_two, assemble_frame, dft, idft
 
 
@@ -96,22 +95,21 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
 
 
 def sca_estimate_batch(
-    y: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True
+    stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the Schmidl-Cox estimator on a (T, 2, N) stack of received symbol pairs.
+    """Run the Schmidl-Cox estimator on (T, 2*(N+cp)) received frame streams.
 
     Returns (ffo, ifo, metric): ffo (T,) is NaN for rows without a usable
     phase or energy (sca_estimate raises DegenerateSignalError there), ifo
     (T,) is the even integer estimate 2g as a float, and metric (T, N/2+1)
     holds B(g) for g = -N/4..N/4, which spans every distinct even shift.
+
+    Raises:
+        ConfigError: the streams are not (T, 2*(N+cp)).
     """
     n = pre.n_fft
-    if ffo_stage:
-        # The half-symbol correlation is the lag-N/2 autocorrelation.
-        ffo = estimate_ffo(y[:, 0], 2)
-        y = compensate(y, ffo[:, None])
-    else:
-        ffo = np.zeros(y.shape[0])
+    # The half-symbol correlation is the lag-N/2 autocorrelation.
+    ffo, y = receive(stream, n, pre.cp_len, 2, ffo_stage)
     x = dft(y)
     energy = np.sum(np.abs(x[:, 1]) ** 2, axis=-1)
 
@@ -133,8 +131,8 @@ def sca_estimate_batch(
     return ffo, 2.0 * g_hat, metric
 
 
-def sca_estimate(rx: ReceivedFrame, pre: ScaPreamble, ffo_stage: bool = True) -> CfoEstimate:
-    """Estimate the offset with the Schmidl-Cox two-symbol method.
+def sca_estimate(stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True) -> CfoEstimate:
+    """Estimate the offset from one received frame stream with the Schmidl-Cox method.
 
     The fractional part comes from the phase of the half-symbol
     autocorrelation of symbol 1 (range +-1 subcarrier); both symbols are then
@@ -143,10 +141,11 @@ def sca_estimate(rx: ReceivedFrame, pre: ScaPreamble, ffo_stage: bool = True) ->
     sca_estimate_batch for one frame.
 
     Raises:
+        ConfigError: the stream does not hold 2*(N+cp) samples.
         DegenerateSignalError: the training symbols carry no usable phase or
             energy.
     """
-    ffo, ifo, _ = sca_estimate_batch(np.stack(rx.symbols)[None], pre, ffo_stage)
+    ffo, ifo, _ = sca_estimate_batch(np.asarray(stream)[None], pre, ffo_stage)
     if math.isnan(ffo[0]):
         raise DegenerateSignalError("training symbols carry no usable phase or energy")
     return CfoEstimate(

@@ -97,16 +97,22 @@ class ExperimentConfig:
             )
         if not self.estimators:
             raise ConfigError("estimators must name at least one estimator")
-        for est in self.estimators:
+        for i, est in enumerate(self.estimators):
             if est not in _ESTIMATOR_IDS:
                 raise ConfigError(f"unknown estimator {est!r}")
+            if est in self.estimators[:i]:
+                raise ConfigError(f"estimator {est!r} is listed twice")
         if not self.ffo_stage_enabled and self.cfo_true != int(self.cfo_true):
             raise ConfigError(
                 "ffo_stage_enabled=False is only meaningful for integer cfo_true"
             )
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        seen = set()
         for snr_db in self.snr_grid_db:
+            if snr_db in seen:  # by value: 0.0 and -0.0 are one point
+                raise ConfigError(f"SNR {snr_db} dB repeats a point of snr_grid_db")
+            seen.add(snr_db)
             # +inf is the noiseless channel; any other SNR needs a finite,
             # nonzero noise variance.  NaN, -inf and SNRs whose linear power
             # overflows or underflows have none.
@@ -220,7 +226,7 @@ def run_single_frame(
     """Transmit one frame and estimate it; returns (received frame, estimate)."""
     spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
     rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng)
-    est = estimate_cfo(rx, spec, ffo_stage=cfg.ffo_stage_enabled)
+    est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     return rx, est
 
 
@@ -266,12 +272,10 @@ def _run_trials(
         frame, taps, np.repeat(phase_0, width), cfg.cfo_true,
         white.reshape(rows, -1), np.repeat(scale, width),
     )
-    start = frame.cp_len
-    symbols = stream.reshape(rows, 2, frame.block_len)[:, :, start : start + cfg.n_fft]
     if estimator == ESTIMATOR_PROPOSED:
-        ffo, ifo, _ = estimate_cfo_batch(symbols, spec, ffo_stage=cfg.ffo_stage_enabled)
+        ffo, ifo, _ = estimate_cfo_batch(stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     else:
-        ffo, ifo, _ = sca_estimate_batch(symbols, pre, ffo_stage=cfg.ffo_stage_enabled)
+        ffo, ifo, _ = sca_estimate_batch(stream, pre, ffo_stage=cfg.ffo_stage_enabled)
     ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
     total_error = (ifo + ffo) - cfg.cfo_true
     return tuple(

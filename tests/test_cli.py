@@ -138,10 +138,9 @@ def test_snr_grid_counts_fractional_steps_up_to_the_stop():
 @pytest.mark.parametrize("grid", ["0:2:inf", "-inf:2:0", "0:inf:10", "nan:1:2"])
 def test_fig2_rejects_a_grid_range_with_a_non_finite_bound(tmp_path, capsys, grid):
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["fig2", "--n", "64", f"--snr-grid={grid}", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "argument --snr-grid" in capsys.readouterr().err
+    assert main(["fig2", "--n", "64", f"--snr-grid={grid}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --snr-grid:") and "must be finite" in err, err
     assert not out.exists()
 
 
@@ -156,10 +155,10 @@ def test_snr_grid_point_count_is_bounded_before_the_grid_is_built():
 def test_fig2_rejects_a_grid_range_with_too_many_points(tmp_path, capsys, grid):
     """Too many points is a usage error from the flag and from a config file; no file is written."""
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["fig2", "--n", "64", f"--snr-grid={grid}", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "argument --snr-grid" in capsys.readouterr().err
+    assert main(["fig2", "--n", "64", f"--snr-grid={grid}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --snr-grid:") and "more than" in err, err
+    assert not out.exists()
     conf = tmp_path / "run.conf"
     conf.write_text(f"snr_grid = {grid}\n", encoding="utf-8")
     assert main(["fig2", "--n", "64", "--config", str(conf), "--out", str(out)]) == 2
@@ -527,6 +526,38 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key {line.split()[0]!r}:"), err
     assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--ffo", "maybe", "expected a boolean, got 'maybe'"),
+    ("--mode", "sideways", "expected static, varying or both, got 'sideways'"),
+    ("--trials", "x", "invalid literal for int()"),
+    ("--snr-grid", "0:1e-300:1", "more than 10000 points"),
+])
+def test_bad_flag_value_names_its_flag_and_the_reason(tmp_path, capsys, flag, value, reason):
+    """A flag's value is parsed as a config value is: exit 2, the flag and the reason, no file."""
+    assert main(["fig2", "--n", "64", flag, value, "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: ") and reason in captured.err, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,duplicate", [
+    (["--snr-grid", "0,0"], "SNR 0.0 dB"),
+    (["--snr-grid=0,-0"], "SNR -0.0 dB"),
+    (["--snr-grid", "inf,5,inf"], "SNR inf dB"),
+    (["--estimators", "proposed,proposed"], "estimator 'proposed'"),
+    (["--estimators", "sca,proposed,sca"], "estimator 'sca'"),
+])
+def test_fig2_rejects_a_duplicate_snr_or_estimator(tmp_path, capsys, flags, duplicate):
+    out = tmp_path / "dup.csv"
+    argv = ["fig2", "--n", "64", "--trials", "5", "--mode", "static", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and duplicate in captured.err, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fig1_ffo_flag_equals_the_config_key(tmp_path, capsys, monkeypatch):

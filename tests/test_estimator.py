@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cfolab.channel import ChannelProfile, ImpairmentSpec, ReceivedFrame, transmit
+from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.errors import ConfigError, DegenerateSignalError
 from cfolab.estimator import (
     compensate,
@@ -17,6 +17,7 @@ from cfolab.estimator import (
     time_autocorr,
     wrap_offset,
 )
+from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
 from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
 from conftest import chirp, dft_matrix, rayleigh_taps, synth_rx
@@ -350,10 +351,11 @@ def test_resolve_ifo_recovers_every_comb_pair(n_fft, r1, r2, paths):
 
 
 def _transmit(spec, cfo, seed, mode="varying", paths=4):
+    """The received frame stream of one noiseless transmission."""
     profile = ChannelProfile(path_count=paths, decay=2.0, mode=mode)
     rng = np.random.default_rng(seed)
     return transmit(profile=profile, frame=build_preamble(spec), rng=rng,
-                    imp=ImpairmentSpec(cfo=cfo, snr_db=np.inf))
+                    imp=ImpairmentSpec(cfo=cfo, snr_db=np.inf)).stream
 
 
 @pytest.mark.parametrize("cfo", [20.0, 20.3, -20.0, -20.4, 0.5, 47.0])
@@ -379,13 +381,7 @@ def test_estimate_cfo_phase_invariant():
     rx = _transmit(spec, 20.3, 11)
     base = estimate_cfo(rx, spec)
     for theta in (0.4, 1.9, -2.5):
-        rotated = ReceivedFrame(
-            n_fft=rx.n_fft,
-            cp_len=rx.cp_len,
-            stream=rx.stream * np.exp(1j * theta),
-            symbols=tuple(s * np.exp(1j * theta) for s in rx.symbols),
-        )
-        est = estimate_cfo(rotated, spec)
+        est = estimate_cfo(rx * np.exp(1j * theta), spec)
         assert est.ifo_residual == base.ifo_residual
         assert abs(est.ffo - base.ffo) < 1e-12
 
@@ -411,7 +407,7 @@ def test_estimate_cfo_batch_rows_match_single_frames():
     """Each row of a stacked pass equals the one-frame estimate; a dead row reads NaN alone."""
     spec = _spec(n_fft=64)
     frames = [_transmit(spec, cfo, seed) for seed, cfo in enumerate((20.3, -13.6, 7.0, 0.4))]
-    stack = np.stack([np.stack(rx.symbols) for rx in frames] + [np.zeros((2, 64), dtype=complex)])
+    stack = np.stack(frames + [np.zeros(160, dtype=complex)])
     for ffo_stage in (True, False):
         ffo, ifo, peaks = estimate_cfo_batch(stack, spec, ffo_stage)
         for i, rx in enumerate(frames):
@@ -421,10 +417,31 @@ def test_estimate_cfo_batch_rows_match_single_frames():
             np.testing.assert_array_equal(peaks.corr_1[i], est.peaks.corr_1)
             np.testing.assert_array_equal(peaks.corr_2[i], est.peaks.corr_2)
         assert math.isnan(ffo[-1]) == ffo_stage
-    dead = ReceivedFrame(n_fft=64, cp_len=16, stream=np.zeros(160, dtype=complex),
-                         symbols=(np.zeros(64, dtype=complex), np.zeros(64, dtype=complex)))
     with pytest.raises(DegenerateSignalError):
-        estimate_cfo(dead, spec)
+        estimate_cfo(np.zeros(160, dtype=complex), spec)
+
+
+_ONE_FRAME_SHAPES = [(0,), (64,), (159,), (161,), (320,), (1, 160)]
+_BATCH_SHAPES = [(2, 0), (2, 128), (2, 159), (2, 161), (2, 2, 64), (160,)]
+
+
+@pytest.mark.parametrize("form,shape", [
+    *((form, shape) for form in ("estimate_cfo", "sca_estimate") for shape in _ONE_FRAME_SHAPES),
+    *((form, shape) for form in ("estimate_cfo_batch", "sca_estimate_batch")
+      for shape in _BATCH_SHAPES),
+])
+def test_stream_that_is_not_a_frame_is_rejected(form, shape):
+    """Both estimators read frames of 2*(N+cp) samples, one per row in the batch forms."""
+    spec = _spec(n_fft=64)
+    pre = sca_build_preamble(64, 16, np.random.default_rng(1))
+    estimate = {
+        "estimate_cfo": lambda y: estimate_cfo(y, spec),
+        "estimate_cfo_batch": lambda y: estimate_cfo_batch(y, spec),
+        "sca_estimate": lambda y: sca_estimate(y, pre),
+        "sca_estimate_batch": lambda y: sca_estimate_batch(y, pre),
+    }[form]
+    with pytest.raises(ConfigError, match=r"2\*\(n_fft \+ cp_len\) = 160 samples"):
+        estimate(np.ones(shape, dtype=complex))
 
 
 def test_estimate_ffo_stack_marks_degenerate_rows():

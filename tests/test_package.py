@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names and the README's example."""
+
+import re
+from pathlib import Path
 
 import cfolab
 
@@ -10,6 +13,18 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("decompose_cfo", "CfoDecomposition"):
+    for name in ("decompose_cfo", "CfoDecomposition", "ChannelRealization"):
         assert name not in cfolab.__all__
         assert not hasattr(cfolab, name)
+
+
+def test_readme_python_example_runs(capsys):
+    """The README's Python example runs as written and recovers its offset."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.count("\n") == 2
+    assert abs(namespace["est"].total - 20.3) < 0.5
+    assert namespace["rx"].taps.shape == (2, 4)

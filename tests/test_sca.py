@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+from cfolab.errors import DegenerateSignalError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
 from cfolab.simlab import ExperimentConfig, run_trial
 
@@ -56,9 +57,10 @@ def test_preamble_differential_sequence_unambiguous():
 
 
 def _rx(pre, cfo, seed, mode="static", snr_db=np.inf, paths=4):
+    """The received frame stream of one transmission of the preamble."""
     profile = ChannelProfile(path_count=paths, decay=2.0, mode=mode)
     imp = ImpairmentSpec(cfo=cfo, snr_db=snr_db)
-    return transmit(pre.frame, profile, imp, np.random.default_rng(seed))
+    return transmit(pre.frame, profile, imp, np.random.default_rng(seed)).stream
 
 
 def test_metric_finds_every_even_shift():
@@ -92,23 +94,15 @@ def test_fractional_and_odd_offsets():
 def test_degenerate_input():
     pre = _preamble(n_fft=64)
     rx = _rx(pre, 0.0, seed=1)
-    from cfolab.channel import ReceivedFrame
-    from cfolab.errors import DegenerateSignalError
-
-    dead = ReceivedFrame(
-        n_fft=rx.n_fft, cp_len=rx.cp_len,
-        stream=np.zeros_like(rx.stream),
-        symbols=tuple(np.zeros_like(s) for s in rx.symbols),
-    )
     with pytest.raises(DegenerateSignalError):
-        sca_estimate(dead, pre)
+        sca_estimate(np.zeros_like(rx), pre)
 
 
 def test_batch_rows_match_single_frames():
     """Each row of a stacked pass equals the one-frame estimate; a dead row reads NaN alone."""
     pre = _preamble(n_fft=64)
     frames = [_rx(pre, cfo, seed=s, snr_db=10.0) for s, cfo in enumerate((20.4, -13.0, 6.0))]
-    stack = np.stack([np.stack(rx.symbols) for rx in frames] + [np.zeros((2, 64), dtype=complex)])
+    stack = np.stack(frames + [np.zeros(160, dtype=complex)])
     for ffo_stage in (True, False):
         ffo, ifo, metric = sca_estimate_batch(stack, pre, ffo_stage=ffo_stage)
         assert metric.shape == (4, 33)
@@ -152,7 +146,9 @@ def test_metric_matches_definitional_sum(n_fft, window):
     rng = np.random.default_rng(n_fft + window)
     y = rng.standard_normal((4, 2, n_fft)) + 1j * rng.standard_normal((4, 2, n_fft))
     y[1] = 0
-    _, ifo, metric = sca_estimate_batch(y, pre, ffo_stage=False)
+    # The streams: each symbol y behind its cyclic prefix.
+    stream = np.concatenate([y[..., n_fft - 4 :], y], axis=-1).reshape(4, -1)
+    _, ifo, metric = sca_estimate_batch(stream, pre, ffo_stage=False)
     assert metric.shape == (4, n_fft // 2 + 1)
     center = n_fft // 4
     metric = metric[:, center - window : center + window + 1]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 
@@ -114,6 +115,19 @@ def test_config_rejects_snr_the_channel_cannot_model(snr_db):
     _cfg(snr_grid_db=(10.0, math.inf, 3000.0, -3000.0))
 
 
+@pytest.mark.parametrize("overrides,duplicate", [
+    ({"snr_grid_db": (0.0, 10.0, 0.0)}, "SNR 0.0 dB"),
+    ({"snr_grid_db": (0.0, -0.0)}, "SNR -0.0 dB"),
+    ({"snr_grid_db": (math.inf, math.inf)}, "SNR inf dB"),
+    ({"estimators": ("proposed", "proposed")}, "estimator 'proposed'"),
+    ({"estimators": ("sca", "proposed", "sca")}, "estimator 'sca'"),
+])
+def test_config_rejects_a_duplicate_snr_or_estimator(overrides, duplicate):
+    """A repeated grid point or estimator would rerun its cells; SNRs compare by value."""
+    with pytest.raises(ConfigError, match=re.escape(duplicate)):
+        _cfg(**overrides)
+
+
 def test_sweep_bit_identical():
     cfg = _cfg(trials_per_point=40)
     assert run_sweep(cfg) == run_sweep(cfg)
@@ -196,9 +210,8 @@ def test_dump_correlations_multipath_comb_support():
 def test_run_single_frame_exposes_realizations():
     cfg = _cfg(channel=ChannelProfile(4, 2.0, mode="varying"))
     rx, est = run_single_frame(cfg, math.inf, np.random.default_rng(3))
-    assert len(rx.realizations) == 2
-    taps_1 = rx.realizations[0].taps
-    m1 = int(np.argmax(np.abs(taps_1)))
+    assert rx.taps.shape == (2, 4)
+    m1 = int(np.argmax(np.abs(rx.taps[0])))
     assert est.peaks.loc_1 == (20 - 2 * m1) % 128
 
 
