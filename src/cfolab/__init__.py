@@ -32,14 +32,12 @@ from .signal import (
     idft,
 )
 from .simlab import (
-    ESTIMATOR_PROPOSED,
-    ESTIMATOR_SCA,
+    ESTIMATORS,
     ExperimentConfig,
     SweepCell,
     SweepResult,
     TrialRecord,
     dump_correlations,
-    run_single_frame,
     run_sweep,
     run_sweeps,
     run_trial,
@@ -52,8 +50,7 @@ __all__ = [
     "ChannelProfile",
     "ConfigError",
     "DegenerateSignalError",
-    "ESTIMATOR_PROPOSED",
-    "ESTIMATOR_SCA",
+    "ESTIMATORS",
     "ExperimentConfig",
     "ImpairmentSpec",
     "PeakReport",
@@ -75,7 +72,6 @@ __all__ = [
     "freq_correlate",
     "idft",
     "resolve_ifo",
-    "run_single_frame",
     "run_sweep",
     "run_sweeps",
     "run_trial",

@@ -37,14 +37,7 @@ from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
 from .signal import CazacParams, PreambleSpec, build_preamble
-from .simlab import (
-    ESTIMATOR_PROPOSED,
-    ESTIMATOR_SCA,
-    ExperimentConfig,
-    SweepResult,
-    dump_correlations,
-    run_sweeps,
-)
+from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, dump_correlations, run_sweeps
 
 # run_sweep, the one-config form of run_sweeps, stays bound here: bench/spans.py
 # traces this name.
@@ -126,7 +119,7 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 def _parse_estimators(text: str) -> tuple[str, ...]:
     names = tuple(p.strip().lower() for p in text.split(",") if p.strip())
     for name in names:
-        if name not in (ESTIMATOR_PROPOSED, ESTIMATOR_SCA):
+        if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
     return names
 
@@ -171,9 +164,10 @@ SETTINGS: dict[str, dict[str, Setting]] = {
              "snr_grid": (_parse_snr_grid, "0:2:20", "'start:step:stop' or comma list, in dB"),
              "trials": (int, "10000", "trials per grid point"),
              "mode": (_parse_mode, "both", "channel mode: static, varying or both"),
-             "estimators": (_parse_estimators, "proposed,sca", "comma list: proposed,sca")},
+             "estimators": (_parse_estimators, ",".join(ESTIMATORS), "comma list of estimator names")},
     "estimate": _PREAMBLE_SETTINGS,
 }
+_SETTING_FLAGS = frozenset("--" + key.replace("_", "-") for table in SETTINGS.values() for key in table)
 
 
 def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
@@ -280,7 +274,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     _check_targets([out])
     snr_db, seed = settings["snr"], settings["seed"]
     cfg = _experiment(settings, settings["n"], "varying", snr_grid_db=(snr_db,),
-                      trials_per_point=1, estimators=(ESTIMATOR_PROPOSED,))
+                      trials_per_point=1, estimators=("proposed",))
     table = dump_correlations(cfg, snr_db, seed)
     lines = ["tau,corr_r1,corr_r2"]
     for tau, c1, c2 in table:
@@ -400,9 +394,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_setting_values(argv: list[str]) -> list[str]:
+    """argv with each SETTINGS flag and the token after it joined as --key=value.
+
+    Every settings flag takes one value, and joined, a value that starts
+    with '-' (--snr-grid -10:2:0, --cfo -1e1) is not read as a flag.  A
+    token that starts with '--' stays a flag, so a missing value is still
+    reported as one.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _SETTING_FLAGS and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_setting_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

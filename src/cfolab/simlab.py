@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -42,9 +42,35 @@ from .estimator import estimate_cfo, estimate_cfo_batch, wrap_offset
 from .sca import ScaPreamble, sca_build_preamble, sca_estimate, sca_estimate_batch  # noqa: F401
 from .signal import CazacParams, PreambleFrame, PreambleSpec, build_preamble
 
-ESTIMATOR_PROPOSED = "proposed"
-ESTIMATOR_SCA = "sca"
-_ESTIMATOR_IDS = {ESTIMATOR_PROPOSED: 0, ESTIMATOR_SCA: 1}
+
+def _proposed(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
+    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+    return frame, cfg.r1, partial(estimate_cfo_batch, spec=spec, ffo_stage=cfg.ffo_stage_enabled)
+
+
+def _sca(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
+    pre = _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
+    return pre.frame, 2, partial(sca_estimate_batch, pre=pre, ffo_stage=cfg.ffo_stage_enabled)
+
+
+# Every estimator a sweep can run: name -> (stream id, receiver).  The id is
+# a word of each trial's seed key (trial_rng), so it never changes.
+# receiver(cfg) returns the frame the estimator's trials transmit, the rate
+# of its fractional stage and its batch form, which maps (T, 2*(N+cp))
+# frame streams to (ffo, ifo, details).
+ESTIMATORS: dict[str, tuple[int, Callable[[ExperimentConfig], tuple]]] = {
+    "proposed": (0, _proposed),
+    "sca": (1, _sca),
+}
+
+
+def _estimator(name: str) -> tuple[int, Callable]:
+    """The ESTIMATORS entry of name; ConfigError for a name it lacks."""
+    try:
+        return ESTIMATORS[name]
+    except KeyError:
+        raise ConfigError(f"unknown estimator {name!r}") from None
+
 
 # Stream tag separating the SCA preamble draw from trial streams.
 _SCA_PREAMBLE_TAG = 0x5CA_9EA3
@@ -73,7 +99,7 @@ class ExperimentConfig:
     cfo_true: float
     snr_grid_db: tuple[float, ...]
     trials_per_point: int
-    estimators: tuple[str, ...] = (ESTIMATOR_PROPOSED, ESTIMATOR_SCA)
+    estimators: tuple[str, ...] = tuple(ESTIMATORS)
     ffo_stage_enabled: bool = False
     master_seed: int = 1
 
@@ -98,8 +124,7 @@ class ExperimentConfig:
         if not self.estimators:
             raise ConfigError("estimators must name at least one estimator")
         for i, est in enumerate(self.estimators):
-            if est not in _ESTIMATOR_IDS:
-                raise ConfigError(f"unknown estimator {est!r}")
+            _estimator(est)
             if est in self.estimators[:i]:
                 raise ConfigError(f"estimator {est!r} is listed twice")
         if not self.ffo_stage_enabled and self.cfo_true != int(self.cfo_true):
@@ -215,19 +240,9 @@ def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     """
     return np.random.Generator(
         np.random.PCG64(
-            _entropy_words(cfg.master_seed, _snr_key(snr_db), _ESTIMATOR_IDS[estimator], trial_index)
+            _entropy_words(cfg.master_seed, _snr_key(snr_db), _estimator(estimator)[0], trial_index)
         )
     )
-
-
-def run_single_frame(
-    cfg: ExperimentConfig, snr_db: float, rng: np.random.Generator
-):
-    """Transmit one frame and estimate it; returns (received frame, estimate)."""
-    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng)
-    est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
-    return rx, est
 
 
 def _run_trials(
@@ -247,13 +262,7 @@ def _run_trials(
     degenerate trial and for one whose integer stage failed.
     """
     cfg = cfgs[0]
-    if estimator == ESTIMATOR_PROPOSED:
-        spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-        ffo_rate = cfg.r1
-    else:
-        pre = _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
-        frame = pre.frame
-        ffo_rate = 2.0
+    frame, ffo_rate, estimate = _estimator(estimator)[1](cfg)
     profile = cfg.channel
     modes = tuple(c.channel.mode for c in cfgs)
     count, width = len(snrs), len(modes)
@@ -272,10 +281,7 @@ def _run_trials(
         frame, taps, np.repeat(phase_0, width), cfg.cfo_true,
         white.reshape(rows, -1), np.repeat(scale, width),
     )
-    if estimator == ESTIMATOR_PROPOSED:
-        ffo, ifo, _ = estimate_cfo_batch(stream, spec, ffo_stage=cfg.ffo_stage_enabled)
-    else:
-        ffo, ifo, _ = sca_estimate_batch(stream, pre, ffo_stage=cfg.ffo_stage_enabled)
+    ffo, ifo, _ = estimate(stream)
     ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
     total_error = (ifo + ffo) - cfg.cfo_true
     return tuple(
@@ -294,8 +300,6 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
     integer stage fails keeps its ffo_error and has total_error NaN.  This
     is the sweep engine's pass over a batch of one.
     """
-    if estimator not in _ESTIMATOR_IDS:
-        raise ConfigError(f"unknown estimator {estimator!r}")
     correct, ffo_error, total_error = _run_trials(
         (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
         np.array([noise_std(cfg.channel, snr_db)]),
@@ -416,6 +420,8 @@ def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.nda
 
     Returns an (n_fft, 3) array with columns (tau, |corr rate-1|, |corr rate-2|).
     """
-    _, est = run_single_frame(cfg, snr_db, np.random.default_rng(seed))
+    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), np.random.default_rng(seed))
+    est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     tau = np.arange(cfg.n_fft, dtype=float)
     return np.column_stack([tau, est.peaks.corr_1, est.peaks.corr_2])

@@ -20,7 +20,7 @@ import numpy as np
 from cfolab.channel import ChannelProfile, ImpairmentSpec, draw_channel, transmit
 from cfolab.estimator import estimate_cfo, estimate_ffo, freq_correlate, resolve_ifo, time_autocorr
 from cfolab.signal import CazacParams, PreambleSpec, build_preamble
-from cfolab.simlab import ExperimentConfig, run_single_frame, run_sweep
+from cfolab.simlab import ExperimentConfig, _preamble_for, run_sweep
 
 from conftest import CRITERION_LINES, rayleigh_taps, synth_rx
 
@@ -146,7 +146,9 @@ def test_criterion_4_correlation_comb_reproduction(tmp_path):
              for line in out.read_text().splitlines()[1:]]
         )
         # replay the same frame in-process to learn the realized taps
-        rx, _ = run_single_frame(_fig1_config(seed), 20.0, np.random.default_rng(seed))
+        cfg = _fig1_config(seed)
+        frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
+        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, 20.0), np.random.default_rng(seed))
         m1 = int(np.argmax(np.abs(rx.taps[0])))
         m2 = int(np.argmax(np.abs(rx.taps[1])))
         assert int(rows[:, 1].argmax()) == (20 - 2 * m1) % 128

@@ -21,6 +21,7 @@ from cfolab.cli import (
     read_iq,
     write_iq,
 )
+from cfolab.simlab import ESTIMATORS
 
 
 def run_cli(*args, cwd=None):
@@ -541,6 +542,44 @@ def test_bad_flag_value_names_its_flag_and_the_reason(tmp_path, capsys, flag, va
     assert captured.err.startswith(f"error: {flag}: ") and reason in captured.err, captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_setting_value_may_start_with_a_minus(tmp_path, capsys):
+    """A value after a space that starts with '-' is the flag's value, not another flag."""
+    base = ["fig2", "--n", "64", "--trials", "1", "--mode", "static", "--estimators", "sca"]
+    grid = tmp_path / "grid.csv"
+    assert main([*base, "--snr-grid", "-10:2:0", "--out", str(grid)]) == 0
+    assert [row.split(",")[0] for row in grid.read_text().splitlines()[1:]] == [
+        "-10", "-8", "-6", "-4", "-2", "0"]
+    cfo = tmp_path / "cfo.csv"
+    assert main([*base, "--cfo", "-1e1", "--snr-grid", "0", "--out", str(cfo)]) == 0
+    assert json.loads((tmp_path / "cfo.csv.manifest.json").read_text())["config"]["cfo"] == -10.0
+    capsys.readouterr()
+    assert main([*base, "--cfo", "-inf", "--out", str(tmp_path / "inf.csv")]) == 2
+    assert capsys.readouterr().err == "error: |cfo_true| must be < n_fft/2, got -inf\n"
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--cfo", "--seed", "3", "--out", str(tmp_path / "missing.csv")])
+    assert exc.value.code == 2
+    assert "argument --cfo: expected one argument" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfo.csv", "cfo.csv.manifest.json", "grid.csv", "grid.csv.manifest.json"]
+
+
+def test_fig2_estimators_are_the_keys_of_the_estimator_table(tmp_path, capsys):
+    """--estimators takes each key of simlab.ESTIMATORS, defaults to all of them and names a bad one."""
+    base = ["fig2", "--n", "64", "--trials", "1", "--mode", "static", "--snr-grid", "0"]
+    for name in ESTIMATORS:
+        out = tmp_path / f"{name}.csv"
+        assert main([*base, "--estimators", name, "--out", str(out)]) == 0
+        assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == [name]
+    with pytest.raises(SystemExit):
+        main(["fig2", "--help"])
+    assert f"(default: {','.join(ESTIMATORS)})" in " ".join(capsys.readouterr().out.split())
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    assert main([*base, "--estimators", "proposed,bogus", "--out", str(bad / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: --estimators: unknown estimator 'bogus'\n"
+    assert list(bad.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags,duplicate", [

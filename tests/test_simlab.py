@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import binomtest
 
 from cfolab import channel, estimator, simlab
-from cfolab.channel import ChannelProfile
+from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.cli import main
 from cfolab.errors import ConfigError
 from cfolab.sca import sca_build_preamble
@@ -22,7 +22,6 @@ from cfolab.simlab import (
     SweepCell,
     TrialRecord,
     dump_correlations,
-    run_single_frame,
     run_sweep,
     run_trial,
     trial_rng,
@@ -128,6 +127,53 @@ def test_config_rejects_a_duplicate_snr_or_estimator(overrides, duplicate):
         _cfg(**overrides)
 
 
+@pytest.mark.parametrize("reject", [
+    lambda: _cfg(estimators=("proposed", "bogus")),
+    lambda: run_trial(_cfg(), 0.0, "bogus", 0),
+    lambda: trial_rng(_cfg(), 0.0, "bogus", 0),
+], ids=["ExperimentConfig", "run_trial", "trial_rng"])
+def test_an_unknown_estimator_is_rejected_the_same_way_everywhere(reject):
+    """Every entry point looks the name up in simlab.ESTIMATORS; a name it lacks is a ConfigError."""
+    with pytest.raises(ConfigError, match=re.escape("unknown estimator 'bogus'")):
+        reject()
+
+
+def test_fractional_stage_mse_matches_its_analytical_variance():
+    """The sweep's ffo_mse matches the lag-D autocorrelation's first-order MSE to within 10%.
+
+    With D = N/r1 the lag, M = N - D the samples it averages, s2 the noise
+    variance and G = sum_m |h_m|^2 the first symbol's channel gain:
+    MSE = (r1/2pi)^2 * E_G[s2*D/(M^2*G) + s2^2/(2*M*G^2)].  For r1 > 2 the two
+    lags share samples, whose first-order phase errors cancel, hence D/M^2
+    where disjoint halves (Schmidl & Cox 1997) give 1/M; Morelli & Mengali
+    (IEEE Commun. Lett. 3(3), 1999) treat repeated parts.  E_G runs over 2e6
+    draws of sum_m p_m*Exp(1).  L = 4 keeps E[1/G^2] finite, and 20 dB and up
+    keeps the first-order expansion good.  At 5000 trials per cell, master
+    seeds 1-3 read 0.97-1.04, so 10% is about 3.5 standard deviations.  At
+    r1 = 4 the offset 21.3 wraps to 1.3, and to -0.7 at rate 2, so a wrong
+    fractional rate in ESTIMATORS moves ffo_ref and fails the check.
+    """
+    profile = ChannelProfile(4, 2.0)
+    gain = np.random.default_rng(0).standard_exponential((2_000_000, 4)) @ profile.tap_powers()
+    mean_inv_g, mean_inv_g2 = np.mean(1.0 / gain), np.mean(1.0 / gain**2)
+    for n_fft, r1, r2, cfo, mode, snr_db in [
+        (128, 2, 8, 20.3, "static", 20.0),
+        (128, 2, 8, 20.3, "varying", 30.0),
+        (256, 4, 16, 21.3, "varying", 20.0),
+    ]:
+        cfg = _cfg(n_fft=n_fft, r1=r1, r2=r2, channel=ChannelProfile(4, 2.0, mode=mode),
+                   cfo_true=cfo, snr_grid_db=(snr_db,), trials_per_point=5000,
+                   estimators=("proposed",), ffo_stage_enabled=True, master_seed=1)
+        lag = n_fft // r1
+        m = n_fft - lag
+        s2 = channel.noise_variance(cfg.channel, snr_db)
+        predicted = (r1 / (2 * math.pi)) ** 2 * (
+            s2 * lag / (m * m) * mean_inv_g + s2 * s2 / (2 * m) * mean_inv_g2
+        )
+        ratio = run_sweep(cfg).cells[0].ffo_mse / predicted
+        assert 0.9 < ratio < 1.1, (n_fft, r1, mode, snr_db, ratio)
+
+
 def test_sweep_bit_identical():
     cfg = _cfg(trials_per_point=40)
     assert run_sweep(cfg) == run_sweep(cfg)
@@ -208,11 +254,13 @@ def test_dump_correlations_multipath_comb_support():
 
 
 def test_run_single_frame_exposes_realizations():
+    """dump_correlations' frame replays with transmit from the same seed, taps and all."""
     cfg = _cfg(channel=ChannelProfile(4, 2.0, mode="varying"))
-    rx, est = run_single_frame(cfg, math.inf, np.random.default_rng(3))
+    frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
+    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, math.inf), np.random.default_rng(3))
     assert rx.taps.shape == (2, 4)
     m1 = int(np.argmax(np.abs(rx.taps[0])))
-    assert est.peaks.loc_1 == (20 - 2 * m1) % 128
+    assert int(dump_correlations(cfg, math.inf, 3)[:, 1].argmax()) == (20 - 2 * m1) % 128
 
 
 def test_config_is_frozen():
