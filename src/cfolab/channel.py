@@ -9,7 +9,7 @@ phase is drawn per frame.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,7 +82,7 @@ class ImpairmentSpec:
 
     cfo is normalized to the subcarrier spacing; snr_db relates the total
     mean received signal power to the per-sample complex noise variance.
-    Noise is drawn unless snr_db is infinite; +inf is the noiseless run.
+    Noise is drawn unless snr_db is +inf, the noiseless run (noise_variance).
     """
 
     cfo: float
@@ -99,11 +99,6 @@ class ReceivedFrame:
     stream: np.ndarray
     taps: np.ndarray
     phase_0: float
-
-
-def tap_std(profile: ChannelProfile) -> np.ndarray:
-    """Per-tap standard deviation of the real and of the imaginary part (read-only)."""
-    return _tap_std(profile.path_count, profile.decay)
 
 
 def complex_taps(std: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -127,7 +122,8 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> tuple[np.
     Each tap is zero-mean circularly-symmetric complex Gaussian with variance
     equal to its profile power; phase_0 is uniform on [0, 2*pi).
     """
-    taps = complex_taps(tap_std(profile), rng.standard_normal(2 * profile.path_count))
+    std = _tap_std(profile.path_count, profile.decay)
+    taps = complex_taps(std, rng.standard_normal(2 * profile.path_count))
     return taps, _draw_phase(rng)
 
 
@@ -173,10 +169,23 @@ def draw_frame(
 
 
 def noise_variance(profile: ChannelProfile, snr_db: float) -> float:
-    """Per-sample complex noise variance for a unit-power transmit waveform."""
-    if math.isinf(snr_db):
+    """Per-sample complex noise variance for a unit-power transmit waveform.
+
+    +inf is the noiseless channel, variance 0.
+
+    Raises:
+        ConfigError: for any other SNR without a finite, nonzero variance:
+            NaN, -inf and SNRs whose linear power overflows or underflows.
+    """
+    if snr_db == math.inf:
         return 0.0
-    return profile.mean_power() / (10.0 ** (snr_db / 10.0))
+    try:
+        variance = profile.mean_power() / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        variance = math.nan
+    if not 0.0 < variance < math.inf:
+        raise ConfigError(f"SNR {snr_db} dB is outside what the channel can model")
+    return variance
 
 
 def noise_std(profile: ChannelProfile, snr_db: float) -> float:
@@ -210,25 +219,28 @@ def _frame_windows(frame: PreambleFrame, paths: int) -> np.ndarray:
 
 def propagate(
     frame: PreambleFrame,
-    taps: np.ndarray,
-    phase_0: np.ndarray,
+    profile: ChannelProfile,
+    modes: Sequence[str],
     cfo: float,
-    white: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Push T copies of a frame through T channel draws; return the (T, 2*block) streams.
+    rngs: Iterable[np.random.Generator],
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Make one frame per generator of rngs, in every channel mode of modes.
 
-    taps is (T, 2, L): the taps of each symbol.  Each CP-extended block is
-    convolved with its symbol's taps, then the whole frame is rotated by
-    exp(j*(2*pi*cfo*n/n_fft + phase_0)) with n running continuously from the
-    first frame sample.  If white (T, 4*block: real parts, then imaginary
-    parts) is given, complex noise scale * (re + j*im) is added last, with
-    scale (T,) the per-row noise standard deviation; a row with scale 0
-    adds exact zeros.
+    Frame i draws its taps, common phase and noise from rngs[i] with
+    draw_frame, once for all modes, and no noise where scale[i] (its noise
+    standard deviation) is 0.  The taps follow profile's path count and
+    decay, not its mode.  Each CP-extended block is convolved with its
+    symbol's taps, the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft +
+    phase_0)) with n running continuously from the first frame sample, and
+    complex noise scale * (re + j*im) is added last.  rngs may be lazy.
+
+    Returns (stream, taps, phase_0): (T*M, 2*block) CP-intact streams and
+    (T*M, 2, L) taps, rows in (frame, mode) order, and (T,) common phases.
 
     Each output sample of the convolution is one dot product of L samples
     with the reversed taps, so a row does not depend on the batch it sits
-    in: propagating a row alone or among any other rows gives the same
+    in: propagating a frame alone or among any other frames gives the same
     bits.  The dot products need not sum in np.convolve's order, so a row
     can differ from np.convolve in the last bits (it does for L >= 8 with
     numpy 2.4's OpenBLAS on x86-64).
@@ -236,8 +248,9 @@ def propagate(
     Raises:
         ConfigError: if the CP cannot absorb the channel memory or the
             offset exceeds half the signal bandwidth.
+        ValueError: if rngs does not hold one generator per scale entry.
     """
-    paths = taps.shape[-1]
+    paths = profile.path_count
     if frame.cp_len < paths - 1:
         raise ConfigError(
             f"cp_len={frame.cp_len} too short for {paths} paths "
@@ -246,17 +259,25 @@ def propagate(
     if not abs(cfo) < frame.n_fft / 2:
         raise ConfigError(f"|cfo| must be < n_fft/2 = {frame.n_fft / 2}, got {cfo}")
     blk = frame.block_len
+    count, width = len(scale), len(modes)
+    tap_normals = np.empty((count, width, 2, 2 * paths))
+    phase_0 = np.empty(count)
+    # Zeros, so frames drawn without noise add exact zeros.
+    white = np.zeros((count, width, 4 * blk))
+    for i, (rng, noisy) in enumerate(zip(rngs, (scale != 0).tolist(), strict=True)):
+        phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if noisy else None)
+    taps = complex_taps(_tap_std(paths, profile.decay), tap_normals.reshape(count * width, 2, -1))
     windows = _frame_windows(frame, paths)
     reversed_taps = np.ascontiguousarray(taps[..., ::-1])
     # (1, L) @ (L, 1) per output sample: numpy computes each as one BLAS dot.
     faded = windows[None, :, :, None, :] @ reversed_taps[:, :, None, :, None]
-    stream = faded.reshape(taps.shape[0], 2 * blk)
+    stream = faded.reshape(count * width, 2 * blk)
     stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
-    stream *= np.exp(1j * phase_0)[:, None]
-    if white is not None:
-        stream.real += scale[:, None] * white[:, : 2 * blk]
-        stream.imag += scale[:, None] * white[:, 2 * blk :]
-    return stream
+    frames = stream.reshape(count, width, 2 * blk)
+    frames *= np.exp(1j * phase_0)[:, None, None]
+    frames.real += scale[:, None, None] * white[..., : 2 * blk]
+    frames.imag += scale[:, None, None] * white[..., 2 * blk :]
+    return stream, taps, phase_0
 
 
 def transmit(
@@ -270,19 +291,15 @@ def transmit(
     Per symbol, the CP-extended block is convolved with that symbol's taps,
     then the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft + phase_0))
     with n running continuously from the first frame sample.  Complex white
-    noise is added last.  Returns the CP-intact stream with the taps and
-    the common phase it was drawn with.  This is propagate for one frame,
-    with the draws of draw_frame.
+    noise is added last, unless snr_db is +inf.  Returns the CP-intact
+    stream with the taps and the common phase it was drawn with.  This is
+    propagate for one frame in profile's mode.
 
     Raises:
-        ConfigError: if the CP cannot absorb the channel memory or the
-            offset exceeds half the signal bandwidth.
+        ConfigError: if the CP cannot absorb the channel memory, the offset
+            exceeds half the signal bandwidth or the SNR is one the channel
+            cannot model (noise_variance).
     """
-    noisy = not math.isinf(imp.snr_db)
-    tap_normals = np.empty((1, 2, 2 * profile.path_count))
-    white = np.empty((1, 4 * frame.block_len)) if noisy else None
-    phase_0 = draw_frame((profile.mode,), rng, tap_normals, white)
-    taps = complex_taps(tap_std(profile), tap_normals[0])
-    scale = np.array([noise_std(profile, imp.snr_db)]) if noisy else None
-    stream = propagate(frame, taps[None], np.array([phase_0]), imp.cfo, white, scale)[0]
-    return ReceivedFrame(stream=stream, taps=taps, phase_0=phase_0)
+    scale = np.array([noise_std(profile, imp.snr_db)])
+    stream, taps, phase_0 = propagate(frame, profile, (profile.mode,), imp.cfo, (rng,), scale)
+    return ReceivedFrame(stream=stream[0], taps=taps[0], phase_0=float(phase_0[0]))

@@ -360,18 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
 
     Each command's flags come from its SETTINGS and keep their text for
-    _settings to parse.  Parsing leaves the parser unchanged (each call
-    fills a new namespace), so every call of main shares it.
+    _settings to parse.  No flag may be abbreviated, so each has the one
+    spelling _join_setting_values matches.  Parsing leaves the parser
+    unchanged (each call fills a new namespace), so every call of main
+    shares it.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
         description="Carrier frequency offset estimation lab over dual chirp-rate preambles.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         for key, (_, default, text) in SETTINGS[name].items():
             # No flag default: an absent flag is None, so the config file can set the key.
             p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default})")

@@ -89,11 +89,10 @@ class PreambleSpec:
 
 @dataclass(frozen=True, eq=False)
 class PreambleFrame:
-    """Assembled two-symbol frame: per-symbol raw buffers plus the CP-intact stream."""
+    """Assembled two-symbol frame: the CP-intact stream of both CP-prefixed symbols."""
 
     n_fft: int
     cp_len: int
-    symbols: tuple[np.ndarray, ...]
     samples: np.ndarray
 
     @property
@@ -152,7 +151,6 @@ def assemble_frame(symbols: list[np.ndarray] | tuple[np.ndarray, ...], cp_len: i
     return PreambleFrame(
         n_fft=n_fft,
         cp_len=cp_len,
-        symbols=tuple(np.asarray(s, dtype=np.complex128) for s in symbols),
         samples=np.concatenate(blocks).astype(np.complex128),
     )
 

@@ -1,5 +1,7 @@
 """Fading channel emulator: statistics, convolution correctness, reproducibility."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,7 +16,7 @@ from cfolab.channel import (
     transmit,
 )
 from cfolab.errors import ConfigError
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
 
 
 def _frame(n_fft=64, cp=16):
@@ -108,8 +110,8 @@ def test_cp_window_equals_circular_convolution():
     rng = np.random.default_rng(21)
     rx = transmit(frame, profile, ImpairmentSpec(cfo=3.7, snr_db=np.inf), rng)
     n = np.arange(64)
-    for s in range(2):
-        raw = frame.symbols[s]
+    for s, params in enumerate((CazacParams(64, 2), CazacParams(64, 8))):
+        raw = cazac_generate(params)
         circ = np.zeros(64, dtype=complex)
         for m, h in enumerate(rx.taps[s]):
             circ += h * raw[(n - m) % 64]
@@ -172,6 +174,19 @@ def test_noise_variance_matches_snr():
     assert abs(measured - sigma2) / sigma2 < 0.25  # 288 samples, loose statistical bound
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000.0, -4000.0])
+def test_channel_rejects_snr_it_cannot_model(snr_db):
+    """An SNR without a finite, nonzero noise variance raises; +inf alone is the noiseless channel."""
+    profile = ChannelProfile(4, 2.0)
+    with pytest.raises(ConfigError, match="outside what the channel can model"):
+        noise_variance(profile, snr_db)
+    with pytest.raises(ConfigError, match="outside what the channel can model"):
+        transmit(_frame(), profile, ImpairmentSpec(20.0, snr_db), np.random.default_rng(0))
+    assert noise_variance(profile, math.inf) == 0.0
+    for finite in (3000.0, -3000.0):
+        assert 0.0 < noise_variance(profile, finite) < math.inf
+
+
 def test_cp_too_short_rejected():
     frame = _frame(n_fft=64, cp=2)
     with pytest.raises(ConfigError):
@@ -186,27 +201,43 @@ def test_cfo_out_of_range_rejected():
 
 @pytest.mark.parametrize("paths", [1, 4, 8, 16])
 def test_propagate_row_does_not_depend_on_its_batch(paths):
-    """A row propagated alone, or among other rows in any order, gives the same bits.
+    """A frame propagated alone, or among other frames in any order, gives the same bits.
 
-    The sweep engine relies on this: run_trial replays one trial of a sweep
-    as a batch of one.  The second and later calls read the frame's
-    convolution windows from the cache the first call filled.
+    Frame i draws from its own generator, default_rng([paths, i]), in both
+    modes, and frame 3 draws no noise; its stream rows, taps and phase are
+    compared.  The sweep engine relies on this: run_trial replays one trial
+    of a sweep as a batch of one.  The second and later calls read the
+    frame's convolution windows from the cache the first call filled.
     """
     frame = _frame(n_fft=64, cp=16)
-    rng = np.random.default_rng(paths)
+    profile = ChannelProfile(paths, 2.0)
+    modes = ("varying", "static")
     count = 9
-    taps = rng.standard_normal((count, 2, paths)) + 1j * rng.standard_normal((count, 2, paths))
-    phase_0 = rng.uniform(0.0, 2 * np.pi, count)
-    white = rng.standard_normal((count, 4 * frame.block_len))
-    scale = rng.uniform(0.0, 1.0, count)
+    scale = np.random.default_rng(paths).uniform(0.0, 1.0, count)
     scale[3] = 0.0
+
+    def run(frames):
+        """(stream, taps, phase_0) of these frames, the first two per frame."""
+        rngs = (np.random.default_rng([paths, i]) for i in frames.tolist())
+        stream, taps, phase_0 = propagate(frame, profile, modes, 5.3, rngs, scale[frames])
+        return stream.reshape(len(frames), 2, -1), taps.reshape(len(frames), 2, 2, paths), phase_0
+
     hits = channel._frame_windows.cache_info().hits
-    batch = propagate(frame, taps, phase_0, 5.3, white, scale)
-    order = rng.permutation(count)
-    shuffled = propagate(frame, taps[order], phase_0[order], 5.3, white[order], scale[order])
-    np.testing.assert_array_equal(shuffled, batch[order])
+    batch = run(np.arange(count))
+    order = np.random.default_rng(paths).permutation(count)
+    for got, want in zip(run(order), batch):
+        np.testing.assert_array_equal(got, want[order])
     for i in range(count):
-        row = slice(i, i + 1)
-        alone = propagate(frame, taps[row], phase_0[row], 5.3, white[row], scale[row])
-        np.testing.assert_array_equal(alone[0], batch[i])
+        for got, want in zip(run(np.array([i])), batch):
+            np.testing.assert_array_equal(got[0], want[i])
     assert channel._frame_windows.cache_info().hits >= hits + count + 1
+
+
+def test_propagate_needs_one_generator_per_frame():
+    """Fewer or more generators than scale entries raise instead of sending out undrawn rows."""
+    frame = _frame()
+    scale = np.full(3, 0.5)
+    for count in (2, 4):
+        rngs = (np.random.default_rng(i) for i in range(count))
+        with pytest.raises(ValueError):
+            propagate(frame, ChannelProfile(4, 2.0), ("varying",), 1.0, rngs, scale)

@@ -565,6 +565,24 @@ def test_a_setting_value_may_start_with_a_minus(tmp_path, capsys):
         "cfo.csv", "cfo.csv.manifest.json", "grid.csv", "grid.csv.manifest.json"]
 
 
+def test_flags_are_not_abbreviated(tmp_path, capsys):
+    """Each flag has one spelling: a prefix, or another command's flag name, is a usage error."""
+    base = ["fig2", "--n", "64", "--mode", "static", "--estimators", "sca"]
+    for flags in (["--trials", "1", "--snr-g", "-4:2:0"], ["--trials", "1", "--snr", "10"],
+                  ["--tri", "1", "--snr-grid", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, *flags, "--out", str(tmp_path / "abbr.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fig", "--out", str(tmp_path / "abbr.csv")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "full.csv"
+    assert main([*base, "--trials", "1", "--snr-grid", "-4:2:0", "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["-4", "-2", "0"]
+
+
 def test_fig2_estimators_are_the_keys_of_the_estimator_table(tmp_path, capsys):
     """--estimators takes each key of simlab.ESTIMATORS, defaults to all of them and names a bad one."""
     base = ["fig2", "--n", "64", "--trials", "1", "--mode", "static", "--snr-grid", "0"]

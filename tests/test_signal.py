@@ -194,7 +194,7 @@ def test_build_preamble_cp_copy():
 def test_build_preamble_symbol_periods():
     spec = PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16)
     frame = build_preamble(spec)
-    s1, s2 = frame.symbols
+    s1, s2 = frame.samples.reshape(2, frame.block_len)[:, frame.cp_len :]
     np.testing.assert_allclose(s1, np.roll(s1, 64), atol=1e-12)
     np.testing.assert_allclose(s2, np.roll(s2, 16), atol=1e-12)
     # 64 is the smallest period for the rate-2 symbol: a quarter shift differs

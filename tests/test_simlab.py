@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cfolab import channel, estimator, simlab
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.cli import main
 from cfolab.errors import ConfigError
-from cfolab.sca import sca_build_preamble
+from cfolab.estimator import estimate_cfo, wrap_offset
+from cfolab.sca import sca_build_preamble, sca_estimate
 from cfolab.signal import CazacParams
 from cfolab.simlab import (
     ExperimentConfig,
@@ -350,6 +352,38 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
         assert result.config is mode_cfg
         assert result.cells == _reference_cells(mode_cfg)
         assert any(cell.failures for cell in result.cells)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, math.inf])
+@pytest.mark.parametrize("mode", ["static", "varying"])
+@pytest.mark.parametrize("estimator", ["proposed", "sca"])
+def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
+    """transmit from a trial's generator, then the one-frame estimator, gives run_trial's errors.
+
+    The one-frame path (transmit, estimate_cfo or sca_estimate) and the
+    engine's batch of one must agree bit for bit on ffo_error and
+    total_error.
+    """
+    cfg = _cfg(
+        n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), cfo_true=20.3,
+        ffo_stage_enabled=True, snr_grid_db=(snr_db,), estimators=(estimator,),
+    )
+    if estimator == "proposed":
+        spec, frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+        estimate, rate = partial(estimate_cfo, spec=spec), cfg.r1
+    else:
+        pre = simlab._sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
+        frame, estimate, rate = pre.frame, partial(sca_estimate, pre=pre), 2
+    for t in range(20):
+        rng = trial_rng(cfg, snr_db, estimator, t)
+        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng)
+        est = estimate(rx.stream, ffo_stage=True)
+        total_error = math.nan if est.failed else est.total - cfg.cfo_true
+        replay = TrialRecord(
+            snr_db, estimator, abs(total_error) < 0.5, est.ffo - wrap_offset(cfg.cfo_true, rate),
+            total_error,
+        )
+        assert _record_tuple(replay) == _record_tuple(run_trial(cfg, snr_db, estimator, t)), t
 
 
 def test_run_sweeps_equals_run_sweep_per_config():
