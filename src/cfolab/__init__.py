@@ -39,7 +39,6 @@ from .simlab import (
     TrialRecord,
     dump_correlations,
     run_sweep,
-    run_sweeps,
     run_trial,
     wilson_interval,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "idft",
     "resolve_ifo",
     "run_sweep",
-    "run_sweeps",
     "run_trial",
     "sca_build_preamble",
     "sca_estimate",

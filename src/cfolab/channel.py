@@ -22,6 +22,21 @@ MODE_STATIC = "static"
 MODE_VARYING = "varying"
 
 
+def check_modes(modes: Sequence[str]) -> None:
+    """Raise ConfigError unless modes names at least one channel mode, each known and once.
+
+    "static" reuses one tap realization for the whole frame; "varying"
+    redraws taps independently per symbol (block fading).
+    """
+    if not modes:
+        raise ConfigError("modes must name at least one channel mode")
+    for i, mode in enumerate(modes):
+        if mode not in (MODE_STATIC, MODE_VARYING):
+            raise ConfigError(f"mode must be '{MODE_STATIC}' or '{MODE_VARYING}', got {mode!r}")
+        if mode in modes[:i]:
+            raise ConfigError(f"mode {mode!r} is listed twice")
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
     """Statistical description of the multipath channel.
@@ -31,21 +46,24 @@ class ChannelProfile:
         decay: exponential delay-profile constant; tap l has mean power
             exp(-l/decay), scaled so the powers sum to 1 and the
             ensemble-mean received power is 1.
-        mode: "static" reuses one tap realization for the whole frame;
-            "varying" redraws taps independently per symbol (block fading).
     """
 
     path_count: int
     decay: float
-    mode: str = MODE_VARYING
 
     def __post_init__(self) -> None:
         if self.path_count < 1:
             raise ConfigError(f"path_count must be >= 1, got {self.path_count}")
         if not self.decay > 0:
             raise ConfigError(f"decay must be positive, got {self.decay}")
-        if self.mode not in (MODE_STATIC, MODE_VARYING):
-            raise ConfigError(f"mode must be '{MODE_STATIC}' or '{MODE_VARYING}', got {self.mode!r}")
+
+    def check_cp(self, cp_len: int) -> None:
+        """Raise ConfigError unless a cyclic prefix of cp_len samples absorbs the channel memory."""
+        if cp_len < self.path_count - 1:
+            raise ConfigError(
+                f"cp_len={cp_len} too short for {self.path_count} paths "
+                f"(need >= {self.path_count - 1})"
+            )
 
     def tap_powers(self) -> np.ndarray:
         """Ensemble mean power per tap, normalized to sum to 1 (read-only)."""
@@ -230,7 +248,7 @@ def propagate(
     Frame i draws its taps, common phase and noise from rngs[i] with
     draw_frame, once for all modes, and no noise where scale[i] (its noise
     standard deviation) is 0.  The taps follow profile's path count and
-    decay, not its mode.  Each CP-extended block is convolved with its
+    decay.  Each CP-extended block is convolved with its
     symbol's taps, the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft +
     phase_0)) with n running continuously from the first frame sample, and
     complex noise scale * (re + j*im) is added last.  rngs may be lazy.
@@ -246,19 +264,16 @@ def propagate(
     numpy 2.4's OpenBLAS on x86-64).
 
     Raises:
-        ConfigError: if the CP cannot absorb the channel memory or the
+        ConfigError: if modes is not a list of distinct channel modes
+            (check_modes), the CP cannot absorb the channel memory or the
             offset exceeds half the signal bandwidth.
         ValueError: if rngs does not hold one generator per scale entry.
     """
-    paths = profile.path_count
-    if frame.cp_len < paths - 1:
-        raise ConfigError(
-            f"cp_len={frame.cp_len} too short for {paths} paths "
-            f"(need >= {paths - 1})"
-        )
+    check_modes(modes)
+    profile.check_cp(frame.cp_len)
     if not abs(cfo) < frame.n_fft / 2:
         raise ConfigError(f"|cfo| must be < n_fft/2 = {frame.n_fft / 2}, got {cfo}")
-    blk = frame.block_len
+    paths, blk = profile.path_count, frame.block_len
     count, width = len(scale), len(modes)
     tap_normals = np.empty((count, width, 2, 2 * paths))
     phase_0 = np.empty(count)
@@ -285,21 +300,22 @@ def transmit(
     profile: ChannelProfile,
     imp: ImpairmentSpec,
     rng: np.random.Generator,
+    mode: str = MODE_VARYING,
 ) -> ReceivedFrame:
-    """Push a preamble frame through the fading channel with CFO and AWGN.
+    """Push a preamble frame through the fading channel with CFO and AWGN, in one channel mode.
 
     Per symbol, the CP-extended block is convolved with that symbol's taps,
     then the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft + phase_0))
     with n running continuously from the first frame sample.  Complex white
     noise is added last, unless snr_db is +inf.  Returns the CP-intact
     stream with the taps and the common phase it was drawn with.  This is
-    propagate for one frame in profile's mode.
+    propagate for one frame in mode.
 
     Raises:
-        ConfigError: if the CP cannot absorb the channel memory, the offset
-            exceeds half the signal bandwidth or the SNR is one the channel
-            cannot model (noise_variance).
+        ConfigError: if mode is not a channel mode, the CP cannot absorb the
+            channel memory, the offset exceeds half the signal bandwidth or
+            the SNR is one the channel cannot model (noise_variance).
     """
     scale = np.array([noise_std(profile, imp.snr_db)])
-    stream, taps, phase_0 = propagate(frame, profile, (profile.mode,), imp.cfo, (rng,), scale)
+    stream, taps, phase_0 = propagate(frame, profile, (mode,), imp.cfo, (rng,), scale)
     return ReceivedFrame(stream=stream[0], taps=taps[0], phase_0=float(phase_0[0]))

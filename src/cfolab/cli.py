@@ -37,11 +37,7 @@ from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
 from .signal import CazacParams, PreambleSpec, build_preamble
-from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, dump_correlations, run_sweeps
-
-# run_sweep, the one-config form of run_sweeps, stays bound here: bench/spans.py
-# traces this name.
-from .simlab import run_sweep  # noqa: F401
+from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, dump_correlations, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -244,11 +240,11 @@ def _check_targets(targets: list[Path]) -> None:
                 raise ConfigError(f"{path} is a directory")
 
 
-def _experiment(settings: dict[str, Any], n_fft: int, mode: str, **sweep) -> ExperimentConfig:
+def _experiment(settings: dict[str, Any], n_fft: int, modes: tuple[str, ...], **sweep) -> ExperimentConfig:
     return ExperimentConfig(
         n_fft=n_fft, r1=settings["r1"], r2=settings["r2"], cp_len=settings["cp"],
-        channel=ChannelProfile(path_count=settings["paths"], decay=settings["decay"], mode=mode),
-        cfo_true=settings["cfo"], ffo_stage_enabled=settings["ffo"],
+        channel=ChannelProfile(path_count=settings["paths"], decay=settings["decay"]),
+        modes=modes, cfo_true=settings["cfo"], ffo_stage_enabled=settings["ffo"],
         master_seed=settings["seed"], **sweep,
     )
 
@@ -273,7 +269,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _check_targets([out])
     snr_db, seed = settings["snr"], settings["seed"]
-    cfg = _experiment(settings, settings["n"], "varying", snr_grid_db=(snr_db,),
+    cfg = _experiment(settings, settings["n"], ("varying",), snr_grid_db=(snr_db,),
                       trials_per_point=1, estimators=("proposed",))
     table = dump_correlations(cfg, snr_db, seed)
     lines = ["tau,corr_r1,corr_r2"]
@@ -310,25 +306,23 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     started_at = _timestamp()
     settings = _settings(args, {"n": "--paper"} if args.paper else None)
     n_list = [64, 128] if args.paper else [settings["n"]]
-    modes = ["varying", "static"] if settings["mode"] == "both" else [settings["mode"]]
+    modes = ("varying", "static") if settings["mode"] == "both" else (settings["mode"],)
     out = Path(args.out)
     targets = [out.with_name(f"{out.stem}_n{n}{out.suffix}") for n in n_list] if args.paper else [out]
     _check_targets(targets)
-    # Every sweep in one call: the modes of an N share each trial's stream.
-    results = iter(run_sweeps([
-        _experiment(settings, n_fft, chan_mode, snr_grid_db=settings["snr_grid"],
+    # Every config before any sweep, so a usage error writes nothing.
+    cfgs = [
+        _experiment(settings, n_fft, modes, snr_grid_db=settings["snr_grid"],
                     trials_per_point=settings["trials"], estimators=settings["estimators"])
         for n_fft in n_list
-        for chan_mode in modes
-    ]))
+    ]
     config = {"command": "fig2", **settings, "modes": modes}
     del config["mode"]
-    for n_fft, target in zip(n_list, targets):
+    for cfg, target in zip(cfgs, targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
-        for _ in modes:
-            rows.extend(_sweep_rows(next(results)))
+        rows.extend(_sweep_rows(run_sweep(cfg)))
         target.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        write_manifest(target, {**config, "n": n_fft}, [str(target)], started_at)
+        write_manifest(target, {**config, "n": cfg.n_fft}, [str(target)], started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")
     return EXIT_OK
 

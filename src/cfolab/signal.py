@@ -74,8 +74,7 @@ class PreambleSpec:
                 f"both symbols must share one FFT size, got "
                 f"{self.params_1.n_fft} and {self.params_2.n_fft}"
             )
-        if self.cp_len < 0:
-            raise ConfigError(f"cp_len must be nonnegative, got {self.cp_len}")
+        _check_cp(self.cp_len, self.params_1.n_fft)
 
     @property
     def n_fft(self) -> int:
@@ -137,11 +136,16 @@ def idft(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(x, norm="ortho")
 
 
+def _check_cp(cp_len: int, n_fft: int) -> None:
+    """Raise ConfigError unless 0 <= cp_len <= n_fft: a prefix copies at most its whole symbol."""
+    if not 0 <= cp_len <= n_fft:
+        raise ConfigError(f"cp_len must be between 0 and n_fft = {n_fft}, got {cp_len}")
+
+
 def assemble_frame(symbols: list[np.ndarray] | tuple[np.ndarray, ...], cp_len: int) -> PreambleFrame:
     """Prefix each symbol with its own last cp_len samples and concatenate."""
-    if cp_len < 0:
-        raise ConfigError(f"cp_len must be nonnegative, got {cp_len}")
     n_fft = symbols[0].shape[0]
+    _check_cp(cp_len, n_fft)
     blocks = []
     for sym in symbols:
         if sym.shape[0] != n_fft:

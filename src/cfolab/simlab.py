@@ -7,17 +7,16 @@ execution order and individual trials can be replayed in isolation.
 A sweep runs each estimator's trials over the whole SNR grid as array passes
 over a leading trial axis, in chunks of bounded size: only the random draws
 loop per trial, each from its own generator.  The stream does not depend on
-the channel mode, so sweeps that differ only in mode share their passes and
-each trial's generator (run_sweeps).  run_trial is the same pass over a batch
-of one.
+the channel mode, so the modes of a config share its passes and each trial's
+generator.  run_trial is the same pass over a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -26,6 +25,7 @@ from .channel import (
     MODE_VARYING,
     ChannelProfile,
     ImpairmentSpec,
+    check_modes,
     noise_std,
     noise_variance,
     propagate,
@@ -86,7 +86,14 @@ MAX_SWEEP_TRIALS = 2**24
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameterization of one Monte Carlo sweep."""
+    """Full parameterization of one Monte Carlo sweep.
+
+    Its axes are the channel modes, the SNR grid and the estimators; every
+    mode sees the same channel profile.  A config holds only what its sweep
+    can run, whatever trials_per_point is: each estimator's frame is built
+    (and cached) here, so an N or CP no frame can have, or a CP the channel
+    memory overruns, is rejected at construction.
+    """
 
     n_fft: int
     r1: int
@@ -97,6 +104,7 @@ class ExperimentConfig:
     snr_grid_db: tuple[float, ...]
     trials_per_point: int
     estimators: tuple[str, ...] = tuple(ESTIMATORS)
+    modes: tuple[str, ...] = (MODE_VARYING,)
     ffo_stage_enabled: bool = False
     master_seed: int = 1
 
@@ -124,6 +132,7 @@ class ExperimentConfig:
             _estimator(est)
             if est in self.estimators[:i]:
                 raise ConfigError(f"estimator {est!r} is listed twice")
+        check_modes(self.modes)
         if not self.ffo_stage_enabled and self.cfo_true != int(self.cfo_true):
             raise ConfigError(
                 "ffo_stage_enabled=False is only meaningful for integer cfo_true"
@@ -136,14 +145,18 @@ class ExperimentConfig:
                 raise ConfigError(f"SNR {snr_db} dB repeats a point of snr_grid_db")
             seen.add(snr_db)
             noise_variance(self.channel, snr_db)
+        for est in self.estimators:
+            _estimator(est)[1](self)
+        self.channel.check_cp(self.cp_len)
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of a single transmission/estimation trial."""
+    """Outcome of a single transmission/estimation trial in one channel mode."""
 
     snr_db: float
     estimator: str
+    mode: str
     ifo_correct: bool
     ffo_error: float
     total_error: float
@@ -165,7 +178,7 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All cells of one sweep, in (snr, estimator) iteration order."""
+    """All cells of one sweep, in (mode, snr, estimator) iteration order."""
 
     config: ExperimentConfig
     cells: tuple[SweepCell, ...]
@@ -233,55 +246,53 @@ def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
 
 
 def _run_trials(
-    cfgs: tuple[ExperimentConfig, ...],
+    cfg: ExperimentConfig,
     estimator: str,
     snrs: np.ndarray,
     trial_indices: np.ndarray,
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a batch of trials as one array pass, for each config of a shared pass.
+    """Run a batch of trials as one array pass, in every channel mode of cfg.
 
-    The configs differ at most in channel mode.  Trial i draws from
-    trial_rng(cfg, snrs[i], estimator, trial_indices[i]), one generator for
-    every mode (see channel.propagate); scale[i] is noise_std at snrs[i].
-    Returns (ifo_correct, ffo_error, total_error), each (trials, configs).
-    ffo_error is NaN for a degenerate trial; total_error is NaN for a
-    degenerate trial and for one whose integer stage failed.
+    Trial i draws from trial_rng(cfg, snrs[i], estimator, trial_indices[i]),
+    one generator for every mode (see channel.propagate); scale[i] is
+    noise_std at snrs[i].  Returns (ifo_correct, ffo_error, total_error),
+    each (trials, modes).  ffo_error is NaN for a degenerate trial;
+    total_error is NaN for a degenerate trial and for one whose integer
+    stage failed.
     """
-    cfg = cfgs[0]
     frame, ffo_rate, estimate = _estimator(estimator)[1](cfg)
-    modes = tuple(c.channel.mode for c in cfgs)
     rngs = (trial_rng(cfg, snr, estimator, t) for snr, t in zip(snrs.tolist(), trial_indices.tolist()))
-    stream, _, _ = propagate(frame, cfg.channel, modes, cfg.cfo_true, rngs, scale)
+    stream, _, _ = propagate(frame, cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale)
     ffo, ifo, _ = estimate(stream)
     ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
     total_error = (ifo + ffo) - cfg.cfo_true
     return tuple(
-        a.reshape(-1, len(modes)) for a in (np.abs(total_error) < 0.5, ffo - ffo_ref, total_error)
+        a.reshape(-1, len(cfg.modes)) for a in (np.abs(total_error) < 0.5, ffo - ffo_ref, total_error)
     )
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int) -> TrialRecord:
-    """Transmit one frame and run one estimator on it.
+def run_trial(
+    cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int
+) -> tuple[TrialRecord, ...]:
+    """Transmit one frame in each channel mode of cfg and run one estimator on each.
 
-    ifo_correct records whether the integer part was resolved: the total
-    estimate lies within half a subcarrier of the true offset.  With the
-    fractional stage disabled and an integer true offset, this reduces to
-    the resolved integer equalling the offset exactly.  A trial whose input
+    Returns one record per mode, in cfg.modes order.  ifo_correct records
+    whether the integer part was resolved: the total estimate lies within
+    half a subcarrier of the true offset.  With the fractional stage
+    disabled and an integer true offset, this reduces to the resolved
+    integer equalling the offset exactly.  A trial whose input
     carries no usable phase has ffo_error and total_error NaN; one whose
     integer stage fails keeps its ffo_error and has total_error NaN.  This
     is the sweep engine's pass over a batch of one.
     """
-    correct, ffo_error, total_error = _run_trials(
-        (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
+    outcomes = _run_trials(
+        cfg, estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
         np.array([noise_std(cfg.channel, snr_db)]),
     )
-    return TrialRecord(
-        snr_db=snr_db,
-        estimator=estimator,
-        ifo_correct=bool(correct[0, 0]),
-        ffo_error=float(ffo_error[0, 0]),
-        total_error=float(total_error[0, 0]),
+    return tuple(
+        TrialRecord(snr_db, estimator, mode, correct, ffo_error, total_error)
+        for mode, correct, ffo_error, total_error in zip(cfg.modes, *(a[0].tolist() for a in outcomes))
     )
 
 
@@ -295,28 +306,22 @@ def _chunk_trials(cfg: ExperimentConfig) -> int:
     return max(1, CHUNK_BYTES // (16 * 2 * (cfg.n_fft + cfg.cp_len)))
 
 
-def _pass_key(cfg: ExperimentConfig) -> str:
-    """Equal for configs that differ at most in channel mode.
-
-    A repr, not the config itself: configs compare -0.0 equal to 0.0, but
-    an SNR of -0.0 seeds other streams than 0.0.
-    """
-    return repr(replace(cfg, channel=replace(cfg.channel, mode=MODE_VARYING)))
-
-
-def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...]]:
-    """The cells of each config of a shared pass: configs that differ at most in channel mode.
+def run_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Run trials_per_point trials for every (mode, snr, estimator) cell and aggregate.
 
     Each estimator's trials over the whole grid, in (snr, trial) order, run
     as array passes of _chunk_trials trials each, every mode's trial of a
-    (snr, trial) pair in the same pass.  Each pass adds its outcomes into
-    per-cell tallies, so memory does not grow with the trial count.
+    (snr, trial) pair in the same pass: each (snr, estimator, trial) builds
+    one trial_rng generator, draws the prefix the modes share once, and each
+    mode draws the rest of its frame from there (channel.propagate).  So a
+    mode's cells do not depend on the other modes of cfg, and every trial
+    equals run_trial for its cell and index.  Each pass adds its outcomes
+    into per-cell tallies, so memory does not grow with the trial count.
     """
-    cfg = cfgs[0]
     trials = cfg.trials_per_point
     if trials == 0:
-        return [()] * len(cfgs)
-    width = len(cfgs)
+        return SweepResult(config=cfg, cells=())
+    width = len(cfg.modes)
     grid = np.array(cfg.snr_grid_db, dtype=float)
     scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
     total = grid.size * trials
@@ -329,15 +334,14 @@ def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...
         tally = np.zeros((3, grid.size, width))
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
-            correct, ffo_error, _ = _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
+            correct, ffo_error, _ = _run_trials(cfg, estimator, grid[cell], t, scales[cell])
             finite = np.isfinite(ffo_error)
             np.add.at(tally[0], cell, ~correct)
             np.add.at(tally[1], cell, np.where(finite, ffo_error**2, 0.0))
             np.add.at(tally[2], cell, finite)
         stats[estimator] = tally.tolist()
-    results = []
-    for m, mode_cfg in enumerate(cfgs):
-        cells = []
+    cells = []
+    for m, mode in enumerate(cfg.modes):
         for k, snr_db in enumerate(cfg.snr_grid_db):
             for estimator in cfg.estimators:
                 failures, sq_sum, sq_count = (column[k][m] for column in stats[estimator])
@@ -346,7 +350,7 @@ def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...
                     SweepCell(
                         snr_db=snr_db,
                         estimator=estimator,
-                        mode=mode_cfg.channel.mode,
+                        mode=mode,
                         trials=trials,
                         failures=failures,
                         failure_prob=failures / trials,
@@ -354,46 +358,18 @@ def _sweep_pass(cfgs: tuple[ExperimentConfig, ...]) -> list[tuple[SweepCell, ...
                         wilson_ci_95=wilson_interval(failures, trials),
                     )
                 )
-        results.append(tuple(cells))
-    return results
-
-
-def run_sweeps(cfgs: Sequence[ExperimentConfig]) -> tuple[SweepResult, ...]:
-    """Run trials_per_point trials for every (snr, estimator) cell of each config and aggregate.
-
-    Returns one SweepResult per config, in input order; each equals
-    run_sweep(cfg) bit for bit, and every trial equals run_trial for its
-    cell and index.  Configs that differ only in channel mode run in
-    shared passes: each (snr, estimator, trial) builds one trial_rng
-    generator, draws the prefix the modes share once, and each mode draws
-    the rest of its frame from there (channel.propagate).
-    """
-    cfgs = tuple(cfgs)
-    groups: dict[str, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault(_pass_key(cfg), []).append(i)
-    cells: list[tuple[SweepCell, ...]] = [()] * len(cfgs)
-    for members in groups.values():
-        for i, group_cells in zip(members, _sweep_pass(tuple(cfgs[i] for i in members))):
-            cells[i] = group_cells
-    return tuple(SweepResult(config=cfg, cells=c) for cfg, c in zip(cfgs, cells))
-
-
-def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run trials_per_point trials for every (snr, estimator) cell and aggregate.
-
-    This is run_sweeps for one config.
-    """
-    return run_sweeps((cfg,))[0]
+    return SweepResult(config=cfg, cells=tuple(cells))
 
 
 def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.ndarray:
     """One-shot correlation profiles for comb inspection.
 
+    The frame goes through the channel in the config's first mode.
     Returns an (n_fft, 3) array with columns (tau, |corr rate-1|, |corr rate-2|).
     """
     spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), np.random.default_rng(seed))
+    imp = ImpairmentSpec(cfg.cfo_true, snr_db)
+    rx = transmit(frame, cfg.channel, imp, np.random.default_rng(seed), cfg.modes[0])
     est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     tau = np.arange(cfg.n_fft, dtype=float)
     return np.column_stack([tau, est.peaks.corr_1, est.peaks.corr_2])

@@ -54,12 +54,12 @@ def test_criterion_1_noiseless_end_to_end_exact():
         for n_fft in (64, 128):
             spec = PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), 16)
             frame = build_preamble(spec)
-            profile = ChannelProfile(path_count=4, decay=2.0, mode="varying")
+            profile = ChannelProfile(path_count=4, decay=2.0)
             limit = n_fft // 2 - 8
             for _ in range(500):
                 half_steps = int(rng.integers(-(2 * limit - 1), 2 * limit))
                 cfo = half_steps / 2.0
-                rx = transmit(frame, profile, ImpairmentSpec(cfo, math.inf), rng)
+                rx = transmit(frame, profile, ImpairmentSpec(cfo, math.inf), rng, mode="varying")
                 est = estimate_cfo(rx.stream, spec)
                 assert not est.failed
                 assert abs(est.total - cfo) < 1e-6, (n_fft, cfo)
@@ -123,9 +123,9 @@ def test_criterion_3_closed_form_identities():
 def _fig1_config(seed):
     return ExperimentConfig(
         n_fft=128, r1=2, r2=8, cp_len=16,
-        channel=ChannelProfile(path_count=4, decay=2.0, mode="varying"),
+        channel=ChannelProfile(path_count=4, decay=2.0),
         cfo_true=20.0, snr_grid_db=(20.0,), trials_per_point=1,
-        estimators=("proposed",), ffo_stage_enabled=False, master_seed=seed,
+        estimators=("proposed",), modes=("varying",), ffo_stage_enabled=False, master_seed=seed,
     )
 
 
@@ -148,7 +148,8 @@ def test_criterion_4_correlation_comb_reproduction(tmp_path):
         # replay the same frame in-process to learn the realized taps
         cfg = _fig1_config(seed)
         frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
-        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, 20.0), np.random.default_rng(seed))
+        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, 20.0), np.random.default_rng(seed),
+                      mode="varying")
         m1 = int(np.argmax(np.abs(rx.taps[0])))
         m2 = int(np.argmax(np.abs(rx.taps[1])))
         assert int(rows[:, 1].argmax()) == (20 - 2 * m1) % 128
@@ -164,11 +165,12 @@ def test_criterion_5_failure_probability_sweep():
                    budget_s=300):
         cfg = ExperimentConfig(
             n_fft=128, r1=2, r2=8, cp_len=16,
-            channel=ChannelProfile(path_count=4, decay=2.0, mode="varying"),
+            channel=ChannelProfile(path_count=4, decay=2.0),
             cfo_true=20.0,
             snr_grid_db=tuple(float(s) for s in range(0, 21, 2)),
             trials_per_point=10_000,
             estimators=("proposed", "sca"),
+            modes=("varying",),
             ffo_stage_enabled=False,
             master_seed=2718,
         )
@@ -214,7 +216,7 @@ def test_criterion_6_fractional_wrap_branches():
 
 def test_criterion_7_channel_statistics():
     with criterion(7, "tap powers within 3 SE and varying-mode independence"):
-        profile = ChannelProfile(path_count=4, decay=2.0, mode="varying")
+        profile = ChannelProfile(path_count=4, decay=2.0)
         rng = np.random.default_rng(31337)
         draws = 100_000
         taps = np.empty((draws, 4), dtype=complex)

@@ -32,8 +32,10 @@ def test_profile_validation():
         ChannelProfile(path_count=0, decay=2.0)
     with pytest.raises(ConfigError):
         ChannelProfile(path_count=4, decay=0.0)
-    with pytest.raises(ConfigError):
-        ChannelProfile(path_count=4, decay=2.0, mode="warping")
+    # The channel mode is transmit's, not the profile's.
+    with pytest.raises(ConfigError, match="'warping'"):
+        transmit(_frame(), ChannelProfile(4, 2.0), ImpairmentSpec(0.0), np.random.default_rng(0),
+                 mode="warping")
 
 
 def test_tap_power_profile():
@@ -69,12 +71,12 @@ def test_tap_power_rayleigh_distribution():
 def test_normalized_energy():
     """With normalization on and noise off, mean received power is 1 within 3 SE."""
     frame = _frame()
-    profile = ChannelProfile(path_count=4, decay=2.0, mode="static")
+    profile = ChannelProfile(path_count=4, decay=2.0)
     rng = np.random.default_rng(7)
     imp = ImpairmentSpec(cfo=0.0, snr_db=np.inf)
     powers = []
     for _ in range(4000):
-        rx = transmit(frame, profile, imp, rng)
+        rx = transmit(frame, profile, imp, rng, mode="static")
         sym = rx.stream[frame.cp_len : frame.block_len]
         powers.append(np.mean(np.abs(sym) ** 2))
     powers = np.asarray(powers)
@@ -84,9 +86,9 @@ def test_normalized_energy():
 
 def test_single_path_is_scaled_rotated_copy():
     frame = _frame()
-    profile = ChannelProfile(path_count=1, decay=2.0, mode="static")
+    profile = ChannelProfile(path_count=1, decay=2.0)
     rng = np.random.default_rng(3)
-    rx = transmit(frame, profile, ImpairmentSpec(cfo=0.0, snr_db=np.inf), rng)
+    rx = transmit(frame, profile, ImpairmentSpec(cfo=0.0, snr_db=np.inf), rng, mode="static")
     gain = rx.taps[0, 0] * np.exp(1j * rx.phase_0)
     np.testing.assert_allclose(rx.stream, frame.samples * gain, atol=1e-14)
 
@@ -94,9 +96,9 @@ def test_single_path_is_scaled_rotated_copy():
 def test_cfo_rotation_is_frame_continuous():
     """Sample n of the output picks up exp(j*2*pi*cfo*n/N) with n over the frame."""
     frame = _frame(n_fft=128, cp=16)
-    profile = ChannelProfile(path_count=1, decay=2.0, mode="static")
+    profile = ChannelProfile(path_count=1, decay=2.0)
     rng = np.random.default_rng(5)
-    rx = transmit(frame, profile, ImpairmentSpec(cfo=20.0, snr_db=np.inf), rng)
+    rx = transmit(frame, profile, ImpairmentSpec(cfo=20.0, snr_db=np.inf), rng, mode="static")
     gain = rx.taps[0, 0] * np.exp(1j * rx.phase_0)
     n = np.arange(frame.samples.size)
     expected = frame.samples * gain * np.exp(2j * np.pi * 20.0 * n / 128)
@@ -106,9 +108,9 @@ def test_cfo_rotation_is_frame_continuous():
 def test_cp_window_equals_circular_convolution():
     """The CP-stripped window is the circular convolution of taps with the raw symbol."""
     frame = _frame(n_fft=64, cp=16)
-    profile = ChannelProfile(path_count=4, decay=2.0, mode="varying")
+    profile = ChannelProfile(path_count=4, decay=2.0)
     rng = np.random.default_rng(21)
-    rx = transmit(frame, profile, ImpairmentSpec(cfo=3.7, snr_db=np.inf), rng)
+    rx = transmit(frame, profile, ImpairmentSpec(cfo=3.7, snr_db=np.inf), rng, mode="varying")
     n = np.arange(64)
     for s, params in enumerate((CazacParams(64, 2), CazacParams(64, 8))):
         raw = cazac_generate(params)
@@ -123,14 +125,14 @@ def test_cp_window_equals_circular_convolution():
 def test_static_mode_shares_one_realization():
     frame = _frame()
     rng = np.random.default_rng(2)
-    rx = transmit(frame, ChannelProfile(4, 2.0, mode="static"), ImpairmentSpec(0.0), rng)
+    rx = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(0.0), rng, mode="static")
     assert rx.taps.shape == (2, 4)
     np.testing.assert_array_equal(rx.taps[0], rx.taps[1])
 
 
 def test_varying_mode_taps_independent():
     """Across-symbol correlation of h(0) stays below 0.02 over 20k frames."""
-    profile = ChannelProfile(path_count=4, decay=2.0, mode="varying")
+    profile = ChannelProfile(path_count=4, decay=2.0)
     rng = np.random.default_rng(17)
     first = np.empty(20_000, dtype=complex)
     second = np.empty(20_000, dtype=complex)
@@ -147,26 +149,28 @@ def test_varying_mode_taps_independent():
 def test_varying_mode_shares_phase():
     frame = _frame()
     rng = np.random.default_rng(8)
-    rx = transmit(frame, ChannelProfile(4, 2.0, mode="varying"), ImpairmentSpec(0.0), rng)
+    rx = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(0.0), rng, mode="varying")
     assert rx.taps.shape == (2, 4) and isinstance(rx.phase_0, float)
     assert not np.allclose(rx.taps[0], rx.taps[1])
 
 
 def test_reproducible_with_seed():
     frame = _frame()
-    profile = ChannelProfile(path_count=4, decay=2.0, mode="varying")
+    profile = ChannelProfile(path_count=4, decay=2.0)
     imp = ImpairmentSpec(cfo=11.25, snr_db=10.0)
-    rx_a = transmit(frame, profile, imp, np.random.default_rng(42))
-    rx_b = transmit(frame, profile, imp, np.random.default_rng(42))
+    rx_a = transmit(frame, profile, imp, np.random.default_rng(42), mode="varying")
+    rx_b = transmit(frame, profile, imp, np.random.default_rng(42), mode="varying")
     np.testing.assert_array_equal(rx_a.stream, rx_b.stream)
 
 
 def test_noise_variance_matches_snr():
     """Difference between noisy and noiseless runs with one seed is the noise."""
     frame = _frame(n_fft=128, cp=16)
-    profile = ChannelProfile(path_count=4, decay=2.0, mode="static")
-    noisy = transmit(frame, profile, ImpairmentSpec(0.0, snr_db=10.0), np.random.default_rng(6))
-    clean = transmit(frame, profile, ImpairmentSpec(0.0, snr_db=np.inf), np.random.default_rng(6))
+    profile = ChannelProfile(path_count=4, decay=2.0)
+    noisy = transmit(frame, profile, ImpairmentSpec(0.0, snr_db=10.0), np.random.default_rng(6),
+                     mode="static")
+    clean = transmit(frame, profile, ImpairmentSpec(0.0, snr_db=np.inf), np.random.default_rng(6),
+                     mode="static")
     noise = noisy.stream - clean.stream
     sigma2 = noise_variance(profile, 10.0)
     assert sigma2 == pytest.approx(0.1)

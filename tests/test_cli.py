@@ -202,10 +202,10 @@ def test_bad_source_date_epoch_is_rejected_before_any_output(tmp_path, capsys, m
 def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, monkeypatch):
     from cfolab import cli
 
-    def no_sweep(cfgs):
+    def no_sweep(cfg):
         raise AssertionError("swept before checking --out")
 
-    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
     out = tmp_path / "missing" / "fig2.csv"
     assert main(["fig2", "--paper", "--trials", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -224,10 +224,10 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
                                                           paper, directory):
     from cfolab import cli
 
-    def no_sweep(cfgs):
+    def no_sweep(cfg):
         raise AssertionError("swept before checking the output targets")
 
-    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
     (tmp_path / directory).mkdir()
     argv = ["fig2", "--paper"] if paper else ["fig2", "--n", "64"]
     assert main(argv + ["--trials", "1", "--out", str(tmp_path / "fig2.csv")]) == 2
@@ -240,15 +240,46 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
 def test_fig2_rejects_a_sweep_over_the_trial_cap_before_it_sweeps(tmp_path, capsys, monkeypatch):
     from cfolab import cli
 
-    def no_sweep(cfgs):
+    def no_sweep(cfg):
         raise AssertionError("swept past the trial cap")
 
-    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
     out = tmp_path / "x.csv"
     assert main(["fig2", "--n", "64", "--snr-grid", "0", "--trials", "1000000000000000",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "trials a sweep may run" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["preamble"], ["fig1"], ["fig2", "--trials", "1"], ["fig2", "--trials", "1", "--estimators", "sca"],
+    ["estimate"],
+], ids=["preamble", "fig1", "fig2", "fig2-sca", "estimate"])
+def test_a_cp_longer_than_its_symbol_is_a_usage_error(tmp_path, capsys, argv):
+    """A prefix copies its symbol's tail, so --cp 200 at N=64 is exit 2 and writes nothing."""
+    capture = tmp_path / "capture.iq"
+    write_iq(capture, np.ones(2 * (64 + 200)))
+    path = ["--in", str(capture)] if argv[0] == "estimate" else ["--out", str(tmp_path / "x")]
+    assert main([*argv, "--n", "64", "--cp", "200", *path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cp_len must be between 0 and n_fft = 64"), captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["capture.iq"]
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize("flags,reason", [
+    (["--n", "100"], "power of two"),
+    (["--n", "64", "--cp", "1", "--paths", "4"], "too short for 4 paths"),
+])
+def test_fig2_rejects_a_config_at_any_trial_count(tmp_path, capsys, flags, reason, trials):
+    """A sweep of no trials is a usage error whenever a sweep of one would be, not a header-only CSV."""
+    out = tmp_path / "x.csv"
+    assert main(["fig2", *flags, "--trials", trials, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and reason in captured.err, captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 

@@ -352,10 +352,10 @@ def test_resolve_ifo_recovers_every_comb_pair(n_fft, r1, r2, paths):
 
 def _transmit(spec, cfo, seed, mode="varying", paths=4):
     """The received frame stream of one noiseless transmission."""
-    profile = ChannelProfile(path_count=paths, decay=2.0, mode=mode)
+    profile = ChannelProfile(path_count=paths, decay=2.0)
     rng = np.random.default_rng(seed)
     return transmit(profile=profile, frame=build_preamble(spec), rng=rng,
-                    imp=ImpairmentSpec(cfo=cfo, snr_db=np.inf)).stream
+                    imp=ImpairmentSpec(cfo=cfo, snr_db=np.inf), mode=mode).stream
 
 
 @pytest.mark.parametrize("cfo", [20.0, 20.3, -20.0, -20.4, 0.5, 47.0])

@@ -34,7 +34,7 @@ from cfolab.simlab import (
 def _cfg(**overrides):
     base = dict(
         n_fft=128, r1=2, r2=8, cp_len=16,
-        channel=ChannelProfile(path_count=4, decay=2.0, mode="varying"),
+        channel=ChannelProfile(path_count=4, decay=2.0),
         cfo_true=20.0, snr_grid_db=(0.0, 10.0), trials_per_point=50,
         estimators=("proposed", "sca"), ffo_stage_enabled=False, master_seed=9,
     )
@@ -76,7 +76,7 @@ def test_trial_deterministic():
 def test_trial_noiseless_sentinel():
     cfg = _cfg()
     for trial in range(20):
-        rec = run_trial(cfg, math.inf, "proposed", trial)
+        (rec,) = run_trial(cfg, math.inf, "proposed", trial)
         assert rec.ifo_correct
         assert abs(rec.total_error) < 1e-6
 
@@ -129,6 +129,33 @@ def test_config_rejects_a_duplicate_snr_or_estimator(overrides, duplicate):
         _cfg(**overrides)
 
 
+@pytest.mark.parametrize("modes,reason", [
+    ((), "at least one channel mode"),
+    (("varying", "warping"), "'warping'"),
+    (("static", "varying", "static"), "mode 'static' is listed twice"),
+])
+def test_config_rejects_an_empty_unknown_or_repeated_mode(modes, reason):
+    """The modes are an axis of the sweep, checked as the estimators are."""
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        _cfg(modes=modes)
+    assert _cfg().modes == ("varying",)
+
+
+@pytest.mark.parametrize("overrides,reason", [
+    ({"n_fft": 100}, "power of two"),
+    ({"n_fft": 100, "estimators": ("sca",)}, "power of two"),
+    ({"n_fft": 64, "cp_len": 1}, "too short for 4 paths"),
+    ({"n_fft": 64, "cp_len": 1, "estimators": ("sca",)}, "too short for 4 paths"),
+    ({"n_fft": 64, "cp_len": 200}, "cp_len"),
+    ({"n_fft": 64, "cp_len": 200, "estimators": ("sca",)}, "cp_len"),
+])
+@pytest.mark.parametrize("trials", [0, 1])
+def test_config_rejects_what_its_sweep_would_at_any_trial_count(overrides, reason, trials):
+    """A config with no trials is still one its sweep could run: its frames and CP are checked."""
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        _cfg(trials_per_point=trials, **overrides)
+
+
 @pytest.mark.parametrize("reject", [
     lambda: _cfg(estimators=("proposed", "bogus")),
     lambda: run_trial(_cfg(), 0.0, "bogus", 0),
@@ -163,8 +190,7 @@ def test_fractional_stage_mse_matches_its_analytical_variance():
         (128, 2, 8, 20.3, "varying", 30.0),
         (256, 4, 16, 21.3, "varying", 20.0),
     ]:
-        cfg = _cfg(n_fft=n_fft, r1=r1, r2=r2, channel=ChannelProfile(4, 2.0, mode=mode),
-                   cfo_true=cfo, snr_grid_db=(snr_db,), trials_per_point=5000,
+        cfg = _cfg(n_fft=n_fft, r1=r1, r2=r2, modes=(mode,), cfo_true=cfo, snr_grid_db=(snr_db,), trials_per_point=5000,
                    estimators=("proposed",), ffo_stage_enabled=True, master_seed=1)
         lag = n_fft // r1
         m = n_fft - lag
@@ -210,7 +236,7 @@ def test_proposed_failure_rare_at_high_snr():
     """At 20 dB with offset 20 the integer stage almost never misses."""
     cfg = _cfg(snr_grid_db=(20.0,), trials_per_point=1)
     failures = sum(
-        not run_trial(cfg, 20.0, "proposed", t).ifo_correct for t in range(10_000)
+        not run_trial(cfg, 20.0, "proposed", t)[0].ifo_correct for t in range(10_000)
     )
     assert failures / 10_000 < 1e-2
 
@@ -218,21 +244,20 @@ def test_proposed_failure_rare_at_high_snr():
 def test_mode_gap_smaller_for_proposed():
     """The varying-vs-static failure gap is the baseline's weakness, not ours."""
     gaps = {}
+    cfg = _cfg(modes=("static", "varying"), master_seed=123)
     for estimator in ("proposed", "sca"):
-        rates = {}
-        for mode in ("static", "varying"):
-            cfg = _cfg(channel=ChannelProfile(4, 2.0, mode=mode), master_seed=123)
-            bad = sum(
-                not run_trial(cfg, 5.0, estimator, t).ifo_correct for t in range(3000)
-            )
-            rates[mode] = bad / 3000
+        bad = {"static": 0, "varying": 0}
+        for t in range(3000):
+            for rec in run_trial(cfg, 5.0, estimator, t):
+                bad[rec.mode] += not rec.ifo_correct
+        rates = {mode: count / 3000 for mode, count in bad.items()}
         assert rates["varying"] >= rates["static"]
         gaps[estimator] = rates["varying"] - rates["static"]
     assert gaps["proposed"] < gaps["sca"]
 
 
 def test_dump_correlations_single_path_peaks():
-    cfg = _cfg(channel=ChannelProfile(1, 2.0, mode="varying"))
+    cfg = _cfg(channel=ChannelProfile(1, 2.0))
     table = dump_correlations(cfg, 20.0, seed=1)
     assert table.shape == (128, 3)
     assert int(table[:, 1].argmax()) == 20
@@ -257,9 +282,10 @@ def test_dump_correlations_multipath_comb_support():
 
 def test_run_single_frame_exposes_realizations():
     """dump_correlations' frame replays with transmit from the same seed, taps and all."""
-    cfg = _cfg(channel=ChannelProfile(4, 2.0, mode="varying"))
+    cfg = _cfg(modes=("varying",))
     frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
-    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, math.inf), np.random.default_rng(3))
+    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, math.inf), np.random.default_rng(3),
+                  mode="varying")
     assert rx.taps.shape == (2, 4)
     m1 = int(np.argmax(np.abs(rx.taps[0])))
     assert int(dump_correlations(cfg, math.inf, 3)[:, 1].argmax()) == (20 - 2 * m1) % 128
@@ -277,60 +303,56 @@ def _record_tuple(rec):
 
 
 def _reference_cells(cfg):
-    """The sweep as a plain loop over run_trial, aggregated cell by cell."""
+    """The sweep as a plain loop over run_trial's per-mode records, aggregated cell by cell."""
     cells = []
-    for snr_db in cfg.snr_grid_db:
-        for estimator in cfg.estimators:
-            failures, sq_sum, sq_count = 0, 0.0, 0
-            for t in range(cfg.trials_per_point):
-                rec = run_trial(cfg, snr_db, estimator, t)
-                failures += not rec.ifo_correct
-                if math.isfinite(rec.ffo_error):
-                    sq_sum += rec.ffo_error * rec.ffo_error
-                    sq_count += 1
-            cells.append(SweepCell(
-                snr_db=snr_db, estimator=estimator, mode=cfg.channel.mode,
-                trials=cfg.trials_per_point, failures=failures,
-                failure_prob=failures / cfg.trials_per_point,
-                ffo_mse=sq_sum / sq_count if sq_count else math.nan,
-                wilson_ci_95=wilson_interval(failures, cfg.trials_per_point),
-            ))
+    for m, mode in enumerate(cfg.modes):
+        for snr_db in cfg.snr_grid_db:
+            for estimator in cfg.estimators:
+                failures, sq_sum, sq_count = 0, 0.0, 0
+                for t in range(cfg.trials_per_point):
+                    rec = run_trial(cfg, snr_db, estimator, t)[m]
+                    failures += not rec.ifo_correct
+                    if math.isfinite(rec.ffo_error):
+                        sq_sum += rec.ffo_error * rec.ffo_error
+                        sq_count += 1
+                cells.append(SweepCell(
+                    snr_db=snr_db, estimator=estimator, mode=mode,
+                    trials=cfg.trials_per_point, failures=failures,
+                    failure_prob=failures / cfg.trials_per_point,
+                    ffo_mse=sq_sum / sq_count if sq_count else math.nan,
+                    wilson_ci_95=wilson_interval(failures, cfg.trials_per_point),
+                ))
     return tuple(cells)
-
-
-def _other_mode(cfg):
-    other = "static" if cfg.channel.mode == "varying" else "varying"
-    return dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, mode=other))
 
 
 @pytest.mark.parametrize("ffo", [False, True])
 @pytest.mark.parametrize("mode", ["static", "varying"])
 @pytest.mark.parametrize("estimator", ["proposed", "sca"])
 def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo):
-    """Every trial of a shared pass, in either mode, equals run_trial for its cell and index.
+    """Every trial of a shared pass, in either mode, equals run_trial's record for its cell and index.
 
-    The sweep of `mode` and of the other mode share their passes; chunks
-    of 7 trials hold 3 (snr, trial) pairs of both modes, so boundaries fall
-    inside and between the 10-trial cells, over finite and infinite SNR.
-    Each mode's cells, down to the last bit of ffo_mse, equal a plain loop
-    over run_trial, the engine's pass over a batch of one.
+    The config sweeps `mode` and then the other mode in shared passes;
+    chunks of 7 trials hold 3 (snr, trial) pairs of both modes, so
+    boundaries fall inside and between the 10-trial cells, over finite and
+    infinite SNR.  Each mode's cells, down to the last bit of ffo_mse, equal
+    a plain loop over run_trial, the engine's pass over a batch of one.
     """
+    other = "static" if mode == "varying" else "varying"
     cfg = _cfg(
-        n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), cfo_true=20.3 if ffo else 20.0,
+        n_fft=64, modes=(mode, other), cfo_true=20.3 if ffo else 20.0,
         ffo_stage_enabled=ffo, snr_grid_db=(-5.0, 10.0, math.inf), trials_per_point=10,
         estimators=(estimator,),
     )
-    cfgs = (cfg, _other_mode(cfg))
     rows = []
     run_batch = simlab._run_trials
 
-    def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
-        assert pass_cfgs == cfgs
-        out = run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
+    def recording(pass_cfg, estimator, snrs, trial_indices, scale):
+        assert pass_cfg is cfg
+        out = run_batch(pass_cfg, estimator, snrs, trial_indices, scale)
         assert all(a.shape == (len(snrs), 2) for a in out)
-        for m, mode_cfg in enumerate(pass_cfgs):
+        for m in range(2):
             rows.extend(
-                (mode_cfg, snr, t, *values)
+                (m, snr, t, *values)
                 for snr, t, *values in zip(snrs.tolist(), trial_indices.tolist(),
                                            *(a[:, m].tolist() for a in out))
             )
@@ -338,20 +360,20 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
 
     monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg: 7)
     monkeypatch.setattr(simlab, "_run_trials", recording)
-    results = simlab.run_sweeps(cfgs)
+    result = run_sweep(cfg)
     monkeypatch.undo()
-    for mode_cfg in cfgs:
-        assert sorted((snr, t) for c, snr, t, *_ in rows if c is mode_cfg) == sorted(
+    for m in range(2):
+        assert sorted((snr, t) for k, snr, t, *_ in rows if k == m) == sorted(
             (snr, t) for snr in cfg.snr_grid_db for t in range(10)
         )
-    for mode_cfg, snr, t, correct, ffo_error, total_error in rows:
-        rec = TrialRecord(snr, estimator, correct, ffo_error, total_error)
-        assert _record_tuple(rec) == _record_tuple(run_trial(mode_cfg, snr, estimator, t)), (
-            mode_cfg.channel.mode, snr, t)
-    for mode_cfg, result in zip(cfgs, results):
-        assert result.config is mode_cfg
-        assert result.cells == _reference_cells(mode_cfg)
-        assert any(cell.failures for cell in result.cells)
+    for m, snr, t, correct, ffo_error, total_error in rows:
+        rec = TrialRecord(snr, estimator, cfg.modes[m], correct, ffo_error, total_error)
+        assert _record_tuple(rec) == _record_tuple(run_trial(cfg, snr, estimator, t)[m]), (
+            cfg.modes[m], snr, t)
+    assert result.config is cfg
+    assert result.cells == _reference_cells(cfg)
+    for mode in cfg.modes:
+        assert any(cell.failures for cell in result.cells if cell.mode == mode), mode
 
 
 @pytest.mark.parametrize("snr_db", [10.0, math.inf])
@@ -365,7 +387,7 @@ def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
     total_error.
     """
     cfg = _cfg(
-        n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), cfo_true=20.3,
+        n_fft=64, modes=(mode,), cfo_true=20.3,
         ffo_stage_enabled=True, snr_grid_db=(snr_db,), estimators=(estimator,),
     )
     if estimator == "proposed":
@@ -376,45 +398,47 @@ def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
         frame, estimate, rate = pre.frame, partial(sca_estimate, pre=pre), 2
     for t in range(20):
         rng = trial_rng(cfg, snr_db, estimator, t)
-        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng)
+        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng, mode=mode)
         est = estimate(rx.stream, ffo_stage=True)
         total_error = math.nan if est.failed else est.total - cfg.cfo_true
         replay = TrialRecord(
-            snr_db, estimator, abs(total_error) < 0.5, est.ffo - wrap_offset(cfg.cfo_true, rate),
-            total_error,
+            snr_db, estimator, mode, abs(total_error) < 0.5,
+            est.ffo - wrap_offset(cfg.cfo_true, rate), total_error,
         )
-        assert _record_tuple(replay) == _record_tuple(run_trial(cfg, snr_db, estimator, t)), t
+        (rec,) = run_trial(cfg, snr_db, estimator, t)
+        assert _record_tuple(replay) == _record_tuple(rec), t
 
 
-def test_run_sweeps_equals_run_sweep_per_config():
-    """Shared passes change no cell: each result equals its config's own sweep, ffo_mse bit for bit.
+def _ffo_mse_bits(cells):
+    return [struct.pack("<d", c.ffo_mse) for c in cells]
 
-    The configs cover both modes, both estimators and the fractional stage
-    off and on, in one call and in mixed order.  A repeated config gets the
-    same result, and a grid of -0.0 dB, which equals 0.0 but seeds other
-    streams, is not merged with the 0.0 dB grid of the other mode.
+
+@pytest.mark.parametrize("ffo", [False, True])
+@pytest.mark.parametrize("modes", [("static", "varying"), ("varying", "static")],
+                         ids=["static-first", "varying-first"])
+def test_each_mode_of_a_config_sweeps_as_it_does_alone(modes, ffo):
+    """A two-mode config's cells for each mode equal its one-mode config's, ffo_mse bit for bit.
+
+    The modes of a config share each trial's generator, which must change
+    no cell.  Both estimators run, with the fractional stage off and on and
+    the modes in either order.  A grid of -0.0 dB, which equals 0.0 but
+    seeds other streams, is checked the same way, and its cells must not be
+    those of the 0.0 dB grid.
     """
-    cfgs = [
-        _cfg(n_fft=64, channel=ChannelProfile(4, 2.0, mode=mode), estimators=(estimator,),
-             cfo_true=20.3 if ffo else 20.0, ffo_stage_enabled=ffo,
-             snr_grid_db=(0.0, 6.0, math.inf), trials_per_point=12)
-        for ffo in (True, False)
-        for estimator in ("sca", "proposed")
-        for mode in ("static", "varying")
-    ]
-    signed_zero = dataclasses.replace(_other_mode(cfgs[0]), snr_grid_db=(-0.0, 6.0, math.inf))
-    cfgs += [cfgs[2], signed_zero]
-    results = simlab.run_sweeps(cfgs)
-    assert len(results) == len(cfgs)
-    for cfg, result in zip(cfgs, results):
-        single = run_sweep(cfg)
-        assert result == single
-        assert [struct.pack("<d", c.ffo_mse) for c in result.cells] == [
-            struct.pack("<d", c.ffo_mse) for c in single.cells
-        ]
-        assert {c.mode for c in result.cells} == {cfg.channel.mode}
-    assert results[-1].cells != results[1].cells
-    assert simlab.run_sweeps([]) == ()
+    sweeps = []
+    for zero in (0.0, -0.0):
+        cfg = _cfg(n_fft=64, modes=modes, cfo_true=20.3 if ffo else 20.0, ffo_stage_enabled=ffo,
+                   snr_grid_db=(zero, 6.0, math.inf), trials_per_point=12)
+        shared = run_sweep(cfg).cells
+        alone = tuple(
+            cell for mode in modes for cell in run_sweep(dataclasses.replace(cfg, modes=(mode,))).cells
+        )
+        assert [c.mode for c in shared] == [mode for mode in modes for _ in range(6)]
+        assert shared == alone
+        assert _ffo_mse_bits(shared) == _ffo_mse_bits(alone)
+        sweeps.append(shared)
+    if ffo:  # with the fractional stage off, every ffo_mse is 0 whatever the stream
+        assert _ffo_mse_bits(sweeps[0]) != _ffo_mse_bits(sweeps[1])
 
 
 @pytest.mark.parametrize("paths", [1, 4])
@@ -468,7 +492,7 @@ def test_failed_resolution_is_a_failure_with_finite_ffo_error(monkeypatch):
     monkeypatch.setattr(estimator_module, "resolve_ifo", give_up)
     cfg = _cfg(cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0,), trials_per_point=4,
                estimators=("proposed",))
-    rec = run_trial(cfg, 10.0, "proposed", 0)
+    (rec,) = run_trial(cfg, 10.0, "proposed", 0)
     assert not rec.ifo_correct
     assert math.isfinite(rec.ffo_error) and math.isnan(rec.total_error)
     (cell,) = run_sweep(cfg).cells
@@ -505,12 +529,11 @@ PEAK_CHUNKS = 6
 def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
     """Both modes of a shared pass together stay within the chunk bound."""
     cfg = _cfg(n_fft=1024, cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0, 20.0),
-               trials_per_point=trials, estimators=(estimator,))
-    cfgs = (cfg, _other_mode(cfg))
-    assert 2 * trials * len(cfgs) >= 3 * simlab._chunk_trials(cfg)
+               trials_per_point=trials, estimators=(estimator,), modes=("varying", "static"))
+    assert 2 * trials * len(cfg.modes) >= 3 * simlab._chunk_trials(cfg)
     tracemalloc.start()
     try:
-        simlab.run_sweeps(cfgs)
+        run_sweep(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -522,10 +545,11 @@ def test_sweep_peak_does_not_grow_with_the_trial_count(monkeypatch):
     monkeypatch.setattr(simlab, "CHUNK_BYTES", 64 << 10)
 
     def peak(trials):
-        cfg = _cfg(n_fft=64, trials_per_point=trials, estimators=("proposed",))
+        cfg = _cfg(n_fft=64, trials_per_point=trials, estimators=("proposed",),
+                   modes=("varying", "static"))
         tracemalloc.start()
         try:
-            simlab.run_sweeps((cfg, _other_mode(cfg)))
+            run_sweep(cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
