@@ -76,7 +76,10 @@ class ChannelProfile:
 
 @lru_cache(maxsize=32)
 def _tap_powers(path_count: int, decay: float) -> np.ndarray:
-    p = np.exp(-np.arange(path_count) / decay)
+    # A subnormal decay overflows l/decay to inf: exp gives 0, the one-tap
+    # limit that decay=1e-300 reaches without overflowing.
+    with np.errstate(over="ignore"):
+        p = np.exp(-np.arange(path_count) / decay)
     p = p / p.sum()
     p.flags.writeable = False
     return p
@@ -220,19 +223,23 @@ def _cfo_ramp(cfo: float, n_fft: int, total_len: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _frame_windows(frame: PreambleFrame, paths: int) -> np.ndarray:
-    """Read-only (2, block_len, paths) convolution windows of a frame's two blocks.
+    """Read-only, contiguous (2, paths, block_len) convolution windows of a frame's two blocks.
 
-    Window n of symbol s holds samples n-paths+1..n of its block, zeros
-    before the block starts, so its dot product with the reversed taps is
-    the full linear convolution truncated to the block.  PreambleFrame
-    compares by identity, and the cache keeps the frames it keys alive.
+    Row k of symbol s is its block delayed by paths-1-k samples, zeros
+    before the block starts, so column n holds samples n-paths+1..n and the
+    reversed taps times the rows is the full linear convolution truncated
+    to the block.  PreambleFrame compares by identity, and the cache keeps
+    the frames it keys alive.
     """
     padded = np.concatenate(
         [np.zeros((2, paths - 1), dtype=np.complex128), frame.samples.reshape(2, frame.block_len)],
         axis=1,
     )
-    padded.flags.writeable = False
-    return np.lib.stride_tricks.sliding_window_view(padded, paths, axis=1)
+    windows = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(padded, frame.block_len, axis=1)
+    )
+    windows.flags.writeable = False
+    return windows
 
 
 def propagate(
@@ -256,12 +263,15 @@ def propagate(
     Returns (stream, taps, phase_0): (T*M, 2*block) CP-intact streams and
     (T*M, 2, L) taps, rows in (frame, mode) order, and (T,) common phases.
 
-    Each output sample of the convolution is one dot product of L samples
-    with the reversed taps, so a row does not depend on the batch it sits
-    in: propagating a frame alone or among any other frames gives the same
-    bits.  The dot products need not sum in np.convolve's order, so a row
-    can differ from np.convolve in the last bits (it does for L >= 8 with
-    numpy 2.4's OpenBLAS on x86-64).
+    Each symbol's convolution is one (rows, L) @ (L, block) matrix product
+    of the reversed taps with the frame's windows.  A row does not depend on
+    the batch it sits in: propagating a frame alone or among any other
+    frames gives the same bits.  BLAS takes a one-row product down a
+    matrix-vector path whose bits can differ (they do for L >= 6 with
+    numpy 2.4's OpenBLAS on x86-64), so a lone row is padded to two.  The
+    products need not sum in np.convolve's order, so a row can differ from
+    np.convolve in the last bits; like any BLAS result, the bits depend on
+    the BLAS build.
 
     Raises:
         ConfigError: if modes is not a list of distinct channel modes
@@ -284,9 +294,12 @@ def propagate(
     taps = complex_taps(_tap_std(paths, profile.decay), tap_normals.reshape(count * width, 2, -1))
     windows = _frame_windows(frame, paths)
     reversed_taps = np.ascontiguousarray(taps[..., ::-1])
-    # (1, L) @ (L, 1) per output sample: numpy computes each as one BLAS dot.
-    faded = windows[None, :, :, None, :] @ reversed_taps[:, :, None, :, None]
-    stream = faded.reshape(count * width, 2 * blk)
+    if count * width == 1:
+        reversed_taps = np.concatenate([reversed_taps, reversed_taps])
+    faded = np.empty((len(reversed_taps), 2, blk), dtype=np.complex128)
+    for s in range(2):
+        np.matmul(reversed_taps[:, s], windows[s], out=faded[:, s])
+    stream = faded[: count * width].reshape(count * width, 2 * blk)
     stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
     frames = stream.reshape(count, width, 2 * blk)
     frames *= np.exp(1j * phase_0)[:, None, None]

@@ -36,7 +36,9 @@ import numpy as np
 from .errors import ConfigError, DegenerateSignalError
 from .signal import CazacParams, PreambleSpec, cazac_generate, dft
 
-# Minimum autocorrelation magnitude below which the phase is meaningless.
+# Autocorrelation magnitude, as a share of the symbol's mean power, at or
+# below which the phase is meaningless.  Being relative, it flags the same
+# captures at any scale; an all-zero symbol (power 0) is always flagged.
 _DEGENERATE_FLOOR = 1e-12
 
 
@@ -109,17 +111,21 @@ def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
     is the second stage's job.  y is one symbol (a float is returned) or a
     (T, N) stack (a (T,) array is returned).  In a stack, a row whose
     autocorrelation is too small to carry a phase reads NaN instead of
-    raising, so one unusable trial does not stop the others.
+    raising, so one unusable trial does not stop the others.  The floor is
+    relative to the symbol's mean power, so no scale of y alone trips it.
 
     Raises:
         DegenerateSignalError: one symbol whose autocorrelation magnitude is
             too small to carry a phase (all-zero or pathological input).
     """
+    y = np.asarray(y)
     r_t = np.atleast_1d(time_autocorr(y, rate))
     # math.atan2 per row: numpy's vectorized arctan2 may differ from it in
     # the last bit, which would move printed estimates.
     ffo = rate / (2.0 * np.pi) * np.array([math.atan2(r.imag, r.real) for r in r_t.tolist()])
-    degenerate = np.abs(r_t) < _DEGENERATE_FLOOR
+    # The symbol's energy as one BLAS dot per symbol, like time_autocorr's sum.
+    energy = np.atleast_1d((np.conj(y[..., None, :]) @ y[..., :, None])[..., 0, 0].real)
+    degenerate = np.abs(r_t) <= _DEGENERATE_FLOOR * energy / y.shape[-1]
     if np.ndim(y) > 1:
         ffo[degenerate] = np.nan
         return ffo

@@ -122,12 +122,13 @@ def sca_estimate_batch(
     p = np.conj(x[:, 0, 0::2]) * x[:, 1, 0::2]
     corr = idft(dft(p) * (np.conj(dft(pre.v)) * math.sqrt(half)))
     # Dividing before squaring keeps the metric finite when the energy is
-    # huge (very low SNR).  All-zero rows divide by zero here; they are
-    # flagged through ffo below.
+    # huge (very low SNR).  All-zero rows divide by zero here; they, and
+    # only they, are flagged through ffo below, so the scale of a frame
+    # decides nothing.
     with np.errstate(divide="ignore", invalid="ignore"):
         metric = (np.abs(corr[:, shifts % half]) / energy[:, None]) ** 2 / 2.0
     g_hat = shifts[np.argmax(metric, axis=-1)]
-    ffo[energy < 1e-12] = np.nan
+    ffo[energy == 0] = np.nan
     return ffo, 2.0 * g_hat, metric
 
 

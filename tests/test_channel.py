@@ -57,6 +57,15 @@ def test_tap_power_flat_limit():
     np.testing.assert_allclose(profile.tap_powers(), np.full(4, 0.25), rtol=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("decay", [1e-320, 5e-324])
+def test_tap_power_subnormal_decay_is_the_one_tap_limit(decay):
+    """A subnormal decay gives what decay=1e-300 gives, without an overflow warning."""
+    channel._tap_powers.cache_clear()
+    np.testing.assert_array_equal(ChannelProfile(4, decay).tap_powers(), [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(ChannelProfile(4, 1e-300).tap_powers(), [1.0, 0.0, 0.0, 0.0])
+
+
 def test_tap_power_rayleigh_distribution():
     """Per-tap |h|^2 is exponential with mean exp(-l/decay) / sum (KS at alpha=0.01)."""
     profile = ChannelProfile(path_count=3, decay=2.0)
@@ -235,6 +244,30 @@ def test_propagate_row_does_not_depend_on_its_batch(paths):
         for got, want in zip(run(np.array([i])), batch):
             np.testing.assert_array_equal(got[0], want[i])
     assert channel._frame_windows.cache_info().hits >= hits + count + 1
+
+
+@pytest.mark.parametrize("paths", [1, 4, 6, 8, 16])
+def test_propagate_lone_row_keeps_its_bits(paths):
+    """In one mode, a one-frame call is a one-row product, and it must equal its row in a batch.
+
+    BLAS computes a one-row matrix product on another path than a
+    many-row one, which changes the last bits for L >= 6 on some builds.
+    """
+    frame = _frame(n_fft=64, cp=16)
+    profile = ChannelProfile(paths, 2.0)
+    count = 5
+    scale = np.full(count, 0.25)
+
+    def run(frames):
+        rngs = (np.random.default_rng([paths, i]) for i in frames)
+        return propagate(frame, profile, ("varying",), -7.1, rngs, scale[: len(frames)])[0]
+
+    batch = run(range(count))
+    for i in range(count):
+        np.testing.assert_array_equal(run([i])[0], batch[i])
+    windows = channel._frame_windows(frame, paths)
+    assert windows.shape == (2, paths, frame.block_len)
+    assert windows.flags.c_contiguous and not windows.flags.writeable
 
 
 def test_propagate_needs_one_generator_per_frame():

@@ -373,6 +373,26 @@ def test_estimate_zero_file_is_degenerate(tmp_path):
     assert "degenerate" in result.stderr
 
 
+def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
+    """A capture scaled by any factor gives the same integer and, to float32 precision, ffo."""
+    from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+
+    frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
+    stream = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(10.3, 20.0),
+                      np.random.default_rng(5)).stream
+    reports, float32_eps = [], float(np.finfo(np.float32).eps)
+    for scale in (1.0, 1e-6, 1e-9, 1e-20):
+        capture = tmp_path / "capture.iq"
+        write_iq(capture, scale * stream)
+        assert main(["estimate", "--n", "128", "--in", str(capture)]) == 0, scale
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["ifo_residual"] == 10
+    for report in reports[1:]:
+        assert report["ifo_residual"] == reports[0]["ifo_residual"]
+        assert report["ffo"] == pytest.approx(reports[0]["ffo"], rel=float32_eps)
+
+
 def test_estimate_truncated_file(tmp_path):
     short = tmp_path / "short.iq"
     write_iq(short, np.ones(100, dtype=complex))

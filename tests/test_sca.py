@@ -103,6 +103,17 @@ def test_degenerate_input():
         sca_estimate(np.zeros_like(rx), pre)
 
 
+def test_scale_decides_nothing():
+    """Only an all-zero frame is degenerate: a faint one gives the same integer."""
+    pre = _preamble(n_fft=64)
+    rx = _rx(pre, 6.3, seed=4, snr_db=20.0)
+    want = sca_estimate(rx, pre)
+    for scale in (1e-6, 1e-9, 1e-20):
+        got = sca_estimate(scale * rx, pre)
+        assert got.ifo_residual == want.ifo_residual
+        assert got.ffo == pytest.approx(want.ffo, rel=1e-9)
+
+
 def test_batch_rows_match_single_frames():
     """Each row of a stacked pass equals the one-frame estimate; a dead row reads NaN alone."""
     pre = _preamble(n_fft=64)
