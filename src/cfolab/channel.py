@@ -303,8 +303,9 @@ def propagate(
     stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
     frames = stream.reshape(count, width, 2 * blk)
     frames *= np.exp(1j * phase_0)[:, None, None]
-    frames.real += scale[:, None, None] * white[..., : 2 * blk]
-    frames.imag += scale[:, None, None] * white[..., 2 * blk :]
+    white *= scale[:, None, None]
+    frames.real += white[..., : 2 * blk]
+    frames.imag += white[..., 2 * blk :]
     return stream, taps, phase_0
 
 

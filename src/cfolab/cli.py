@@ -60,16 +60,22 @@ def write_iq(path: str | Path, samples: np.ndarray) -> None:
 def read_iq(path: str | Path) -> np.ndarray:
     """Read interleaved little-endian float32 I/Q into complex128.
 
+    The values are read as complex64 pairs and widened, so each part keeps
+    its float32 value exactly, the sign of a zero included.  A decoder that
+    adds I and j*Q turns an imaginary -0.0 into +0.0, so compare decoded
+    samples with ==, under which -0.0 equals 0.0, not by their bytes.
+
     Raises:
         ConfigError: odd value count, or a NaN or infinite value.
     """
     raw = np.fromfile(str(path), dtype="<f4")
     if raw.size % 2 != 0:
         raise ConfigError(f"{path}: odd number of float32 values, not an I/Q file")
-    bad = np.flatnonzero(~np.isfinite(raw))
-    if bad.size:
-        raise ConfigError(f"{path}: sample {bad[0] // 2} is not finite ({raw[bad[0]]})")
-    return (raw[0::2] + 1j * raw[1::2]).astype(np.complex128)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ConfigError(f"{path}: sample {bad // 2} is not finite ({raw[bad]})")
+    return raw.view("<c8").astype(np.complex128)
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:

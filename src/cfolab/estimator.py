@@ -138,11 +138,15 @@ def compensate(y: np.ndarray, ffo: float | np.ndarray) -> np.ndarray:
     """Derotate symbol windows by exp(-j*2*pi*ffo*n/N), n = 0..N-1.
 
     y may carry leading axes; ffo is a scalar or broadcasts against
-    y.shape[:-1].
+    y.shape[:-1].  The phase is real, ((-2*pi*ffo) * n) * (1/N): the
+    products, in their order, that numpy's complex form exp(-2j*pi*ffo*n/N)
+    takes on its imaginary part (complex division by N multiplies by 1/N),
+    so both forms give the same bits.
     """
     y = np.asarray(y)
     n = np.arange(y.shape[-1])
-    return y * np.exp(-2j * np.pi * np.asarray(ffo)[..., None] * n / y.shape[-1])
+    theta = (-2.0 * np.pi * np.asarray(ffo))[..., None] * n * (1.0 / y.shape[-1])
+    return y * np.exp(1j * theta)
 
 
 @lru_cache(maxsize=32)
@@ -170,14 +174,21 @@ def freq_correlate(
     y_comp may carry leading axes; the correlation runs along the last.
     params is one CazacParams, or a tuple of k sharing one n_fft whose
     (k, N) chirps broadcast against y_comp: for a (T, k, N) stack, symbol s
-    correlates against chirp s, and all of them take one DFT.
+    correlates against chirp s, and all of them take one DFT.  The result
+    is scaled by multiplying with 1/sqrt(N).  numpy's complex division by
+    a real also multiplies by the reciprocal, so the values are the
+    division's, bit for bit except that a zero part may carry the other
+    sign; the estimator reads only the magnitude, which drops that sign.
     """
     y_comp = np.asarray(y_comp)
     conj_x = _conj_chirps(params)
     n_fft = conj_x.shape[-1]
     if y_comp.shape[-1] != n_fft:
         raise ConfigError(f"buffer length {y_comp.shape[-1]} does not match n_fft {n_fft}")
-    return np.conj(dft(conj_x * y_comp)) / np.sqrt(n_fft)
+    corr = dft(conj_x * y_comp)
+    np.conj(corr, out=corr)
+    corr *= 1.0 / np.sqrt(n_fft)
+    return corr
 
 
 def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:
@@ -248,10 +259,12 @@ def estimate_cfo_batch(
     dechirps both symbols against a cached conjugate chirp pair and takes
     one DFT, one magnitude and one argmax over the whole stack.  Only
     resolve_ifo runs per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN
-    for rows whose autocorrelation is too small to carry a phase
-    (estimate_cfo raises DegenerateSignalError there); ifo (T,) is the
-    resolved integer as a float, and a NaN there is reported as a failed
-    resolution; peaks holds (T, N) magnitude profiles and (T,) peak bins.
+    for degenerate rows, whose first symbol's autocorrelation is too small
+    to carry a phase or whose symbols leave either correlation profile all
+    zero (estimate_cfo raises DegenerateSignalError there), with or without
+    the fractional stage; ifo (T,) is the resolved integer as a float, and a
+    NaN there is reported as a failed resolution; peaks holds (T, N)
+    magnitude profiles and (T,) peak bins.
 
     Raises:
         ConfigError: the streams are not (T, spec.frame_len).
@@ -259,11 +272,13 @@ def estimate_cfo_batch(
     ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.params_1.rate, ffo_stage)
     corr = np.abs(freq_correlate(y, (spec.params_1, spec.params_2)))
     loc = np.argmax(corr, axis=-1)
+    locs = loc.tolist()
     rate_2, n_fft = spec.params_2.rate, spec.n_fft
-    ifo = np.array(
-        [resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in loc.tolist()],
-        dtype=float,
-    )
+    ifo = np.array([resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in locs], dtype=float)
+    # An all-zero profile, and only that, has its peak at bin 0 with value 0.
+    for t, (l1, l2) in enumerate(locs):
+        if (l1 == 0 and corr[t, 0, 0] == 0) or (l2 == 0 and corr[t, 1, 0] == 0):
+            ffo[t] = np.nan
     return ffo, ifo, PeakReport(
         corr_1=corr[:, 0], corr_2=corr[:, 1], loc_1=loc[:, 0], loc_2=loc[:, 1]
     )
@@ -283,11 +298,12 @@ def estimate_cfo(stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True)
     Raises:
         ConfigError: the stream does not hold spec.frame_len samples.
         DegenerateSignalError: the first symbol's autocorrelation is too
-            small to carry a phase.
+            small to carry a phase, or a symbol leaves its correlation
+            profile all zero.
     """
     ffo, ifo, batch = estimate_cfo_batch(np.asarray(stream)[None], spec, ffo_stage)
     if math.isnan(ffo[0]):
-        raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
+        raise DegenerateSignalError("preamble symbols carry no usable phase or energy")
     peaks = PeakReport(
         corr_1=batch.corr_1[0], corr_2=batch.corr_2[0],
         loc_1=int(batch.loc_1[0]), loc_2=int(batch.loc_2[0]),

@@ -81,9 +81,9 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
     spectrum_1 = np.zeros(n_fft, dtype=np.complex128)
     spectrum_1[0::2] = pn_even_1
     sym_1 = idft(spectrum_1)
-    sym_1 = sym_1 / np.sqrt(np.mean(np.abs(sym_1) ** 2))
+    sym_1 *= 1.0 / np.sqrt(np.mean(np.abs(sym_1) ** 2))
     sym_2 = idft(pn_2)
-    sym_2 = sym_2 / np.sqrt(np.mean(np.abs(sym_2) ** 2))
+    sym_2 *= 1.0 / np.sqrt(np.mean(np.abs(sym_2) ** 2))
     return ScaPreamble(
         n_fft=n_fft,
         cp_len=cp_len,

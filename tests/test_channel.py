@@ -270,6 +270,33 @@ def test_propagate_lone_row_keeps_its_bits(paths):
     assert windows.flags.c_contiguous and not windows.flags.writeable
 
 
+def test_propagate_adds_the_noise_the_scaled_product_gave():
+    """The noise propagate adds in place has the bits of scale * white, at scales 1e-300..1e300.
+
+    The expected stream is the noiseless one (the same draws, minus the
+    noise drawn last) plus scale * white, the expression propagate used
+    before it scaled white in place; white is replayed with draw_frame.
+    """
+    frame = _frame(n_fft=64, cp=16)
+    profile = ChannelProfile(4, 2.0)
+    modes = ("varying", "static")
+    count, blk = 8, frame.block_len
+    scale = 10.0 ** np.random.default_rng(1).uniform(-300.0, 300.0, count)
+
+    def rngs():
+        return (np.random.default_rng([7, i]) for i in range(count))
+
+    noisy = propagate(frame, profile, modes, 5.3, rngs(), scale)[0].reshape(count, 2, 2 * blk)
+    clean = propagate(frame, profile, modes, 5.3, rngs(), np.zeros(count))[0]
+    for i, rng in enumerate(rngs()):
+        white = np.empty((2, 4 * blk))
+        channel.draw_frame(modes, rng, np.empty((2, 2, 8)), white)
+        want = clean.reshape(count, 2, 2 * blk)[i].copy()
+        want.real += scale[i] * white[..., : 2 * blk]
+        want.imag += scale[i] * white[..., 2 * blk :]
+        np.testing.assert_array_equal(noisy[i].view(np.uint64), want.view(np.uint64))
+
+
 def test_propagate_needs_one_generator_per_frame():
     """Fewer or more generators than scale entries raise instead of sending out undrawn rows."""
     frame = _frame()

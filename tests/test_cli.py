@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, byte-level determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -373,6 +374,23 @@ def test_estimate_zero_file_is_degenerate(tmp_path):
     assert "degenerate" in result.stderr
 
 
+def test_estimate_of_a_capture_without_its_second_symbol_is_degenerate(tmp_path, capsys):
+    """A zeroed second symbol leaves the integer stage no comb: exit 2 and no report."""
+    from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+
+    frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
+    stream = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(10.3, 30.0),
+                      np.random.default_rng(5)).stream
+    stream[frame.block_len:] = 0
+    capture = tmp_path / "capture.iq"
+    write_iq(capture, stream)
+    assert main(["estimate", "--n", "128", "--in", str(capture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degenerate input:") and "energy" in captured.err
+
+
 def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
     """A capture scaled by any factor gives the same integer and, to float32 precision, ffo."""
     from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
@@ -391,6 +409,65 @@ def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
     for report in reports[1:]:
         assert report["ifo_residual"] == reports[0]["ifo_residual"]
         assert report["ffo"] == pytest.approx(reports[0]["ffo"], rel=float32_eps)
+
+
+# (n_fft, true offset, transmit seed) of the pinned captures: 4 paths, 20 dB.
+_PINNED_CAPTURES = [(128, 10.3, 5), (128, -37.71, 6), (128, 0.49, 7),
+                    (1024, 200.45, 8), (1024, -311.62, 9)]
+# sha256 of `cfolab estimate` stdout over _pinned_captures, one call per
+# capture in order, computed with numpy's complex forms of the receiver's
+# real scalings (complex division by sqrt(N), a complex phase in compensate
+# and a complex sum in read_iq).
+ESTIMATE_STDOUT_SHA256 = "c13c0a23fb3216bb3a74d5548c6f61b7daadc1ba8ac1f361852e642cbf84f2e4"
+
+
+def _pinned_captures():
+    """The transmit-built captures of _PINNED_CAPTURES, then the first with signed zeros."""
+    from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+
+    captures = []
+    for n_fft, cfo, seed in _PINNED_CAPTURES:
+        frame = build_preamble(PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), 16))
+        stream = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(cfo, 20.0),
+                          np.random.default_rng(seed)).stream
+        captures.append((n_fft, stream))
+    zeros = captures[0][1].copy()
+    zeros.real[40:48] = [0.0, -0.0] * 4
+    zeros.imag[40:48] = [0.0, 0.0, -0.0, -0.0] * 2
+    captures.append((128, zeros))
+    return captures
+
+
+def test_estimate_stdout_digest_is_pinned(tmp_path, capsys):
+    capture, lines = tmp_path / "capture.iq", []
+    for n_fft, stream in _pinned_captures():
+        write_iq(capture, stream)
+        assert main(["estimate", "--n", str(n_fft), "--in", str(capture)]) == 0, n_fft
+        lines.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ESTIMATE_STDOUT_SHA256
+
+
+def test_read_iq_decodes_what_the_complex_sum_decoded(tmp_path):
+    """Each decoded sample equals the old decoder's, raw[0::2] + 1j * raw[1::2], under ==.
+
+    The parts span float32's range, subnormals and signed zeros included.
+    The old sum turned an imaginary -0.0 into +0.0; read_iq keeps the sign.
+    """
+    rng = np.random.default_rng(3)
+    raw = (rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-45.0, 38.5, 4000)).astype("<f4")
+    raw[:8] = [0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 1e-45, -3.4e38]
+    capture = tmp_path / "capture.iq"
+    raw.tofile(str(capture))
+    got = read_iq(capture)
+    old = (raw[0::2] + 1j * raw[1::2]).astype(np.complex128)
+    assert got.dtype == np.complex128
+    np.testing.assert_array_equal(got, old)
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(raw[0::2]))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(raw[1::2]))
+    empty = tmp_path / "empty.iq"
+    empty.write_bytes(b"")
+    assert read_iq(empty).shape == (0,)
 
 
 def test_estimate_truncated_file(tmp_path):

@@ -346,6 +346,71 @@ def test_resolve_ifo_recovers_every_comb_pair(n_fft, r1, r2, paths):
 
 
 # ---------------------------------------------------------------------------
+# real scalings: each kernel against the complex numpy form it replaced
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    """The IEEE-754 bit patterns of a complex array, to compare two arrays bit for bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _wide(rng, shape):
+    """Complex samples whose real and imaginary parts each span 1e-300..1e300, either sign."""
+    parts = rng.choice([-1.0, 1.0], (2, *shape)) * 10.0 ** rng.uniform(-300.0, 300.0, (2, *shape))
+    return parts[0] + 1j * parts[1]
+
+
+def _old_freq_correlate(y_comp, conj_x):
+    return np.conj(np.fft.fft(conj_x * y_comp, norm="ortho")) / np.sqrt(conj_x.shape[-1])
+
+
+def _old_compensate(y, ffo):
+    n = np.arange(y.shape[-1])
+    return y * np.exp(-2j * np.pi * np.asarray(ffo)[..., None] * n / y.shape[-1])
+
+
+@pytest.mark.parametrize("n_fft", [16, 128, 1024])
+def test_freq_correlate_has_the_bits_of_the_complex_division(n_fft):
+    """The conjugate times 1/sqrt(N) equals numpy's conj(.) / sqrt(N), bit for bit.
+
+    Each symbol is scaled by its own 10**u, u uniform on [-300, 300], so the
+    correlations span that range too.  Where a part is exactly zero, only
+    the value matches (==): the two forms may give it opposite signs.
+    """
+    rng = np.random.default_rng(n_fft)
+    pair = (CazacParams(n_fft, 2), CazacParams(n_fft, 8))
+    conj_x = np.conj(np.stack([chirp(n_fft, 2), chirp(n_fft, 8)]))
+    stack = _wide(rng, (40, 2, 1)) * (rng.standard_normal((40, 2, n_fft))
+                                      + 1j * rng.standard_normal((40, 2, n_fft)))
+    got = freq_correlate(stack, pair)
+    np.testing.assert_array_equal(_bits(got), _bits(_old_freq_correlate(stack, conj_x)))
+    np.testing.assert_array_equal(
+        _bits(freq_correlate(stack[0, 1], pair[1])),
+        _bits(_old_freq_correlate(stack[0, 1], conj_x[1])),
+    )
+    stack[:, 1] = 0
+    np.testing.assert_array_equal(freq_correlate(stack, pair), _old_freq_correlate(stack, conj_x))
+
+
+@pytest.mark.parametrize("length", [64, 96, 1000, 1023, 1024])
+def test_compensate_has_the_bits_of_the_complex_phase(length):
+    """A float64 phase and one exp give the bits of the complex phase expression, at any length.
+
+    Both the samples and the offsets span 1e-300..1e300 in magnitude.
+    """
+    rng = np.random.default_rng(length)
+    y = _wide(rng, (30, 2, length))
+    ffo = rng.choice([-1.0, 1.0], (30, 1)) * 10.0 ** rng.uniform(-300.0, 300.0, (30, 1))
+    ffo[:10] = rng.uniform(-4.0, 4.0, (10, 1))
+    np.testing.assert_array_equal(_bits(compensate(y, ffo)), _bits(_old_compensate(y, ffo)))
+    for scalar in (0.37, -1.0, 0.0, float(ffo[-1, 0])):
+        np.testing.assert_array_equal(
+            _bits(compensate(y[0, 0], scalar)), _bits(_old_compensate(y[0, 0], scalar))
+        )
+
+
+# ---------------------------------------------------------------------------
 # full estimator
 # ---------------------------------------------------------------------------
 
@@ -416,9 +481,32 @@ def test_estimate_cfo_batch_rows_match_single_frames():
             assert (peaks.loc_1[i], peaks.loc_2[i]) == (est.peaks.loc_1, est.peaks.loc_2)
             np.testing.assert_array_equal(peaks.corr_1[i], est.peaks.corr_1)
             np.testing.assert_array_equal(peaks.corr_2[i], est.peaks.corr_2)
-        assert math.isnan(ffo[-1]) == ffo_stage
+        assert math.isnan(ffo[-1])
     with pytest.raises(DegenerateSignalError):
         estimate_cfo(np.zeros(160, dtype=complex), spec)
+
+
+@pytest.mark.parametrize("ffo_stage", [True, False])
+@pytest.mark.parametrize("dead", ["both", "first", "second"])
+def test_a_symbol_without_signal_is_degenerate(ffo_stage, dead):
+    """A symbol whose correlation profile is all zero carries no offset, whichever stages run.
+
+    In a stack its row reads NaN beside good rows; alone it raises, as the
+    fractional stage does for a symbol without phase.
+    """
+    spec = _spec()
+    block = spec.n_fft + spec.cp_len
+    good = _transmit(spec, 20.3 if ffo_stage else 20.0, 5)
+    rx = good.copy()
+    if dead != "second":
+        rx[:block] = 0
+    if dead != "first":
+        rx[block:] = 0
+    ffo, _, _ = estimate_cfo_batch(np.stack([good, rx, good]), spec, ffo_stage)
+    assert math.isnan(ffo[1]) and not np.isnan(ffo[[0, 2]]).any()
+    assert ffo[0] == estimate_cfo(good, spec, ffo_stage).ffo
+    with pytest.raises(DegenerateSignalError, match="no usable phase or energy"):
+        estimate_cfo(rx, spec, ffo_stage)
 
 
 _ONE_FRAME_SHAPES = [(0,), (64,), (159,), (161,), (320,), (1, 160)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.errors import DegenerateSignalError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
+from cfolab.signal import idft
 from cfolab.simlab import ExperimentConfig, run_trial
 
 
@@ -38,6 +39,19 @@ def test_preamble_odd_bins_empty():
     pre = _preamble(n_fft=64)
     spectrum = np.fft.fft(_symbols(pre.frame)[0])
     assert np.max(np.abs(spectrum[1::2])) < 1e-9
+
+
+def test_preamble_symbols_have_the_bits_of_the_division_by_their_rms():
+    """Each symbol times 1/rms equals the symbol divided by its rms, the form this replaced."""
+    for n_fft in (16, 64, 128, 1024):
+        for seed in range(4):
+            pre = _preamble(n_fft=n_fft, seed=seed)
+            spectrum_1 = np.zeros(n_fft, dtype=complex)
+            spectrum_1[0::2] = pre.pn_even_1
+            for got, spectrum in zip(_symbols(pre.frame), (spectrum_1, pre.pn_2)):
+                sym = idft(spectrum)
+                want = sym / np.sqrt(np.mean(np.abs(sym) ** 2))
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_preamble_deterministic():

@@ -519,6 +519,17 @@ def test_fig2_paper_csv_digests_are_pinned(tmp_path, capsys, ffo):
         assert hashlib.sha256(data).hexdigest() == FIG2_PAPER_SHA256[(ffo, n_fft)], n_fft
 
 
+# sha256 of the CSV of `cfolab fig1 --n 128 --paths 4 --seed 9`, computed with
+# numpy's complex forms of the receiver's and the channel's real scalings.
+FIG1_SHA256 = "9028d16ac03415734775317f6cfcb91cf78ffb0f47d6fac0c1da84da6a866cc0"
+
+
+def test_fig1_csv_digest_is_pinned(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", "--n", "128", "--paths", "4", "--seed", "9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG1_SHA256
+
+
 # Traced peak allowed for a sweep: the engine's chunks keep it a few times
 # CHUNK_BYTES whatever the trial count (one pass over all of these trials of
 # both modes would hold about 120 MiB for either estimator).
