@@ -9,7 +9,8 @@ Commands:
 Exit codes: 0 success, 2 usage/validation error, 3 estimation failure.
 
 IQ format: raw little-endian IEEE-754 binary32, interleaved I then Q, no
-header; the sample count is inferred from the file size.
+header; the sample count is inferred from the file size, which must be a
+whole number of 8-byte I/Q pairs.
 
 Each command declares its settings once, in SETTINGS: every key is both a
 config-file key and a flag (``_`` written ``-``).  Config files are flat
@@ -66,11 +67,15 @@ def read_iq(path: str | Path) -> np.ndarray:
     samples with ==, under which -0.0 equals 0.0, not by their bytes.
 
     Raises:
-        ConfigError: odd value count, or a NaN or infinite value.
+        ConfigError: a byte count that is not a multiple of 8 (a stray
+            byte or an odd float32 count), or a NaN or infinite value.
+        OSError: the file cannot be opened or read.
     """
-    raw = np.fromfile(str(path), dtype="<f4")
-    if raw.size % 2 != 0:
-        raise ConfigError(f"{path}: odd number of float32 values, not an I/Q file")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if len(data) % 8 != 0:
+        raise ConfigError(f"{path}: {len(data)} bytes, not a whole number of float32 I/Q pairs")
+    raw = np.frombuffer(data, dtype="<f4")
     finite = np.isfinite(raw)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -363,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     _settings to parse.  No flag may be abbreviated, so each has the one
     spelling _join_setting_values matches.  Parsing leaves the parser
     unchanged (each call fills a new namespace), so every call of main
-    shares it.
+    shares it.  ``parser.commands`` maps each command name to its
+    subparser, which sets ``command`` itself, so _parse_argv can hand a
+    command's argv straight to it.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
@@ -372,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
             # No flag default: an absent flag is None, so the config file can set the key.
             p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default})")
         p.add_argument("--config", help="flat key = value config file; flags override")
-        p.set_defaults(func=func)
+        p.set_defaults(command=name, func=func)
         return p
 
     p = command("preamble", _cmd_preamble, "write the two-symbol preamble as raw IQ")
@@ -414,9 +422,36 @@ def _join_setting_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as build_parser().parse_args would, in one argparse pass.
+
+    When argv[0] names a command, the rest goes straight to that command's
+    parser: the top-level parser would hand it all there unchanged, so
+    its own pass over argv only costs time.  Tokens the command's parser
+    leaves are reported by the top-level parser, as its parse_args reports
+    them.  Any other argv (none, -h, --version, an unknown or abbreviated
+    command) goes to the top-level parser.
+    """
     parser = build_parser()
-    args = parser.parse_args(_join_setting_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_setting_values(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command argv names; return its exit code.
+
+    argv is parsed once (_parse_argv): a command's argv goes straight to
+    that command's parser, anything else to the top-level parser.  A usage
+    error that argparse catches exits through SystemExit(2); one the
+    command finds returns EXIT_USAGE with an ``error:`` line.
+    """
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, byte-level determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,8 @@ import pytest
 from cfolab.cli import (
     MAX_GRID_POINTS,
     SETTINGS,
+    _join_setting_values,
+    _parse_argv,
     _parse_snr_grid,
     _settings,
     build_parser,
@@ -22,6 +26,7 @@ from cfolab.cli import (
     read_iq,
     write_iq,
 )
+from cfolab.errors import ConfigError
 from cfolab.simlab import ESTIMATORS
 
 
@@ -470,6 +475,31 @@ def test_read_iq_decodes_what_the_complex_sum_decoded(tmp_path):
     assert read_iq(empty).shape == (0,)
 
 
+@pytest.mark.parametrize("floats,stray,size", [
+    (4160, b"\0", "16641 bytes"),
+    (2081, b"", "8324 bytes"),
+], ids=["stray byte", "odd float count"])
+def test_read_iq_rejects_a_partial_iq_pair(tmp_path, capsys, floats, stray, size):
+    """A size that is not a whole number of 8-byte I/Q pairs is a usage error naming the size."""
+    capture = tmp_path / "capture.iq"
+    capture.write_bytes(np.ones(floats, "<f4").tobytes() + stray)
+    with pytest.raises(ConfigError, match=size):
+        read_iq(capture)
+    assert main(["estimate", "--in", str(capture), "--n", "1024"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and size in captured.err, captured.err
+    assert captured.out == ""
+
+
+def test_estimate_of_an_empty_file_is_a_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.iq"
+    empty.write_bytes(b"")
+    assert main(["estimate", "--in", str(empty), "--n", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "0 samples" in captured.err, captured.err
+    assert captured.out == ""
+
+
 def test_estimate_truncated_file(tmp_path):
     short = tmp_path / "short.iq"
     write_iq(short, np.ones(100, dtype=complex))
@@ -792,3 +822,62 @@ def test_preamble_and_fig1_check_the_output_targets_before_they_compute(
     assert captured.err.startswith("error:") and captured.out == "", captured.err
     assert sorted(tmp_path.iterdir()) == made
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+# Flags each command takes besides its SETTINGS; the first is required.
+_COMMAND_FLAGS = {"preamble": ["--out"], "fig1": ["--out"], "fig2": ["--out", "--paper"],
+                  "estimate": ["--in"]}
+
+
+def _parse_corpus():
+    for command, flags in _COMMAND_FLAGS.items():
+        required = [flags[0], "x"]
+        for key in SETTINGS[command]:
+            yield [command, _flag(key), "3", *required]
+            yield [command, *required, _flag(key), "3"]
+        yield [command, "--config", "run.conf", *required]
+        yield [command, *flags[1:], *required]
+        yield [command]
+        yield [command, "-h"]
+        yield [command, *required, "--help"]
+        yield [command, "--tri", "1", *required]
+        yield [command, "--bogus", "1", *required]
+        yield [command, "--bogus", "1"]
+        yield [command, *required, "stray"]
+        yield [command, "--version", *required]
+        yield [command, *required, "--"]
+        yield [command, "--", *required]
+        yield [command, *required, "--", "--n", "64"]
+        yield [command, *required, required[0], "y"]
+    yield from ([], ["-h"], ["--help"], ["--version"], ["--version", "fig2"], ["-h", "estimate"],
+                ["fig"], ["fig", "--out", "x"], ["bogus"], ["bogus", "--n", "64"], ["FIG2"],
+                ["--bogus", "fig2", "--out", "x"], ["--", "fig2", "--out", "x"], ["--"],
+                ["fig2", "--n"], ["fig2", "--n", "--trials", "3", "--out", "x"],
+                ["estimate", "--n", "64"], ["estimate", "--in"],
+                ["fig1", "--cfo", "-1e1", "--out", "x"], ["fig1", "--cfo=-1e1", "--out", "x"],
+                ["fig2", "--snr-grid", "-4:2:0", "--out", "x"],
+                ["fig2", "--snr-grid", "-4:2:0", "--snr-grid", "0", "--out", "x"],
+                ["fig2", "--paper", "--n", "64", "--config", "run.conf", "--out", "x"],
+                ["fig2", "--paper=1", "--out", "x"], ["estimate", "--in=x", "-n", "64"])
+
+
+def _outcome(parse, argv):
+    """What parse(argv) gives: its Namespace or its exit code, then its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", list(_parse_corpus()), ids=" ".join)
+def test_parse_dispatch_matches_the_top_level_parse(argv):
+    """main's parse gives what the top-level parser's parse_args gives, on every argv.
+
+    The same Namespace, or the same exit code with byte-identical stdout and
+    stderr: help, version, usage errors and leftover tokens included.
+    """
+    reference = _outcome(lambda a: build_parser().parse_args(_join_setting_values(a)), argv)
+    assert _outcome(_parse_argv, argv) == reference

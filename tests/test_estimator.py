@@ -329,7 +329,7 @@ def _separable_configs():
                             strict=True,
                             reason="a rate-2 path delay r2*(L-1) > N/2 can leave loc_2 in "
                             "loc_1's half and above it, where the walk does not move it: a "
-                            "confident wrong offset (ROADMAP item 4)",
+                            "confident wrong offset (ROADMAP item 1)",
                         )
                     yield pytest.param(n_fft, r1, r2, paths, marks=marks)
 
