@@ -170,7 +170,10 @@ def draw_frame(
     state outside its bit generator, so mode m's draws equal those a fresh
     generator of the same seed gives for that mode alone.  tap_normals is
     a (M, 2, 2L) buffer for the M modes, one row per symbol; in static mode
-    row 2 is a copy of row 1.  white, if given, is (M, 4*block).
+    row 2 is a copy of row 1.  white, if given, is (M, W): a frame whose
+    blocks are b samples long reads the first 4*b normals of a row, its
+    real parts and then its imaginary parts, so one draw serves every
+    block length up to W/4 (propagate).
     """
     rng.standard_normal(out=tap_normals[0, 0])
     phase_0 = _draw_phase(rng)
@@ -243,25 +246,31 @@ def _frame_windows(frame: PreambleFrame, paths: int) -> np.ndarray:
 
 
 def propagate(
-    frame: PreambleFrame,
+    frames: Sequence[PreambleFrame],
     profile: ChannelProfile,
     modes: Sequence[str],
     cfo: float,
     rngs: Iterable[np.random.Generator],
     scale: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Make one frame per generator of rngs, in every channel mode of modes.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Make one frame per generator of rngs, for each preamble of frames, in every mode of modes.
 
     Frame i draws its taps, common phase and noise from rngs[i] with
-    draw_frame, once for all modes, and no noise where scale[i] (its noise
-    standard deviation) is 0.  The taps follow profile's path count and
-    decay.  Each CP-extended block is convolved with its
-    symbol's taps, the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft +
-    phase_0)) with n running continuously from the first frame sample, and
-    complex noise scale * (re + j*im) is added last.  rngs may be lazy.
+    draw_frame, once for all modes and all preambles, and no noise where
+    scale[i] (its noise standard deviation) is 0.  The noise is drawn for
+    the longest block of frames, and each preamble takes the prefix its own
+    two blocks need: a Generator fills a normal draw in order, so the first
+    k normals of a longer draw are the k a draw of k gives, and a preamble
+    gets the frame it would get alone (numpy keeps its streams stable, NEP
+    19).  The taps follow profile's path count and decay.  Each CP-extended
+    block is convolved with its symbol's taps, the whole frame is rotated
+    by exp(j*(2*pi*cfo*n/n_fft + phase_0)) with n running continuously from
+    the first frame sample, and complex noise scale * (re + j*im) is added
+    last.  rngs may be lazy.
 
-    Returns (stream, taps, phase_0): (T*M, 2*block) CP-intact streams and
-    (T*M, 2, L) taps, rows in (frame, mode) order, and (T,) common phases.
+    Returns (streams, taps, phase_0): per preamble of frames, (T*M,
+    2*block) CP-intact streams, rows in (frame, mode) order; (T*M, 2, L)
+    taps in the same order; and (T,) common phases.
 
     Each symbol's convolution is one (rows, L) @ (L, block) matrix product
     of the reversed taps with the frame's windows.  A row does not depend on
@@ -275,38 +284,46 @@ def propagate(
 
     Raises:
         ConfigError: if modes is not a list of distinct channel modes
-            (check_modes), the CP cannot absorb the channel memory or the
-            offset exceeds half the signal bandwidth.
+            (check_modes), the CP of a preamble cannot absorb the channel
+            memory or the offset exceeds half its signal bandwidth.
         ValueError: if rngs does not hold one generator per scale entry.
     """
     check_modes(modes)
-    profile.check_cp(frame.cp_len)
-    if not abs(cfo) < frame.n_fft / 2:
-        raise ConfigError(f"|cfo| must be < n_fft/2 = {frame.n_fft / 2}, got {cfo}")
-    paths, blk = profile.path_count, frame.block_len
+    for frame in frames:
+        profile.check_cp(frame.cp_len)
+        if not abs(cfo) < frame.n_fft / 2:
+            raise ConfigError(f"|cfo| must be < n_fft/2 = {frame.n_fft / 2}, got {cfo}")
+    paths = profile.path_count
     count, width = len(scale), len(modes)
     tap_normals = np.empty((count, width, 2, 2 * paths))
     phase_0 = np.empty(count)
     # Zeros, so frames drawn without noise add exact zeros.
-    white = np.zeros((count, width, 4 * blk))
+    white = np.zeros((count, width, 4 * max(frame.block_len for frame in frames)))
     for i, (rng, noisy) in enumerate(zip(rngs, (scale != 0).tolist(), strict=True)):
         phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if noisy else None)
     taps = complex_taps(_tap_std(paths, profile.decay), tap_normals.reshape(count * width, 2, -1))
-    windows = _frame_windows(frame, paths)
     reversed_taps = np.ascontiguousarray(taps[..., ::-1])
     if count * width == 1:
         reversed_taps = np.concatenate([reversed_taps, reversed_taps])
-    faded = np.empty((len(reversed_taps), 2, blk), dtype=np.complex128)
-    for s in range(2):
-        np.matmul(reversed_taps[:, s], windows[s], out=faded[:, s])
-    stream = faded[: count * width].reshape(count * width, 2 * blk)
-    stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
-    frames = stream.reshape(count, width, 2 * blk)
-    frames *= np.exp(1j * phase_0)[:, None, None]
+    rotation = np.exp(1j * phase_0)[:, None, None]
+    # Scaling is elementwise, so each preamble's prefix of the scaled buffer
+    # has the bits of its own noise scaled.
     white *= scale[:, None, None]
-    frames.real += white[..., : 2 * blk]
-    frames.imag += white[..., 2 * blk :]
-    return stream, taps, phase_0
+    streams = []
+    for frame in frames:
+        blk = frame.block_len
+        windows = _frame_windows(frame, paths)
+        faded = np.empty((len(reversed_taps), 2, blk), dtype=np.complex128)
+        for s in range(2):
+            np.matmul(reversed_taps[:, s], windows[s], out=faded[:, s])
+        stream = faded[: count * width].reshape(count * width, 2 * blk)
+        stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
+        rows = stream.reshape(count, width, 2 * blk)
+        rows *= rotation
+        rows.real += white[..., : 2 * blk]
+        rows.imag += white[..., 2 * blk : 4 * blk]
+        streams.append(stream)
+    return tuple(streams), taps, phase_0
 
 
 def transmit(
@@ -331,5 +348,5 @@ def transmit(
             the SNR is one the channel cannot model (noise_variance).
     """
     scale = np.array([noise_std(profile, imp.snr_db)])
-    stream, taps, phase_0 = propagate(frame, profile, (mode,), imp.cfo, (rng,), scale)
+    (stream,), taps, phase_0 = propagate((frame,), profile, (mode,), imp.cfo, (rng,), scale)
     return ReceivedFrame(stream=stream[0], taps=taps[0], phase_0=float(phase_0[0]))

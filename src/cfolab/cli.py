@@ -38,7 +38,11 @@ from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
 from .signal import CazacParams, PreambleSpec, build_preamble
-from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, dump_correlations, run_sweep
+from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, dump_correlations, run_sweeps
+
+# fig2 runs every FFT size through run_sweeps; run_sweep stays bound here
+# because bench/spans.py traces cli.run_sweep.
+from .simlab import run_sweep  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -329,11 +333,12 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     ]
     config = {"command": "fig2", **settings, "modes": modes}
     del config["mode"]
-    for cfg, target in zip(cfgs, targets):
+    # One pass for every N: each trial's generator and draws serve both sizes.
+    for result, target in zip(run_sweeps(cfgs), targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
-        rows.extend(_sweep_rows(run_sweep(cfg)))
+        rows.extend(_sweep_rows(result))
         target.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        write_manifest(target, {**config, "n": cfg.n_fft}, [str(target)], started_at)
+        write_manifest(target, {**config, "n": result.config.n_fft}, [str(target)], started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")
     return EXIT_OK
 

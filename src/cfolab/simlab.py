@@ -6,17 +6,19 @@ execution order and individual trials can be replayed in isolation.
 
 A sweep runs each estimator's trials over the whole SNR grid as array passes
 over a leading trial axis, in chunks of bounded size: only the random draws
-loop per trial, each from its own generator.  The stream does not depend on
-the channel mode, so the modes of a config share its passes and each trial's
-generator.  run_trial is the same pass over a batch of one.
+loop per trial, each from its own generator.  The stream depends on neither
+the channel mode nor the FFT size, so the modes of a config, and the configs
+of a run_sweeps call (which differ only in n_fft), share its passes and each
+trial's generator.  run_sweep is run_sweeps for one config, and run_trial is
+the same pass over a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 
 import numpy as np
@@ -78,8 +80,9 @@ CHUNK_BYTES = 4 << 20
 
 # Most trials one config may sweep, len(snr_grid_db) * trials_per_point.
 # Memory does not grow with the trial count (the engine keeps per-cell
-# tallies), so the cap bounds run time: at about 50 us a trial on 2 cores,
-# 2**24 trials take some 14 minutes per estimator and mode.  It holds
+# tallies), so the cap bounds run time: one N=128 config runs about 40-55 us
+# a trial per estimator and mode on one core (numpy 2.4.6, one BLAS thread),
+# so 2**24 trials take some 11-15 minutes per estimator and mode.  It holds
 # 10**6 trials per point on the paper's 11-point grid.
 MAX_SWEEP_TRIALS = 2**24
 
@@ -246,30 +249,37 @@ def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
 
 
 def _run_trials(
-    cfg: ExperimentConfig,
+    cfgs: Sequence[ExperimentConfig],
     estimator: str,
     snrs: np.ndarray,
     trial_indices: np.ndarray,
     scale: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a batch of trials as one array pass, in every channel mode of cfg.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run a batch of trials as one array pass, for every config of cfgs in each of its modes.
 
-    Trial i draws from trial_rng(cfg, snrs[i], estimator, trial_indices[i]),
-    one generator for every mode (see channel.propagate); scale[i] is
-    noise_std at snrs[i].  Returns (ifo_correct, ffo_error, total_error),
-    each (trials, modes).  ffo_error is NaN for a degenerate trial;
-    total_error is NaN for a degenerate trial and for one whose integer
-    stage failed.
+    The configs differ in nothing but n_fft (run_sweeps).  Trial i draws
+    from trial_rng(cfgs[0], snrs[i], estimator, trial_indices[i]), one
+    generator for every config and mode (see channel.propagate); scale[i]
+    is noise_std at snrs[i].  Returns, per config, (ifo_correct,
+    ffo_error, total_error), each (trials, modes).  ffo_error is NaN for a
+    degenerate trial; total_error is NaN for a degenerate trial and for one
+    whose integer stage failed.
     """
-    frame, ffo_rate, estimate = _estimator(estimator)[1](cfg)
+    cfg = cfgs[0]
+    receivers = [_estimator(estimator)[1](c) for c in cfgs]
     rngs = (trial_rng(cfg, snr, estimator, t) for snr, t in zip(snrs.tolist(), trial_indices.tolist()))
-    stream, _, _ = propagate(frame, cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale)
-    ffo, ifo, _ = estimate(stream)
-    ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
-    total_error = (ifo + ffo) - cfg.cfo_true
-    return tuple(
-        a.reshape(-1, len(cfg.modes)) for a in (np.abs(total_error) < 0.5, ffo - ffo_ref, total_error)
+    streams, _, _ = propagate(
+        [frame for frame, _, _ in receivers], cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale
     )
+    outcomes = []
+    for (_, ffo_rate, estimate), stream in zip(receivers, streams):
+        ffo, ifo, _ = estimate(stream)
+        ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
+        total_error = (ifo + ffo) - cfg.cfo_true
+        outcomes.append(tuple(
+            a.reshape(-1, len(cfg.modes)) for a in (np.abs(total_error) < 0.5, ffo - ffo_ref, total_error)
+        ))
+    return outcomes
 
 
 def run_trial(
@@ -286,8 +296,8 @@ def run_trial(
     integer stage fails keeps its ffo_error and has total_error NaN.  This
     is the sweep engine's pass over a batch of one.
     """
-    outcomes = _run_trials(
-        cfg, estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
+    (outcomes,) = _run_trials(
+        (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
         np.array([noise_std(cfg.channel, snr_db)]),
     )
     return tuple(
@@ -296,50 +306,90 @@ def run_trial(
     )
 
 
-def _chunk_trials(cfg: ExperimentConfig) -> int:
-    """Trials per engine pass, so that the pass's largest array fits CHUNK_BYTES.
+def _chunk_trials(cfgs: Sequence[ExperimentConfig]) -> int:
+    """Trials per engine pass over cfgs, so that the frame streams of a pass fit CHUNK_BYTES.
 
-    Each mode's trial of a shared pass counts as one.
+    Each mode's trial of a shared pass counts as one.  A pass holds one
+    stream per config: with one config, it is the pass's largest array.
     """
-    # The frame stream (complex) and its noise draws (two reals per sample):
-    # no estimator holds more than this per trial.
-    return max(1, CHUNK_BYTES // (16 * 2 * (cfg.n_fft + cfg.cp_len)))
+    # A frame stream is complex; the one noise draw (two reals per sample of
+    # the longest frame) is no larger than the streams, and no estimator
+    # holds more than its stream per trial.
+    return max(1, CHUNK_BYTES // sum(16 * 2 * (cfg.n_fft + cfg.cp_len) for cfg in cfgs))
 
 
-def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run trials_per_point trials for every (mode, snr, estimator) cell and aggregate.
+def _shared_fields(cfg: ExperimentConfig) -> dict:
+    """Every field of cfg but n_fft, each SNR by its stream key (0.0 and -0.0 seed other streams)."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "n_fft"}
+    shared["snr_grid_db"] = tuple(map(_snr_key, cfg.snr_grid_db))
+    return shared
 
-    Each estimator's trials over the whole grid, in (snr, trial) order, run
-    as array passes of _chunk_trials trials each, every mode's trial of a
-    (snr, trial) pair in the same pass: each (snr, estimator, trial) builds
-    one trial_rng generator, draws the prefix the modes share once, and each
-    mode draws the rest of its frame from there (channel.propagate).  So a
-    mode's cells do not depend on the other modes of cfg, and every trial
-    equals run_trial for its cell and index.  Each pass adds its outcomes
-    into per-cell tallies, so memory does not grow with the trial count.
+
+def run_sweeps(cfgs: Iterable[ExperimentConfig]) -> tuple[SweepResult, ...]:
+    """Sweep configs that differ only in n_fft in shared passes; return one SweepResult per config.
+
+    Each result holds trials_per_point trials for every (mode, snr,
+    estimator) cell of its config, in that order.  Each estimator's trials
+    over the whole grid, in (snr, trial) order, run as array passes of
+    _chunk_trials trials each, every config's and every mode's trial of a
+    (snr, trial) pair in the same pass.  The stream key (trial_rng) holds
+    no n_fft, so each (snr, estimator, trial) builds one trial_rng
+    generator, and channel.propagate draws its frame once for every config
+    and mode: the noise is drawn for the longest block, each N reads its
+    prefix, and so each config gets the draws it would make alone.  A
+    config's cells do not depend on the other configs, nor a mode's on the
+    other modes, and every trial equals run_trial for its cell and index.
+    Each pass adds its outcomes into per-cell tallies, so memory does not
+    grow with the trial count.
+
+    Raises:
+        ConfigError: if two configs differ in anything but n_fft; no trial
+            runs first.
     """
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        return ()
+    shared = _shared_fields(cfgs[0])
+    for cfg in cfgs[1:]:
+        differ = [name for name, value in _shared_fields(cfg).items() if value != shared[name]]
+        if differ:
+            raise ConfigError(
+                f"the configs of one sweep may differ only in n_fft, not in {', '.join(differ)}"
+            )
+    cfg = cfgs[0]
     trials = cfg.trials_per_point
     if trials == 0:
-        return SweepResult(config=cfg, cells=())
+        return tuple(SweepResult(config=c, cells=()) for c in cfgs)
     width = len(cfg.modes)
     grid = np.array(cfg.snr_grid_db, dtype=float)
     scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
     total = grid.size * trials
-    step = max(1, _chunk_trials(cfg) // width)
+    step = max(1, _chunk_trials(cfgs) // width)
     stats = {}
     for estimator in cfg.estimators:
-        # Per (snr, mode): failures, the sum of squared finite ffo_error and
-        # the finite count.  ufunc.at adds in index order, so each sum runs
-        # in trial order, as a loop over the trials forms it.
-        tally = np.zeros((3, grid.size, width))
+        # Per (config, snr, mode): failures, the sum of squared finite
+        # ffo_error and the finite count.  ufunc.at adds in index order, so
+        # each sum runs in trial order, as a loop over the trials forms it.
+        tally = np.zeros((len(cfgs), 3, grid.size, width))
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
-            correct, ffo_error, _ = _run_trials(cfg, estimator, grid[cell], t, scales[cell])
-            finite = np.isfinite(ffo_error)
-            np.add.at(tally[0], cell, ~correct)
-            np.add.at(tally[1], cell, np.where(finite, ffo_error**2, 0.0))
-            np.add.at(tally[2], cell, finite)
+            for k, (correct, ffo_error, _) in enumerate(
+                _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
+            ):
+                finite = np.isfinite(ffo_error)
+                np.add.at(tally[k, 0], cell, ~correct)
+                np.add.at(tally[k, 1], cell, np.where(finite, ffo_error**2, 0.0))
+                np.add.at(tally[k, 2], cell, finite)
         stats[estimator] = tally.tolist()
+    return tuple(
+        SweepResult(config=c, cells=_cells(c, {est: stats[est][k] for est in cfg.estimators}))
+        for k, c in enumerate(cfgs)
+    )
+
+
+def _cells(cfg: ExperimentConfig, stats: dict[str, list]) -> tuple[SweepCell, ...]:
+    """cfg's cells in (mode, snr, estimator) order, from each estimator's (3, snr, mode) tally."""
+    trials = cfg.trials_per_point
     cells = []
     for m, mode in enumerate(cfg.modes):
         for k, snr_db in enumerate(cfg.snr_grid_db):
@@ -358,7 +408,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                         wilson_ci_95=wilson_interval(failures, trials),
                     )
                 )
-    return SweepResult(config=cfg, cells=tuple(cells))
+    return tuple(cells)
+
+
+def run_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Run trials_per_point trials for every (mode, snr, estimator) cell and aggregate.
+
+    This is run_sweeps((cfg,))[0], the engine's pass for one FFT size.
+    """
+    return run_sweeps((cfg,))[0]
 
 
 def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.ndarray:

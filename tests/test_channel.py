@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cfolab import channel
@@ -232,7 +234,7 @@ def test_propagate_row_does_not_depend_on_its_batch(paths):
     def run(frames):
         """(stream, taps, phase_0) of these frames, the first two per frame."""
         rngs = (np.random.default_rng([paths, i]) for i in frames.tolist())
-        stream, taps, phase_0 = propagate(frame, profile, modes, 5.3, rngs, scale[frames])
+        (stream,), taps, phase_0 = propagate((frame,), profile, modes, 5.3, rngs, scale[frames])
         return stream.reshape(len(frames), 2, -1), taps.reshape(len(frames), 2, 2, paths), phase_0
 
     hits = channel._frame_windows.cache_info().hits
@@ -260,7 +262,7 @@ def test_propagate_lone_row_keeps_its_bits(paths):
 
     def run(frames):
         rngs = (np.random.default_rng([paths, i]) for i in frames)
-        return propagate(frame, profile, ("varying",), -7.1, rngs, scale[: len(frames)])[0]
+        return propagate((frame,), profile, ("varying",), -7.1, rngs, scale[: len(frames)])[0][0]
 
     batch = run(range(count))
     for i in range(count):
@@ -286,8 +288,8 @@ def test_propagate_adds_the_noise_the_scaled_product_gave():
     def rngs():
         return (np.random.default_rng([7, i]) for i in range(count))
 
-    noisy = propagate(frame, profile, modes, 5.3, rngs(), scale)[0].reshape(count, 2, 2 * blk)
-    clean = propagate(frame, profile, modes, 5.3, rngs(), np.zeros(count))[0]
+    noisy = propagate((frame,), profile, modes, 5.3, rngs(), scale)[0][0].reshape(count, 2, 2 * blk)
+    clean = propagate((frame,), profile, modes, 5.3, rngs(), np.zeros(count))[0][0]
     for i, rng in enumerate(rngs()):
         white = np.empty((2, 4 * blk))
         channel.draw_frame(modes, rng, np.empty((2, 2, 8)), white)
@@ -297,6 +299,73 @@ def test_propagate_adds_the_noise_the_scaled_product_gave():
         np.testing.assert_array_equal(noisy[i].view(np.uint64), want.view(np.uint64))
 
 
+# FFT sizes whose frames share one draw, at one CP: the draws for each block
+# length must be a prefix of those for every longer one.
+PREFIX_SIZES = (16, 64, 128, 256)
+PREFIX_CP = 16
+MODE_LISTS = [("varying",), ("static",), ("varying", "static"), ("static", "varying")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("modes", MODE_LISTS, ids="-".join)
+@pytest.mark.parametrize("paths", [1, 4])
+def test_shorter_block_draws_are_a_prefix_of_longer_block_draws(paths, modes, noisy, seed):
+    """A frame drawn for a shorter block is the prefix of the same generator's frame for a longer one.
+
+    Each block length draws with draw_frame from a fresh generator of one
+    seed: the tap normals and the common phase must be equal, and each
+    mode's noise for a shorter block must be the first normals of its noise
+    for every longer block.  A noiseless row draws no noise.  The sweep
+    engine relies on this to draw one frame for every FFT size (numpy keeps
+    its Generator streams stable, NEP 19).
+    """
+    width = len(modes)
+    draws = []
+    for n_fft in PREFIX_SIZES:
+        rng = np.random.default_rng(seed)
+        taps = np.empty((width, 2, 2 * paths))
+        white = np.empty((width, 4 * (n_fft + PREFIX_CP))) if noisy else None
+        draws.append((channel.draw_frame(modes, rng, taps, white), taps, white))
+    for k, (phase, taps, white) in enumerate(draws):
+        for longer_phase, longer_taps, longer_white in draws[k + 1 :]:
+            assert longer_phase == phase
+            np.testing.assert_array_equal(longer_taps, taps)
+            if noisy:
+                np.testing.assert_array_equal(longer_white[:, : white.shape[1]], white)
+
+
+@pytest.mark.parametrize("paths", [1, 4])
+def test_propagate_gives_each_preamble_the_frame_it_gets_alone(paths):
+    """Preambles of several FFT sizes propagated together each get the bits they get alone.
+
+    One generator per frame feeds every preamble: the longest block sets
+    the noise draw and each preamble reads its prefix.  Frame 2 draws no
+    noise.  Streams, taps and phases are compared bit for bit, with the
+    preambles in either order and each one alone.
+    """
+    frames = [_frame(n_fft=n_fft, cp=PREFIX_CP) for n_fft in (64, 16, 128)]
+    profile = ChannelProfile(paths, 2.0)
+    modes = ("varying", "static")
+    count = 5
+    scale = np.random.default_rng(paths).uniform(0.1, 1.0, count)
+    scale[2] = 0.0
+
+    def run(preambles):
+        rngs = (np.random.default_rng([paths, i]) for i in range(count))
+        return propagate(preambles, profile, modes, 5.3, rngs, scale)
+
+    streams, taps, phase_0 = run(frames)
+    assert [s.shape for s in streams] == [(count * 2, 2 * f.block_len) for f in frames]
+    for order in ([2, 0, 1], [0], [1], [2]):
+        got_streams, got_taps, got_phase = run([frames[i] for i in order])
+        for i, got in zip(order, got_streams):
+            np.testing.assert_array_equal(got.view(np.uint64), streams[i].view(np.uint64))
+        np.testing.assert_array_equal(got_taps, taps)
+        np.testing.assert_array_equal(got_phase, phase_0)
+
+
 def test_propagate_needs_one_generator_per_frame():
     """Fewer or more generators than scale entries raise instead of sending out undrawn rows."""
     frame = _frame()
@@ -304,4 +373,4 @@ def test_propagate_needs_one_generator_per_frame():
     for count in (2, 4):
         rngs = (np.random.default_rng(i) for i in range(count))
         with pytest.raises(ValueError):
-            propagate(frame, ChannelProfile(4, 2.0), ("varying",), 1.0, rngs, scale)
+            propagate((frame,), ChannelProfile(4, 2.0), ("varying",), 1.0, rngs, scale)

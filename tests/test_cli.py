@@ -208,10 +208,10 @@ def test_bad_source_date_epoch_is_rejected_before_any_output(tmp_path, capsys, m
 def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, monkeypatch):
     from cfolab import cli
 
-    def no_sweep(cfg):
+    def no_sweep(cfgs):
         raise AssertionError("swept before checking --out")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
     out = tmp_path / "missing" / "fig2.csv"
     assert main(["fig2", "--paper", "--trials", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -230,10 +230,10 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
                                                           paper, directory):
     from cfolab import cli
 
-    def no_sweep(cfg):
+    def no_sweep(cfgs):
         raise AssertionError("swept before checking the output targets")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
     (tmp_path / directory).mkdir()
     argv = ["fig2", "--paper"] if paper else ["fig2", "--n", "64"]
     assert main(argv + ["--trials", "1", "--out", str(tmp_path / "fig2.csv")]) == 2
@@ -246,10 +246,10 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
 def test_fig2_rejects_a_sweep_over_the_trial_cap_before_it_sweeps(tmp_path, capsys, monkeypatch):
     from cfolab import cli
 
-    def no_sweep(cfg):
+    def no_sweep(cfgs):
         raise AssertionError("swept past the trial cap")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
     out = tmp_path / "x.csv"
     assert main(["fig2", "--n", "64", "--snr-grid", "0", "--trials", "1000000000000000",
                  "--out", str(out)]) == 2
@@ -330,6 +330,32 @@ def test_fig2_byte_identical_rerun(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv.manifest.json").read_text().replace("a.csv", "x") == \
         (tmp_path / "b.csv.manifest.json").read_text().replace("b.csv", "x")
+
+
+@pytest.mark.parametrize("ffo", ["off", "on"])
+@pytest.mark.parametrize("estimator", ["proposed", "sca"])
+def test_fig2_paper_equals_one_run_per_n(tmp_path, capsys, monkeypatch, estimator, ffo):
+    """fig2 --paper writes, byte for byte, the CSVs and manifests of fig2 --n 64 and --n 128.
+
+    --paper sweeps both sizes in shared passes, one generator per trial for
+    both; each N's output must not show it.  30 trials on the 11-point grid
+    cross a chunk of the shared pass.  Each run writes into its own
+    directory under the same file name, so the manifests differ only there.
+    """
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    flags = ["--trials", "30", "--seed", "5", "--ffo", ffo, "--cfo", "20.3" if ffo == "on" else "20",
+             "--estimators", estimator]
+    paper, single = tmp_path / "paper", tmp_path / "single"
+    paper.mkdir()
+    single.mkdir()
+    assert main(["fig2", "--paper", *flags, "--out", str(paper / "fig2.csv")]) == 0
+    for n_fft in (64, 128):
+        name = f"fig2_n{n_fft}.csv"
+        assert main(["fig2", "--n", str(n_fft), *flags, "--out", str(single / name)]) == 0
+        assert (paper / name).read_bytes() == (single / name).read_bytes(), n_fft
+        manifest = name + ".manifest.json"
+        assert (paper / manifest).read_text().replace(str(paper), "DIR") == \
+            (single / manifest).read_text().replace(str(single), "DIR")
 
 
 def _loopback(tmp_path, cfo):

@@ -346,9 +346,9 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
     rows = []
     run_batch = simlab._run_trials
 
-    def recording(pass_cfg, estimator, snrs, trial_indices, scale):
-        assert pass_cfg is cfg
-        out = run_batch(pass_cfg, estimator, snrs, trial_indices, scale)
+    def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
+        assert pass_cfgs == (cfg,) and pass_cfgs[0] is cfg
+        (out,) = run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
         assert all(a.shape == (len(snrs), 2) for a in out)
         for m in range(2):
             rows.extend(
@@ -356,9 +356,9 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
                 for snr, t, *values in zip(snrs.tolist(), trial_indices.tolist(),
                                            *(a[:, m].tolist() for a in out))
             )
-        return out
+        return [out]
 
-    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfg: 7)
+    monkeypatch.setattr(simlab, "_chunk_trials", lambda cfgs: 7)
     monkeypatch.setattr(simlab, "_run_trials", recording)
     result = run_sweep(cfg)
     monkeypatch.undo()
@@ -439,6 +439,76 @@ def test_each_mode_of_a_config_sweeps_as_it_does_alone(modes, ffo):
         sweeps.append(shared)
     if ffo:  # with the fractional stage off, every ffo_mse is 0 whatever the stream
         assert _ffo_mse_bits(sweeps[0]) != _ffo_mse_bits(sweeps[1])
+
+
+@pytest.mark.parametrize("ffo", [False, True])
+def test_sweeps_over_fft_sizes_equal_one_sweep_per_size(monkeypatch, ffo):
+    """run_sweeps over N = 64 and 128 gives each config run_sweep's cells for it alone.
+
+    Both estimators run in both modes over a finite and an infinite SNR, and
+    ffo_mse is compared bit for bit.  CHUNK_BYTES is cut to the streams of
+    7 (snr, trial) pairs in both modes and at both sizes, so chunks cross
+    the 10-trial cells.  The stream key holds no N, so the shared pass
+    builds one trial_rng generator per (snr, estimator, trial): half of
+    what a sweep per N builds.
+    """
+    cfgs = tuple(
+        _cfg(n_fft=n_fft, modes=("varying", "static"), cfo_true=20.3 if ffo else 20.0,
+             ffo_stage_enabled=ffo, snr_grid_db=(6.0, math.inf), trials_per_point=10)
+        for n_fft in (64, 128)
+    )
+    alone = [run_sweep(cfg) for cfg in cfgs]
+    monkeypatch.setattr(simlab, "CHUNK_BYTES", 7 * 2 * 32 * (64 + 16 + 128 + 16))
+    chunks = []
+    run_batch = simlab._run_trials
+
+    def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
+        assert pass_cfgs == cfgs
+        chunks.append(snrs.tolist())
+        return run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
+
+    generators = []
+    build = simlab.trial_rng
+
+    def counting(*args):
+        generators.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(simlab, "_run_trials", recording)
+    monkeypatch.setattr(simlab, "trial_rng", counting)
+    shared = simlab.run_sweeps(cfgs)
+    monkeypatch.undo()
+    assert max(map(len, chunks)) == 7
+    assert any(len(set(chunk)) > 1 for chunk in chunks)
+    assert sorted(generators, key=repr) == sorted(
+        ((snr, est, t) for snr in (6.0, math.inf) for est in ("proposed", "sca") for t in range(10)),
+        key=repr,
+    )
+    assert len(shared) == 2
+    for result, cfg, want in zip(shared, cfgs, alone):
+        assert result.config is cfg
+        assert result.cells == want.cells
+        assert _ffo_mse_bits(result.cells) == _ffo_mse_bits(want.cells)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(master_seed=10), dict(cp_len=8), dict(channel=ChannelProfile(3, 2.0)),
+     dict(modes=("static", "varying")), dict(snr_grid_db=(6.0,)), dict(snr_grid_db=(-0.0, math.inf))],
+    ids=["seed", "cp", "paths", "modes", "grid", "grid-signed-zero"],
+)
+def test_sweeps_reject_configs_that_differ_beyond_n_fft(monkeypatch, change):
+    """Configs of one run_sweeps call may differ only in n_fft; anything else raises before a trial runs.
+
+    A grid of -0.0 dB equals one of 0.0 dB but seeds other streams, so it differs too.
+    """
+    base = _cfg(n_fft=64, modes=("varying", "static"), snr_grid_db=(0.0, math.inf), trials_per_point=2)
+    other = dataclasses.replace(base, n_fft=128, **change)
+    (field,) = change
+    monkeypatch.setattr(simlab, "_run_trials", lambda *args: pytest.fail("a trial ran"))
+    for cfgs in ((base, other), (other, base), (base, dataclasses.replace(base, n_fft=128), other)):
+        with pytest.raises(ConfigError, match=f"may differ only in n_fft, not in {field}$"):
+            simlab.run_sweeps(cfgs)
 
 
 @pytest.mark.parametrize("paths", [1, 4])
@@ -538,17 +608,23 @@ PEAK_CHUNKS = 6
 
 @pytest.mark.parametrize("estimator,trials", [("proposed", 190), ("sca", 190)])
 def test_sweep_memory_is_bounded_by_chunks(estimator, trials):
-    """Both modes of a shared pass together stay within the chunk bound."""
+    """Both modes of a shared pass together stay within the chunk bound, for one N and for two.
+
+    A pass over two FFT sizes holds the noise draw of the longer block and
+    a stream per size; a pass over N = 1024 twice holds two streams of the
+    largest size.
+    """
     cfg = _cfg(n_fft=1024, cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0, 20.0),
                trials_per_point=trials, estimators=(estimator,), modes=("varying", "static"))
-    assert 2 * trials * len(cfg.modes) >= 3 * simlab._chunk_trials(cfg)
-    tracemalloc.start()
-    try:
-        run_sweep(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < PEAK_CHUNKS * simlab.CHUNK_BYTES, peak / 2**20
+    for cfgs in ((cfg,), (dataclasses.replace(cfg, n_fft=512), cfg), (cfg, cfg)):
+        assert 2 * trials * len(cfg.modes) >= 3 * simlab._chunk_trials(cfgs)
+        tracemalloc.start()
+        try:
+            simlab.run_sweeps(cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_CHUNKS * simlab.CHUNK_BYTES, (len(cfgs), peak / 2**20)
 
 
 def test_sweep_peak_does_not_grow_with_the_trial_count(monkeypatch):
