@@ -52,9 +52,15 @@ EXIT_ESTIMATION = 3
 MAX_GRID_POINTS = 10_000
 
 
-def _fmt(x: float) -> str:
-    """Format a float with 9 significant digits, locale-independent."""
-    return format(float(x), ".9g")
+def _write_text(path: Path, text: str) -> None:
+    """Path.write_text(text, encoding="utf-8"): the same open, truncate, write and close, unbuffered."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def write_iq(path: str | Path, samples: np.ndarray) -> None:
@@ -238,7 +244,7 @@ def write_manifest(out_path: Path, config: dict, output_paths: list[str], starte
         "started_at": started_at,
         "output_paths": output_paths,
     }
-    manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(manifest_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
@@ -288,33 +294,20 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
                       trials_per_point=1, estimators=("proposed",))
     table = dump_correlations(cfg, snr_db, seed)
     lines = ["tau,corr_r1,corr_r2"]
-    for tau, c1, c2 in table:
-        lines.append(f"{int(tau)},{_fmt(c1)},{_fmt(c2)}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend("%d,%.9g,%.9g" % (tau, c1, c2) for tau, c1, c2 in table.tolist())
+    _write_text(out, "\n".join(lines) + "\n")
     write_manifest(out, {"command": "fig1", **settings}, [str(out)], started_at)
     print(f"wrote {len(table)} rows to {out}")
     return EXIT_OK
 
 
 def _sweep_rows(result: SweepResult) -> list[str]:
-    rows = []
-    for cell in result.cells:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(cell.snr_db),
-                    cell.estimator,
-                    cell.mode,
-                    str(cell.trials),
-                    str(cell.failures),
-                    _fmt(cell.failure_prob),
-                    _fmt(cell.wilson_ci_95[0]),
-                    _fmt(cell.wilson_ci_95[1]),
-                    _fmt(cell.ffo_mse),
-                ]
-            )
-        )
-    return rows
+    """result's fig2 CSV rows from its columns; %.9g is format(x, ".9g"), locale-independent."""
+    trials = result.config.trials_per_point
+    return [
+        "%.9g,%s,%s,%d,%d,%.9g,%.9g,%.9g,%.9g" % (snr_db, estimator, mode, trials, *values)
+        for (mode, snr_db, estimator), *values in result.rows()
+    ]
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
@@ -337,7 +330,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     for result, target in zip(run_sweeps(cfgs), targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
         rows.extend(_sweep_rows(result))
-        target.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write_text(target, "\n".join(rows) + "\n")
         write_manifest(target, {**config, "n": result.config.n_fft}, [str(target)], started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")
     return EXIT_OK

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -181,22 +182,44 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All cells of one sweep, in (mode, snr, estimator) iteration order."""
+    """One sweep's cells as columns in (mode, snr, estimator) order; cells, on first access, as records."""
 
     config: ExperimentConfig
-    cells: tuple[SweepCell, ...]
+    failures: tuple[int, ...]
+    failure_prob: tuple[float, ...]
+    ci_lo: tuple[float, ...]
+    ci_hi: tuple[float, ...]
+    ffo_mse: tuple[float, ...]
+
+    def rows(self) -> Iterator[tuple]:
+        """Each cell's ((mode, snr_db, estimator), failures, failure_prob, ci_lo, ci_hi, ffo_mse)."""
+        keys = product(self.config.modes, self.config.snr_grid_db, self.config.estimators)
+        return zip(keys, self.failures, self.failure_prob, self.ci_lo, self.ci_hi, self.ffo_mse)
+
+    @cached_property
+    def cells(self) -> tuple[SweepCell, ...]:
+        trials = self.config.trials_per_point
+        return tuple(
+            SweepCell(snr_db, estimator, mode, trials, failures, prob, mse, (lo, hi))
+            for (mode, snr_db, estimator), failures, prob, lo, hi, mse in self.rows()
+        )
+
+
+def _wilson(p: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """95% Wilson score bounds of each proportion p of failures in trials trials."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    z = 1.959963984540054  # the standard normal's 97.5% quantile
-    if trials <= 0:
-        raise ConfigError("wilson interval needs at least one trial")
-    p = failures / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    """95% Wilson score interval for a binomial proportion, the one-cell case of the sweep's columns."""
+    if not 0 <= failures <= trials > 0:
+        raise ConfigError(
+            f"wilson interval needs trials > 0 and 0 <= failures <= trials, got {failures} of {trials}")
+    return tuple(map(float, _wilson(np.float64(failures / trials), trials)))
 
 
 @lru_cache(maxsize=8)
@@ -359,56 +382,39 @@ def run_sweeps(cfgs: Iterable[ExperimentConfig]) -> tuple[SweepResult, ...]:
     cfg = cfgs[0]
     trials = cfg.trials_per_point
     if trials == 0:
-        return tuple(SweepResult(config=c, cells=()) for c in cfgs)
+        return tuple(SweepResult(c, (), (), (), (), ()) for c in cfgs)
     width = len(cfg.modes)
     grid = np.array(cfg.snr_grid_db, dtype=float)
     scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
     total = grid.size * trials
     step = max(1, _chunk_trials(cfgs) // width)
-    stats = {}
-    for estimator in cfg.estimators:
-        # Per (config, snr, mode): failures, the sum of squared finite
-        # ffo_error and the finite count.  ufunc.at adds in index order, so
-        # each sum runs in trial order, as a loop over the trials forms it.
-        tally = np.zeros((len(cfgs), 3, grid.size, width))
+    # Per (config, estimator, snr, mode): failures, the sum of squared finite
+    # ffo_error and the finite count.  ufunc.at adds in index order, so each
+    # sum runs in trial order, as a loop over the trials forms it.
+    tally = np.zeros((len(cfgs), len(cfg.estimators), 3, grid.size, width))
+    for e, estimator in enumerate(cfg.estimators):
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
             for k, (correct, ffo_error, _) in enumerate(
                 _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
             ):
+                failures, sq_sum, sq_count = tally[k, e]
                 finite = np.isfinite(ffo_error)
-                np.add.at(tally[k, 0], cell, ~correct)
-                np.add.at(tally[k, 1], cell, np.where(finite, ffo_error**2, 0.0))
-                np.add.at(tally[k, 2], cell, finite)
-        stats[estimator] = tally.tolist()
-    return tuple(
-        SweepResult(config=c, cells=_cells(c, {est: stats[est][k] for est in cfg.estimators}))
-        for k, c in enumerate(cfgs)
-    )
+                np.add.at(failures, cell, ~correct)
+                np.add.at(sq_sum, cell, np.where(finite, ffo_error**2, 0.0))
+                np.add.at(sq_count, cell, finite)
+    return tuple(_result(c, counts) for c, counts in zip(cfgs, tally))
 
 
-def _cells(cfg: ExperimentConfig, stats: dict[str, list]) -> tuple[SweepCell, ...]:
-    """cfg's cells in (mode, snr, estimator) order, from each estimator's (3, snr, mode) tally."""
-    trials = cfg.trials_per_point
-    cells = []
-    for m, mode in enumerate(cfg.modes):
-        for k, snr_db in enumerate(cfg.snr_grid_db):
-            for estimator in cfg.estimators:
-                failures, sq_sum, sq_count = (column[k][m] for column in stats[estimator])
-                failures = int(failures)
-                cells.append(
-                    SweepCell(
-                        snr_db=snr_db,
-                        estimator=estimator,
-                        mode=mode,
-                        trials=trials,
-                        failures=failures,
-                        failure_prob=failures / trials,
-                        ffo_mse=sq_sum / sq_count if sq_count else math.nan,
-                        wilson_ci_95=wilson_interval(failures, trials),
-                    )
-                )
-    return tuple(cells)
+def _result(cfg: ExperimentConfig, tally: np.ndarray) -> SweepResult:
+    """cfg's SweepResult from its (estimator, [failures, sq_sum, sq_count], snr, mode) tally."""
+    failures, sq_sum, sq_count = tally.transpose(1, 3, 2, 0).reshape(3, -1)
+    failure_prob = failures / cfg.trials_per_point
+    ci_lo, ci_hi = _wilson(failure_prob, cfg.trials_per_point)
+    # math.nan, one object, where no ffo_error is finite: equal sweeps compare equal.
+    ffo_mse = tuple(s / n if n else math.nan for s, n in zip(sq_sum.tolist(), sq_count.tolist()))
+    columns = (failures.astype(int), failure_prob, ci_lo, ci_hi)
+    return SweepResult(cfg, *(tuple(column.tolist()) for column in columns), ffo_mse)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:

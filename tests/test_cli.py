@@ -1,18 +1,25 @@
 """Command-line interface: formats, exit codes, byte-level determinism."""
 
 import contextlib
+import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cfolab import cli
+from cfolab.channel import ChannelProfile
 from cfolab.cli import (
     MAX_GRID_POINTS,
     SETTINGS,
@@ -20,6 +27,7 @@ from cfolab.cli import (
     _parse_argv,
     _parse_snr_grid,
     _settings,
+    _sweep_rows,
     build_parser,
     load_config_file,
     main,
@@ -27,7 +35,7 @@ from cfolab.cli import (
     write_iq,
 )
 from cfolab.errors import ConfigError
-from cfolab.simlab import ESTIMATORS
+from cfolab.simlab import ESTIMATORS, ExperimentConfig, run_sweep
 
 
 def run_cli(*args, cwd=None):
@@ -356,6 +364,114 @@ def test_fig2_paper_equals_one_run_per_n(tmp_path, capsys, monkeypatch, estimato
         manifest = name + ".manifest.json"
         assert (paper / manifest).read_text().replace(str(paper), "DIR") == \
             (single / manifest).read_text().replace(str(single), "DIR")
+
+
+def _fmt(x):
+    """The per-field float format of the fig1 and fig2 CSVs before their one-string rows."""
+    return format(float(x), ".9g")
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.225073858507201e-308)
+@example(123456789.5)
+def test_percent_9g_formats_a_float_as_format_9g(x):
+    assert "%.9g" % x == _fmt(x)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers())
+def test_percent_d_formats_an_int_as_str(n):
+    assert "%d" % n == str(n)
+
+
+def test_sweep_rows_equal_the_per_field_join():
+    """The one-string rows equal the old join of _fmt and str fields, NaN ffo_mse and -0 dB included."""
+    cfg = ExperimentConfig(
+        n_fft=64, r1=2, r2=8, cp_len=16, channel=ChannelProfile(4, 2.0), cfo_true=20.3,
+        snr_grid_db=(-0.0, -12.5, math.inf), trials_per_point=3, modes=("varying", "static"),
+        ffo_stage_enabled=True,
+    )
+    result = run_sweep(cfg)
+    result = dataclasses.replace(result, ffo_mse=(math.nan, *result.ffo_mse[1:]))
+    want = [
+        ",".join([_fmt(c.snr_db), c.estimator, c.mode, str(c.trials), str(c.failures),
+                  _fmt(c.failure_prob), _fmt(c.wilson_ci_95[0]), _fmt(c.wilson_ci_95[1]),
+                  _fmt(c.ffo_mse)])
+        for c in result.cells
+    ]
+    assert _sweep_rows(result) == want
+    assert want[0].startswith("-0,") and want[0].endswith(",nan") and len(want) == 12
+    assert any(c.failures not in (0, 3) for c in result.cells)
+
+
+def test_write_text_writes_every_byte_through_short_writes(tmp_path, monkeypatch):
+    """An os.write that takes at most 7 bytes a call still leaves all of the UTF-8 bytes."""
+    text = "snr_db,µ,ü\n" * 40
+    sizes = []
+    write = os.write
+
+    def short(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    path = tmp_path / "out.csv"
+    monkeypatch.setattr(os, "write", short)
+    cli._write_text(path, text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert max(sizes) == 7 and len(sizes) == -(-len(text.encode("utf-8")) // 7)
+
+
+def test_write_text_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 1000)
+    cli._write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+@pytest.mark.parametrize("umask", [0o027, 0o002])
+def test_write_text_gives_the_mode_path_write_text_gives(tmp_path, umask):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    saved = os.umask(umask)
+    try:
+        cli._write_text(ours, "x\n")
+        theirs.write_text("x\n", encoding="utf-8")
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(ours.stat().st_mode) == stat.S_IMODE(theirs.stat().st_mode) == 0o666 & ~umask
+
+
+def test_a_failed_write_closes_its_file_and_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def recording_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    def recording_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    def no_space(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "close", recording_close)
+    monkeypatch.setattr(os, "write", no_space)
+    code = main(["fig2", "--n", "64", "--snr-grid", "0", "--trials", "1",
+                 "--out", str(tmp_path / "fig2.csv")])
+    monkeypatch.undo()
+    assert code == 2
+    assert len(opened) == 1 and closed == opened
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def _loopback(tmp_path, cfo):

@@ -232,6 +232,52 @@ def test_wilson_interval_matches_scipy(failures, trials):
     assert hi == pytest.approx(ref.high, abs=1e-12)
 
 
+def _scalar_wilson(failures, trials):
+    """The scalar Wilson interval that the sweep's array formula replaced, transcribed as it was."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
+    p = failures / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
+def test_wilson_bounds_keep_the_scalar_formula_bits():
+    """wilson_interval and the sweep's column form give the scalar formula's bits.
+
+    Every (failures, trials) with trials <= 64, and 0, 1, t // 2, t - 1 and
+    t failures out of 1e3, 1e6 and 2**24 trials.
+    """
+    cases = {t: range(t + 1) for t in range(1, 65)}
+    cases.update({t: (0, 1, t // 2, t - 1, t) for t in (10**3, 10**6, 2**24)})
+    for trials, counts in cases.items():
+        want = [tuple(x.hex() for x in _scalar_wilson(f, trials)) for f in counts]
+        assert [tuple(x.hex() for x in wilson_interval(f, trials)) for f in counts] == want, trials
+        lo, hi = simlab._wilson(np.array(counts, dtype=float) / trials, trials)
+        assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == want, trials
+
+
+@pytest.mark.parametrize("failures,trials", [(5, 3), (-1, 3), (0, 0), (0, -1)])
+def test_wilson_interval_rejects_failures_outside_the_trials(failures, trials):
+    with pytest.raises(ConfigError, match="wilson interval"):
+        wilson_interval(failures, trials)
+
+
+def test_a_cell_without_a_finite_ffo_error_has_nan_mse_and_equal_sweeps_stay_equal(monkeypatch):
+    """ffo_mse is NaN where every trial is degenerate, and two such sweeps still compare equal."""
+
+    def degenerate(streams, spec, ffo_stage):
+        nan = np.full(len(streams), math.nan)
+        return nan, nan, None
+
+    monkeypatch.setattr(simlab, "estimate_cfo_batch", degenerate)
+    cfg = _cfg(snr_grid_db=(10.0,), trials_per_point=3, estimators=("proposed",))
+    first, second = run_sweep(cfg), run_sweep(cfg)
+    (cell,) = first.cells
+    assert cell.failures == 3 and math.isnan(cell.ffo_mse)
+    assert first == second and first.cells == second.cells
+
+
 def test_proposed_failure_rare_at_high_snr():
     """At 20 dB with offset 20 the integer stage almost never misses."""
     cfg = _cfg(snr_grid_db=(20.0,), trials_per_point=1)
