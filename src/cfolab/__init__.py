@@ -12,7 +12,7 @@ from .channel import (
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import (
     CfoEstimate,
-    PeakReport,
+    CfoReport,
     compensate,
     estimate_cfo,
     estimate_ffo,
@@ -46,13 +46,13 @@ from .simlab import (
 __all__ = [
     "CazacParams",
     "CfoEstimate",
+    "CfoReport",
     "ChannelProfile",
     "ConfigError",
     "DegenerateSignalError",
     "ESTIMATORS",
     "ExperimentConfig",
     "ImpairmentSpec",
-    "PeakReport",
     "PreambleFrame",
     "PreambleSpec",
     "ReceivedFrame",

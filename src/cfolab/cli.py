@@ -350,8 +350,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "ffo": est.ffo,
         "ifo_residual": est.ifo_residual,
         "total": est.total,
-        "loc_1": est.peaks.loc_1,
-        "loc_2": est.peaks.loc_2,
+        "loc_1": est.peaks[0],
+        "loc_2": est.peaks[1],
         "failed": est.failed,
     }
     print(json.dumps(report, sort_keys=True, allow_nan=False))

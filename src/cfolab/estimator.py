@@ -22,7 +22,8 @@ modulo r2, i.e. loc_1 + ((loc_2 - loc_1) mod r2).  It is exact for every
 resolve_ifo).
 
 This estimator and the Schmidl-Cox baseline (sca) share one front end,
-receive, the one place that decides where the symbols sit in the stream.
+receive, the one place that decides where the symbols sit in the stream,
+and one report, CfoReport, whose row view is the one-frame CfoEstimate.
 """
 
 from __future__ import annotations
@@ -53,34 +54,53 @@ def wrap_offset(eps: float, rate: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class PeakReport:
-    """Magnitude profiles of both frequency correlations and their peak bins.
-
-    From estimate_cfo_batch every field has a leading trial axis.
-    """
-
-    corr_1: np.ndarray
-    corr_2: np.ndarray
-    loc_1: int
-    loc_2: int
-
-
-@dataclass(frozen=True, eq=False)
 class CfoEstimate:
-    """Output of the two-stage estimator.
+    """One frame's receiver report: a row of CfoReport.
 
     On success, total == ifo_residual + ffo.  When the integer stage fails to
     resolve, failed is True, ifo_residual/total are None, and ffo still holds
-    the fractional-stage output.  peaks holds the two correlation profiles
-    of the proposed estimator; it is None for Schmidl-Cox, whose metric
-    B(g) runs over even shifts and has no correlation combs.
+    the fractional-stage output.  profiles (k, M) holds what the integer
+    stage searched and peaks the index of each profile's maximum.
     """
 
     ffo: float
     ifo_residual: int | None
     total: float | None
-    peaks: PeakReport | None
+    profiles: np.ndarray
+    peaks: tuple[int, ...]
     failed: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class CfoReport:
+    """Both stages' output for a stack of T frames; every field has a leading trial axis.
+
+    ffo (T,) is NaN for a degenerate row.  ifo (T,) is the resolved integer
+    as a float, NaN where the integer stage did not resolve.  profiles
+    (T, k, M) holds what the integer stage searched: the two correlation
+    magnitudes (k = 2, M = N) for the proposed estimator, B(g) over
+    g = -N/4..N/4 (k = 1, M = N/2 + 1) for Schmidl-Cox.  peaks (T, k) is
+    the index of each profile's maximum.
+    """
+
+    ffo: np.ndarray
+    ifo: np.ndarray
+    profiles: np.ndarray
+    peaks: np.ndarray
+
+    def row(self, t: int) -> CfoEstimate:
+        """Row t as a CfoEstimate.
+
+        Raises:
+            DegenerateSignalError: row t is degenerate (NaN ffo).
+        """
+        ffo, ifo = float(self.ffo[t]), float(self.ifo[t])
+        if math.isnan(ffo):
+            raise DegenerateSignalError("preamble symbols carry no usable phase or energy")
+        profiles, peaks = self.profiles[t], tuple(self.peaks[t].tolist())
+        if math.isnan(ifo):
+            return CfoEstimate(ffo, None, None, profiles, peaks, failed=True)
+        return CfoEstimate(ffo, int(ifo), ifo + ffo, profiles, peaks)
 
 
 def time_autocorr(y: np.ndarray, rate: int) -> complex | np.ndarray:
@@ -252,19 +272,17 @@ def receive(
 
 def estimate_cfo_batch(
     stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True
-) -> tuple[np.ndarray, np.ndarray, PeakReport]:
+) -> CfoReport:
     """Run both stages on (T, frame_len) received frame streams.
 
     Each stage is one array pass over the trial axis; the integer stage
     dechirps both symbols against a cached conjugate chirp pair and takes
     one DFT, one magnitude and one argmax over the whole stack.  Only
-    resolve_ifo runs per row.  Returns (ffo, ifo, peaks): ffo (T,) is NaN
-    for degenerate rows, whose first symbol's autocorrelation is too small
-    to carry a phase or whose symbols leave either correlation profile all
-    zero (estimate_cfo raises DegenerateSignalError there), with or without
-    the fractional stage; ifo (T,) is the resolved integer as a float, and a
-    NaN there is reported as a failed resolution; peaks holds (T, N)
-    magnitude profiles and (T,) peak bins.
+    resolve_ifo runs per row.  A row is degenerate (NaN ffo) when its first
+    symbol's autocorrelation is too small to carry a phase or its symbols
+    leave either correlation profile all zero, with or without the
+    fractional stage.  The report's profiles are the (T, 2, N) correlation
+    magnitudes and its peaks their (T, 2) argmax bins.
 
     Raises:
         ConfigError: the streams are not (T, spec.frame_len).
@@ -272,16 +290,11 @@ def estimate_cfo_batch(
     ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.params_1.rate, ffo_stage)
     corr = np.abs(freq_correlate(y, (spec.params_1, spec.params_2)))
     loc = np.argmax(corr, axis=-1)
-    locs = loc.tolist()
     rate_2, n_fft = spec.params_2.rate, spec.n_fft
-    ifo = np.array([resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in locs], dtype=float)
+    ifo = np.array([resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in loc.tolist()], dtype=float)
     # An all-zero profile, and only that, has its peak at bin 0 with value 0.
-    for t, (l1, l2) in enumerate(locs):
-        if (l1 == 0 and corr[t, 0, 0] == 0) or (l2 == 0 and corr[t, 1, 0] == 0):
-            ffo[t] = np.nan
-    return ffo, ifo, PeakReport(
-        corr_1=corr[:, 0], corr_2=corr[:, 1], loc_1=loc[:, 0], loc_2=loc[:, 1]
-    )
+    ffo[((loc == 0) & (corr[..., 0] == 0)).any(axis=-1)] = np.nan
+    return CfoReport(ffo, ifo, corr, loc)
 
 
 def estimate_cfo(stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True) -> CfoEstimate:
@@ -293,7 +306,7 @@ def estimate_cfo(stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True)
     reference chirp and resolves the residual integer from the two peak
     locations.  With ffo_stage False the fractional stage is skipped and the
     symbols are used as-is (ffo = 0), which is only meaningful for integer
-    offsets.  This is estimate_cfo_batch for one frame.
+    offsets.  This is row 0 of estimate_cfo_batch on the one frame.
 
     Raises:
         ConfigError: the stream does not hold spec.frame_len samples.
@@ -301,15 +314,4 @@ def estimate_cfo(stream: np.ndarray, spec: PreambleSpec, ffo_stage: bool = True)
             small to carry a phase, or a symbol leaves its correlation
             profile all zero.
     """
-    ffo, ifo, batch = estimate_cfo_batch(np.asarray(stream)[None], spec, ffo_stage)
-    if math.isnan(ffo[0]):
-        raise DegenerateSignalError("preamble symbols carry no usable phase or energy")
-    peaks = PeakReport(
-        corr_1=batch.corr_1[0], corr_2=batch.corr_2[0],
-        loc_1=int(batch.loc_1[0]), loc_2=int(batch.loc_2[0]),
-    )
-    if math.isnan(ifo[0]):
-        return CfoEstimate(ffo=float(ffo[0]), ifo_residual=None, total=None, peaks=peaks, failed=True)
-    return CfoEstimate(
-        ffo=float(ffo[0]), ifo_residual=int(ifo[0]), total=float(ifo[0] + ffo[0]), peaks=peaks
-    )
+    return estimate_cfo_batch(np.asarray(stream)[None], spec, ffo_stage).row(0)

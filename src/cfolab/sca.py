@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSignalError
-from .estimator import CfoEstimate, receive
+from .errors import ConfigError
+from .estimator import CfoEstimate, CfoReport, receive
 from .signal import PreambleFrame, _is_power_of_two, assemble_frame, dft, idft
 
 
@@ -96,13 +96,13 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
 
 def sca_estimate_batch(
     stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> CfoReport:
     """Run the Schmidl-Cox estimator on (T, 2*(N+cp)) received frame streams.
 
-    Returns (ffo, ifo, metric): ffo (T,) is NaN for rows without a usable
-    phase or energy (sca_estimate raises DegenerateSignalError there), ifo
-    (T,) is the even integer estimate 2g as a float, and metric (T, N/2+1)
-    holds B(g) for g = -N/4..N/4, which spans every distinct even shift.
+    In the report, ffo (T,) is NaN for rows without a usable phase or
+    energy, ifo (T,) is the even integer estimate 2g as a float, profiles
+    (T, 1, N/2+1) holds B(g) for g = -N/4..N/4, which spans every distinct
+    even shift, and peaks (T, 1) is the index of its argmax.
 
     Raises:
         ConfigError: the streams are not (T, 2*(N+cp)).
@@ -127,9 +127,9 @@ def sca_estimate_batch(
     # decides nothing.
     with np.errstate(divide="ignore", invalid="ignore"):
         metric = (np.abs(corr[:, shifts % half]) / energy[:, None]) ** 2 / 2.0
-    g_hat = shifts[np.argmax(metric, axis=-1)]
+    peak = np.argmax(metric, axis=-1)
     ffo[energy == 0] = np.nan
-    return ffo, 2.0 * g_hat, metric
+    return CfoReport(ffo, 2.0 * shifts[peak], metric[:, None], peak[:, None])
 
 
 def sca_estimate(stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True) -> CfoEstimate:
@@ -138,17 +138,12 @@ def sca_estimate(stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True) -
     The fractional part comes from the phase of the half-symbol
     autocorrelation of symbol 1 (range +-1 subcarrier); both symbols are then
     derotated and the even shift 2g with |g| <= N/4 maximizing B(g) gives
-    the integer part.  Ties go to the lowest g.  This is
-    sca_estimate_batch for one frame.
+    the integer part.  Ties go to the lowest g.  This is row 0 of
+    sca_estimate_batch on the one frame.
 
     Raises:
         ConfigError: the stream does not hold 2*(N+cp) samples.
         DegenerateSignalError: the training symbols carry no usable phase or
             energy.
     """
-    ffo, ifo, _ = sca_estimate_batch(np.asarray(stream)[None], pre, ffo_stage)
-    if math.isnan(ffo[0]):
-        raise DegenerateSignalError("training symbols carry no usable phase or energy")
-    return CfoEstimate(
-        ffo=float(ffo[0]), ifo_residual=int(ifo[0]), total=float(ifo[0] + ffo[0]), peaks=None
-    )
+    return sca_estimate_batch(np.asarray(stream)[None], pre, ffo_stage).row(0)

@@ -57,7 +57,7 @@ def _sca(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
 # a word of each trial's seed key (trial_rng), so it never changes.
 # receiver(cfg) returns the frame the estimator's trials transmit, the rate
 # of its fractional stage and its batch form, which maps (T, 2*(N+cp))
-# frame streams to (ffo, ifo, details).
+# frame streams to an estimator.CfoReport.
 ESTIMATORS: dict[str, tuple[int, Callable[[ExperimentConfig], tuple]]] = {
     "proposed": (0, _proposed),
     "sca": (1, _sca),
@@ -296,11 +296,12 @@ def _run_trials(
     )
     outcomes = []
     for (_, ffo_rate, estimate), stream in zip(receivers, streams):
-        ffo, ifo, _ = estimate(stream)
+        report = estimate(stream)
         ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
-        total_error = (ifo + ffo) - cfg.cfo_true
+        total_error = (report.ifo + report.ffo) - cfg.cfo_true
         outcomes.append(tuple(
-            a.reshape(-1, len(cfg.modes)) for a in (np.abs(total_error) < 0.5, ffo - ffo_ref, total_error)
+            a.reshape(-1, len(cfg.modes))
+            for a in (np.abs(total_error) < 0.5, report.ffo - ffo_ref, total_error)
         ))
     return outcomes
 
@@ -436,4 +437,4 @@ def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.nda
     rx = transmit(frame, cfg.channel, imp, np.random.default_rng(seed), cfg.modes[0])
     est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     tau = np.arange(cfg.n_fft, dtype=float)
-    return np.column_stack([tau, est.peaks.corr_1, est.peaks.corr_2])
+    return np.column_stack([tau, *est.profiles])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.errors import ConfigError, DegenerateSignalError
@@ -436,8 +438,8 @@ def test_estimate_cfo_noiseless_exact(cfo):
 def test_estimate_cfo_reports_peaks():
     spec = _spec()
     est = estimate_cfo(_transmit(spec, 20.0, 3, paths=1), spec)
-    assert est.peaks.loc_1 == 20 and est.peaks.loc_2 == 20
-    assert est.peaks.corr_1.shape == (128,) and est.peaks.corr_2.shape == (128,)
+    assert est.peaks == (20, 20) and all(type(loc) is int for loc in est.peaks)
+    assert est.profiles.shape == (2, 128)
 
 
 def test_estimate_cfo_phase_invariant():
@@ -474,14 +476,13 @@ def test_estimate_cfo_batch_rows_match_single_frames():
     frames = [_transmit(spec, cfo, seed) for seed, cfo in enumerate((20.3, -13.6, 7.0, 0.4))]
     stack = np.stack(frames + [np.zeros(160, dtype=complex)])
     for ffo_stage in (True, False):
-        ffo, ifo, peaks = estimate_cfo_batch(stack, spec, ffo_stage)
+        report = estimate_cfo_batch(stack, spec, ffo_stage)
         for i, rx in enumerate(frames):
             est = estimate_cfo(rx, spec, ffo_stage)
-            assert (ffo[i], ifo[i]) == (est.ffo, est.ifo_residual)
-            assert (peaks.loc_1[i], peaks.loc_2[i]) == (est.peaks.loc_1, est.peaks.loc_2)
-            np.testing.assert_array_equal(peaks.corr_1[i], est.peaks.corr_1)
-            np.testing.assert_array_equal(peaks.corr_2[i], est.peaks.corr_2)
-        assert math.isnan(ffo[-1])
+            assert (report.ffo[i], report.ifo[i]) == (est.ffo, est.ifo_residual)
+            assert tuple(report.peaks[i]) == est.peaks
+            np.testing.assert_array_equal(report.profiles[i], est.profiles)
+        assert math.isnan(report.ffo[-1])
     with pytest.raises(DegenerateSignalError):
         estimate_cfo(np.zeros(160, dtype=complex), spec)
 
@@ -502,11 +503,106 @@ def test_a_symbol_without_signal_is_degenerate(ffo_stage, dead):
         rx[:block] = 0
     if dead != "first":
         rx[block:] = 0
-    ffo, _, _ = estimate_cfo_batch(np.stack([good, rx, good]), spec, ffo_stage)
+    ffo = estimate_cfo_batch(np.stack([good, rx, good]), spec, ffo_stage).ffo
     assert math.isnan(ffo[1]) and not np.isnan(ffo[[0, 2]]).any()
     assert ffo[0] == estimate_cfo(good, spec, ffo_stage).ffo
     with pytest.raises(DegenerateSignalError, match="no usable phase or energy"):
         estimate_cfo(rx, spec, ffo_stage)
+
+
+# Each batch form beside its one-frame form.
+_ESTIMATORS = {
+    "proposed": (estimate_cfo_batch, estimate_cfo),
+    "sca": (sca_estimate_batch, sca_estimate),
+}
+
+
+@st.composite
+def _batch_cases(draw):
+    """A stack of received frames for one estimator, maybe with one dead row."""
+    n_fft = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    rates = [r for r in (2, 4, 8, 16, 32, 64, 128) if r <= n_fft // 2]
+    r1 = draw(st.sampled_from(rates[:-1]))
+    r2 = draw(st.sampled_from([r for r in rates if r > r1]))
+    paths = draw(st.integers(1, 8))
+    ffo_stage = draw(st.booleans())
+    rows = draw(st.integers(2, 5))
+    bound = n_fft // 2 - 1
+    offset = st.floats(-bound, bound) if ffo_stage else st.integers(-bound, bound).map(float)
+    dead = st.tuples(st.integers(0, rows - 1), st.sampled_from(["all", "first", "second"]))
+    return {
+        "estimator": draw(st.sampled_from(sorted(_ESTIMATORS))),
+        "n_fft": n_fft,
+        "rates": (r1, r2),
+        "paths": paths,
+        "cp": draw(st.integers(paths - 1, 16)),
+        "mode": draw(st.sampled_from(["varying", "static"])),
+        "snr_db": draw(st.just(math.inf) | st.floats(-10.0, 30.0)),
+        "ffo_stage": ffo_stage,
+        "offsets": draw(st.lists(offset, min_size=rows, max_size=rows)),
+        "dead": draw(st.none() | dead),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _row_bits(est):
+    """Everything a one-frame estimate reports, floats as their bit patterns."""
+    total = None if est.total is None else est.total.hex()
+    return (est.ffo.hex(), est.ifo_residual, total, est.peaks, est.failed,
+            est.profiles.shape, est.profiles.tobytes())
+
+
+@settings(max_examples=200)
+# A noiseless offset of 0 without the fractional stage: both peaks sit at bin
+# 0 with a nonzero value, which is not the all-zero profile of a dead symbol.
+@example({"estimator": "proposed", "n_fft": 64, "rates": (2, 8), "paths": 1, "cp": 16,
+          "mode": "static", "snr_db": math.inf, "ffo_stage": False, "offsets": [0.0, 5.0],
+          "dead": None, "seed": 3})
+@given(_batch_cases())
+def test_batch_rows_are_the_one_frame_estimates(case):
+    """Row t of a batch report is the one-frame estimate of frame t alone, bit for bit.
+
+    A dead row (all zero, or one symbol zero) raises on its own row only.
+    Each row's peaks are its profiles' argmax bins, and its integer estimate
+    is the one those peaks give.
+    """
+    n_fft, (r1, r2), cp = case["n_fft"], case["rates"], case["cp"]
+    rng = np.random.default_rng(case["seed"])
+    if case["estimator"] == "proposed":
+        spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
+        frame, receiver = build_preamble(spec), spec
+    else:
+        pre = sca_build_preamble(n_fft, cp, rng)
+        frame, receiver = pre.frame, pre
+    profile = ChannelProfile(path_count=case["paths"], decay=2.0)
+    stack = np.stack([
+        transmit(frame, profile, ImpairmentSpec(cfo, case["snr_db"]), rng, case["mode"]).stream
+        for cfo in case["offsets"]
+    ])
+    dead_row, kind = case["dead"] or (None, None)
+    if kind is not None:
+        block = n_fft + cp
+        stack[dead_row, block if kind == "second" else 0 : block if kind == "first" else None] = 0
+    # Schmidl-Cox without the fractional stage does not see a dead first
+    # symbol: B(g) is 0 at every shift and the row reads as an estimate.
+    if case["estimator"] == "sca" and kind == "first" and not case["ffo_stage"]:
+        dead_row = None
+    batch, one_frame = _ESTIMATORS[case["estimator"]]
+    report = batch(stack, receiver, ffo_stage=case["ffo_stage"])
+    for t, row in enumerate(stack):
+        if t == dead_row:
+            with pytest.raises(DegenerateSignalError, match="no usable phase or energy"):
+                report.row(t)
+            with pytest.raises(DegenerateSignalError, match="no usable phase or energy"):
+                one_frame(row, receiver, ffo_stage=case["ffo_stage"])
+            continue
+        est = report.row(t)
+        assert _row_bits(est) == _row_bits(one_frame(row, receiver, ffo_stage=case["ffo_stage"]))
+        assert est.peaks == tuple(np.argmax(est.profiles, axis=-1).tolist())
+        if case["estimator"] == "proposed":
+            assert est.ifo_residual == resolve_ifo(*est.peaks, r2, n_fft)
+        else:
+            assert est.ifo_residual == 2 * (est.peaks[0] - n_fft // 4)
 
 
 _ONE_FRAME_SHAPES = [(0,), (64,), (159,), (161,), (320,), (1, 160)]

@@ -94,7 +94,9 @@ def test_end_to_end_static_noiseless():
     pre = _preamble()
     est = sca_estimate(_rx(pre, 20.0, seed=4), pre)
     assert abs(est.total - 20.0) < 1e-6
-    assert est.peaks is None and not est.failed
+    assert not est.failed
+    # B(g) runs over g = -32..32; the offset's g = 10 sits at index 42.
+    assert est.profiles.shape == (1, 65) and est.peaks == (42,)
 
 
 def test_zero_offset():
@@ -134,11 +136,14 @@ def test_batch_rows_match_single_frames():
     frames = [_rx(pre, cfo, seed=s, snr_db=10.0) for s, cfo in enumerate((20.4, -13.0, 6.0))]
     stack = np.stack(frames + [np.zeros(160, dtype=complex)])
     for ffo_stage in (True, False):
-        ffo, ifo, metric = sca_estimate_batch(stack, pre, ffo_stage=ffo_stage)
-        assert metric.shape == (4, 33)
+        report = sca_estimate_batch(stack, pre, ffo_stage=ffo_stage)
+        ffo, ifo = report.ffo, report.ifo
+        assert report.profiles.shape == (4, 1, 33) and report.peaks.shape == (4, 1)
         for i, rx in enumerate(frames):
             est = sca_estimate(rx, pre, ffo_stage=ffo_stage)
             assert (ffo[i], ifo[i], ifo[i] + ffo[i]) == (est.ffo, est.ifo_residual, est.total)
+            assert tuple(report.peaks[i]) == est.peaks
+            np.testing.assert_array_equal(report.profiles[i], est.profiles)
         assert math.isnan(ffo[-1])
 
 
@@ -178,9 +183,13 @@ def test_metric_matches_definitional_sum(n_fft, window):
     y[1] = 0
     # The streams: each symbol y behind its cyclic prefix.
     stream = np.concatenate([y[..., n_fft - 4 :], y], axis=-1).reshape(4, -1)
-    _, ifo, metric = sca_estimate_batch(stream, pre, ffo_stage=False)
+    report = sca_estimate_batch(stream, pre, ffo_stage=False)
+    ifo, metric = report.ifo, report.profiles[:, 0]
     assert metric.shape == (4, n_fft // 2 + 1)
     center = n_fft // 4
+    # Each peak is its row's argmax, and the estimate is the even shift 2g it sits at.
+    np.testing.assert_array_equal(report.peaks[:, 0], np.argmax(metric, axis=-1))
+    np.testing.assert_array_equal(ifo, 2.0 * (report.peaks[:, 0] - center))
     metric = metric[:, center - window : center + window + 1]
     ref = _metric_oracle(y, pre.v, window)
     assert np.isnan(metric[1]).all()

@@ -16,7 +16,7 @@ from cfolab import channel, estimator, simlab
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.cli import main
 from cfolab.errors import ConfigError
-from cfolab.estimator import estimate_cfo, wrap_offset
+from cfolab.estimator import CfoReport, estimate_cfo, wrap_offset
 from cfolab.sca import sca_build_preamble, sca_estimate
 from cfolab.signal import CazacParams
 from cfolab.simlab import (
@@ -267,8 +267,9 @@ def test_a_cell_without_a_finite_ffo_error_has_nan_mse_and_equal_sweeps_stay_equ
     """ffo_mse is NaN where every trial is degenerate, and two such sweeps still compare equal."""
 
     def degenerate(streams, spec, ffo_stage):
-        nan = np.full(len(streams), math.nan)
-        return nan, nan, None
+        t = len(streams)
+        nan = np.full(t, math.nan)
+        return CfoReport(nan, nan, np.zeros((t, 2, spec.n_fft)), np.zeros((t, 2), dtype=int))
 
     monkeypatch.setattr(simlab, "estimate_cfo_batch", degenerate)
     cfg = _cfg(snr_grid_db=(10.0,), trials_per_point=3, estimators=("proposed",))
