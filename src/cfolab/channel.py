@@ -67,34 +67,24 @@ class ChannelProfile:
 
     def tap_powers(self) -> np.ndarray:
         """Ensemble mean power per tap, normalized to sum to 1 (read-only)."""
-        return _tap_powers(self.path_count, self.decay)
+        return _tap_stats(self.path_count, self.decay)[0]
 
     def mean_power(self) -> float:
         """Total ensemble mean received power for a unit-power input."""
-        return _mean_power(self.path_count, self.decay)
+        return _tap_stats(self.path_count, self.decay)[1]
 
 
 @lru_cache(maxsize=32)
-def _tap_powers(path_count: int, decay: float) -> np.ndarray:
+def _tap_stats(path_count: int, decay: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """(tap powers, their sum, tap standard deviations) of a profile; the arrays are read-only."""
     # A subnormal decay overflows l/decay to inf: exp gives 0, the one-tap
     # limit that decay=1e-300 reaches without overflowing.
     with np.errstate(over="ignore"):
         p = np.exp(-np.arange(path_count) / decay)
     p = p / p.sum()
-    p.flags.writeable = False
-    return p
-
-
-@lru_cache(maxsize=32)
-def _mean_power(path_count: int, decay: float) -> float:
-    return float(_tap_powers(path_count, decay).sum())
-
-
-@lru_cache(maxsize=32)
-def _tap_std(path_count: int, decay: float) -> np.ndarray:
-    std = np.sqrt(_tap_powers(path_count, decay) / 2.0)
-    std.flags.writeable = False
-    return std
+    std = np.sqrt(p / 2.0)
+    p.flags.writeable = std.flags.writeable = False
+    return p, float(p.sum()), std
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,7 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> tuple[np.
     Each tap is zero-mean circularly-symmetric complex Gaussian with variance
     equal to its profile power; phase_0 is uniform on [0, 2*pi).
     """
-    std = _tap_std(profile.path_count, profile.decay)
+    std = _tap_stats(profile.path_count, profile.decay)[2]
     taps = complex_taps(std, rng.standard_normal(2 * profile.path_count))
     return taps, _draw_phase(rng)
 
@@ -301,7 +291,7 @@ def propagate(
     white = np.zeros((count, width, 4 * max(frame.block_len for frame in frames)))
     for i, (rng, noisy) in enumerate(zip(rngs, (scale != 0).tolist(), strict=True)):
         phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if noisy else None)
-    taps = complex_taps(_tap_std(paths, profile.decay), tap_normals.reshape(count * width, 2, -1))
+    taps = complex_taps(_tap_stats(paths, profile.decay)[2], tap_normals.reshape(count * width, 2, -1))
     reversed_taps = np.ascontiguousarray(taps[..., ::-1])
     if count * width == 1:
         reversed_taps = np.concatenate([reversed_taps, reversed_taps])

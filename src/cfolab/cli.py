@@ -318,16 +318,14 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     out = Path(args.out)
     targets = [out.with_name(f"{out.stem}_n{n}{out.suffix}") for n in n_list] if args.paper else [out]
     _check_targets(targets)
-    # Every config before any sweep, so a usage error writes nothing.
-    cfgs = [
-        _experiment(settings, n_fft, modes, snr_grid_db=settings["snr_grid"],
-                    trials_per_point=settings["trials"], estimators=settings["estimators"])
-        for n_fft in n_list
-    ]
+    # run_sweeps builds every size's config before its first trial, and the
+    # outputs are written after it, so a usage error writes nothing.
+    cfg = _experiment(settings, n_list[0], modes, snr_grid_db=settings["snr_grid"],
+                      trials_per_point=settings["trials"], estimators=settings["estimators"])
     config = {"command": "fig2", **settings, "modes": modes}
     del config["mode"]
     # One pass for every N: each trial's generator and draws serve both sizes.
-    for result, target in zip(run_sweeps(cfgs), targets):
+    for result, target in zip(run_sweeps(cfg, n_list), targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
         rows.extend(_sweep_rows(result))
         _write_text(target, "\n".join(rows) + "\n")

@@ -81,12 +81,25 @@ class CfoReport:
     magnitudes (k = 2, M = N) for the proposed estimator, B(g) over
     g = -N/4..N/4 (k = 1, M = N/2 + 1) for Schmidl-Cox.  peaks (T, k) is
     the index of each profile's maximum.
+
+    A row is degenerate when any of its profiles is not > 0 at its peak:
+    an all-zero profile carries no offset, and a NaN one has no peak to
+    trust.  Building the report sets ffo, in place, to NaN on each such
+    row; beside the fractional stage's NaN for a symbol without phase, this
+    is the one degenerate rule of both estimators.
     """
 
     ffo: np.ndarray
     ifo: np.ndarray
     profiles: np.ndarray
     peaks: np.ndarray
+
+    def __post_init__(self) -> None:
+        # A profile's maximum is its value at its peak, NaN included.  The
+        # ufuncs' own reduce gives ndarray.max/min's values without their
+        # Python-level wrappers, which a one-frame call would pay for.
+        at_peak = np.minimum.reduce(np.maximum.reduce(self.profiles, axis=-1), axis=-1)
+        self.ffo[~(at_peak > 0)] = np.nan
 
     def row(self, t: int) -> CfoEstimate:
         """Row t as a CfoEstimate.
@@ -280,9 +293,9 @@ def estimate_cfo_batch(
     one DFT, one magnitude and one argmax over the whole stack.  Only
     resolve_ifo runs per row.  A row is degenerate (NaN ffo) when its first
     symbol's autocorrelation is too small to carry a phase or its symbols
-    leave either correlation profile all zero, with or without the
-    fractional stage.  The report's profiles are the (T, 2, N) correlation
-    magnitudes and its peaks their (T, 2) argmax bins.
+    leave either correlation profile all zero (CfoReport), with or without
+    the fractional stage.  The report's profiles are the (T, 2, N)
+    correlation magnitudes and its peaks their (T, 2) argmax bins.
 
     Raises:
         ConfigError: the streams are not (T, spec.frame_len).
@@ -292,8 +305,6 @@ def estimate_cfo_batch(
     loc = np.argmax(corr, axis=-1)
     rate_2, n_fft = spec.params_2.rate, spec.n_fft
     ifo = np.array([resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in loc.tolist()], dtype=float)
-    # An all-zero profile, and only that, has its peak at bin 0 with value 0.
-    ffo[((loc == 0) & (corr[..., 0] == 0)).any(axis=-1)] = np.nan
     return CfoReport(ffo, ifo, corr, loc)
 
 

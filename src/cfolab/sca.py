@@ -99,10 +99,11 @@ def sca_estimate_batch(
 ) -> CfoReport:
     """Run the Schmidl-Cox estimator on (T, 2*(N+cp)) received frame streams.
 
-    In the report, ffo (T,) is NaN for rows without a usable phase or
-    energy, ifo (T,) is the even integer estimate 2g as a float, profiles
-    (T, 1, N/2+1) holds B(g) for g = -N/4..N/4, which spans every distinct
-    even shift, and peaks (T, 1) is the index of its argmax.
+    In the report, ffo (T,) is NaN for rows without a usable phase or with
+    a training symbol that is all zero, ifo (T,) is the even integer
+    estimate 2g as a float, profiles (T, 1, N/2+1) holds B(g) for
+    g = -N/4..N/4, which spans every distinct even shift, and peaks (T, 1)
+    is the index of its argmax.
 
     Raises:
         ConfigError: the streams are not (T, 2*(N+cp)).
@@ -122,13 +123,14 @@ def sca_estimate_batch(
     p = np.conj(x[:, 0, 0::2]) * x[:, 1, 0::2]
     corr = idft(dft(p) * (np.conj(dft(pre.v)) * math.sqrt(half)))
     # Dividing before squaring keeps the metric finite when the energy is
-    # huge (very low SNR).  All-zero rows divide by zero here; they, and
-    # only they, are flagged through ffo below, so the scale of a frame
-    # decides nothing.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        metric = (np.abs(corr[:, shifts % half]) / energy[:, None]) ** 2 / 2.0
+    # huge (very low SNR).  B(g) is NaN where symbol 2 carries no energy,
+    # also where that energy underflowed to 0 under a nonzero correlation,
+    # which would read inf; it is 0 at every shift where symbol 1 is all
+    # zero.  CfoReport flags both, and only rows like them, as degenerate:
+    # the scale of a frame decides nothing.
+    energy[energy == 0] = np.nan
+    metric = (np.abs(corr[:, shifts % half]) / energy[:, None]) ** 2 / 2.0
     peak = np.argmax(metric, axis=-1)
-    ffo[energy == 0] = np.nan
     return CfoReport(ffo, 2.0 * shifts[peak], metric[:, None], peak[:, None])
 
 
@@ -143,7 +145,7 @@ def sca_estimate(stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True) -
 
     Raises:
         ConfigError: the stream does not hold 2*(N+cp) samples.
-        DegenerateSignalError: the training symbols carry no usable phase or
-            energy.
+        DegenerateSignalError: the training symbols carry no usable phase,
+            or one of them is all zero.
     """
     return sca_estimate_batch(np.asarray(stream)[None], pre, ffo_stage).row(0)

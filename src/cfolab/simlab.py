@@ -7,10 +7,10 @@ execution order and individual trials can be replayed in isolation.
 A sweep runs each estimator's trials over the whole SNR grid as array passes
 over a leading trial axis, in chunks of bounded size: only the random draws
 loop per trial, each from its own generator.  The stream depends on neither
-the channel mode nor the FFT size, so the modes of a config, and the configs
-of a run_sweeps call (which differ only in n_fft), share its passes and each
-trial's generator.  run_sweep is run_sweeps for one config, and run_trial is
-the same pass over a batch of one.
+the channel mode nor the FFT size, so the modes of a config, and the FFT
+sizes of a run_sweeps call (each a copy of its one config), share its passes
+and each trial's generator.  run_sweep is run_sweeps at the config's own
+size, and run_trial is the same pass over a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from itertools import product
 
@@ -280,7 +280,8 @@ def _run_trials(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run a batch of trials as one array pass, for every config of cfgs in each of its modes.
 
-    The configs differ in nothing but n_fft (run_sweeps).  Trial i draws
+    The configs are copies of one config at other FFT sizes (run_sweeps),
+    so they differ in nothing but n_fft.  Trial i draws
     from trial_rng(cfgs[0], snrs[i], estimator, trial_indices[i]), one
     generator for every config and mode (see channel.propagate); scale[i]
     is noise_std at snrs[i].  Returns, per config, (ifo_correct,
@@ -342,45 +343,28 @@ def _chunk_trials(cfgs: Sequence[ExperimentConfig]) -> int:
     return max(1, CHUNK_BYTES // sum(16 * 2 * (cfg.n_fft + cfg.cp_len) for cfg in cfgs))
 
 
-def _shared_fields(cfg: ExperimentConfig) -> dict:
-    """Every field of cfg but n_fft, each SNR by its stream key (0.0 and -0.0 seed other streams)."""
-    shared = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "n_fft"}
-    shared["snr_grid_db"] = tuple(map(_snr_key, cfg.snr_grid_db))
-    return shared
+def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResult, ...]:
+    """Sweep cfg at each FFT size of n_ffts in shared passes; return one SweepResult per size.
 
-
-def run_sweeps(cfgs: Iterable[ExperimentConfig]) -> tuple[SweepResult, ...]:
-    """Sweep configs that differ only in n_fft in shared passes; return one SweepResult per config.
-
-    Each result holds trials_per_point trials for every (mode, snr,
+    The result for size n is that of replace(cfg, n_fft=n), in the order of
+    n_ffts; every such config is built, and so validated, before a trial
+    runs.  Each result holds trials_per_point trials for every (mode, snr,
     estimator) cell of its config, in that order.  Each estimator's trials
     over the whole grid, in (snr, trial) order, run as array passes of
-    _chunk_trials trials each, every config's and every mode's trial of a
+    _chunk_trials trials each, every size's and every mode's trial of a
     (snr, trial) pair in the same pass.  The stream key (trial_rng) holds
     no n_fft, so each (snr, estimator, trial) builds one trial_rng
-    generator, and channel.propagate draws its frame once for every config
+    generator, and channel.propagate draws its frame once for every size
     and mode: the noise is drawn for the longest block, each N reads its
-    prefix, and so each config gets the draws it would make alone.  A
-    config's cells do not depend on the other configs, nor a mode's on the
-    other modes, and every trial equals run_trial for its cell and index.
-    Each pass adds its outcomes into per-cell tallies, so memory does not
-    grow with the trial count.
-
-    Raises:
-        ConfigError: if two configs differ in anything but n_fft; no trial
-            runs first.
+    prefix, and so each size gets the draws it would make alone.  A size's
+    cells do not depend on the other sizes, nor a mode's on the other
+    modes, and every trial equals run_trial for its cell and index.  Each
+    pass adds its outcomes into per-cell tallies, so memory does not grow
+    with the trial count.
     """
-    cfgs = tuple(cfgs)
+    cfgs = tuple(replace(cfg, n_fft=n_fft) for n_fft in n_ffts)
     if not cfgs:
         return ()
-    shared = _shared_fields(cfgs[0])
-    for cfg in cfgs[1:]:
-        differ = [name for name, value in _shared_fields(cfg).items() if value != shared[name]]
-        if differ:
-            raise ConfigError(
-                f"the configs of one sweep may differ only in n_fft, not in {', '.join(differ)}"
-            )
-    cfg = cfgs[0]
     trials = cfg.trials_per_point
     if trials == 0:
         return tuple(SweepResult(c, (), (), (), (), ()) for c in cfgs)
@@ -421,9 +405,9 @@ def _result(cfg: ExperimentConfig, tally: np.ndarray) -> SweepResult:
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run trials_per_point trials for every (mode, snr, estimator) cell and aggregate.
 
-    This is run_sweeps((cfg,))[0], the engine's pass for one FFT size.
+    This is run_sweeps(cfg, (cfg.n_fft,))[0], the engine's pass for one FFT size.
     """
-    return run_sweeps((cfg,))[0]
+    return run_sweeps(cfg, (cfg.n_fft,))[0]
 
 
 def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_tap_power_flat_limit():
 @pytest.mark.parametrize("decay", [1e-320, 5e-324])
 def test_tap_power_subnormal_decay_is_the_one_tap_limit(decay):
     """A subnormal decay gives what decay=1e-300 gives, without an overflow warning."""
-    channel._tap_powers.cache_clear()
+    channel._tap_stats.cache_clear()
     np.testing.assert_array_equal(ChannelProfile(4, decay).tap_powers(), [1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(ChannelProfile(4, 1e-300).tap_powers(), [1.0, 0.0, 0.0, 0.0])
 

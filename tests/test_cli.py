@@ -216,7 +216,7 @@ def test_bad_source_date_epoch_is_rejected_before_any_output(tmp_path, capsys, m
 def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, monkeypatch):
     from cfolab import cli
 
-    def no_sweep(cfgs):
+    def no_sweep(cfg, n_ffts):
         raise AssertionError("swept before checking --out")
 
     monkeypatch.setattr(cli, "run_sweeps", no_sweep)
@@ -238,7 +238,7 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
                                                           paper, directory):
     from cfolab import cli
 
-    def no_sweep(cfgs):
+    def no_sweep(cfg, n_ffts):
         raise AssertionError("swept before checking the output targets")
 
     monkeypatch.setattr(cli, "run_sweeps", no_sweep)
@@ -254,7 +254,7 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
 def test_fig2_rejects_a_sweep_over_the_trial_cap_before_it_sweeps(tmp_path, capsys, monkeypatch):
     from cfolab import cli
 
-    def no_sweep(cfgs):
+    def no_sweep(cfg, n_ffts):
         raise AssertionError("swept past the trial cap")
 
     monkeypatch.setattr(cli, "run_sweeps", no_sweep)

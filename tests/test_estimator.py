@@ -487,34 +487,49 @@ def test_estimate_cfo_batch_rows_match_single_frames():
         estimate_cfo(np.zeros(160, dtype=complex), spec)
 
 
-@pytest.mark.parametrize("ffo_stage", [True, False])
-@pytest.mark.parametrize("dead", ["both", "first", "second"])
-def test_a_symbol_without_signal_is_degenerate(ffo_stage, dead):
-    """A symbol whose correlation profile is all zero carries no offset, whichever stages run.
-
-    In a stack its row reads NaN beside good rows; alone it raises, as the
-    fractional stage does for a symbol without phase.
-    """
-    spec = _spec()
-    block = spec.n_fft + spec.cp_len
-    good = _transmit(spec, 20.3 if ffo_stage else 20.0, 5)
-    rx = good.copy()
-    if dead != "second":
-        rx[:block] = 0
-    if dead != "first":
-        rx[block:] = 0
-    ffo = estimate_cfo_batch(np.stack([good, rx, good]), spec, ffo_stage).ffo
-    assert math.isnan(ffo[1]) and not np.isnan(ffo[[0, 2]]).any()
-    assert ffo[0] == estimate_cfo(good, spec, ffo_stage).ffo
-    with pytest.raises(DegenerateSignalError, match="no usable phase or energy"):
-        estimate_cfo(rx, spec, ffo_stage)
-
-
 # Each batch form beside its one-frame form.
 _ESTIMATORS = {
     "proposed": (estimate_cfo_batch, estimate_cfo),
     "sca": (sca_estimate_batch, sca_estimate),
 }
+
+
+def _row_bits(est):
+    """Everything a one-frame estimate reports, floats as their bit patterns."""
+    total = None if est.total is None else est.total.hex()
+    return (est.ffo.hex(), est.ifo_residual, total, est.peaks, est.failed,
+            est.profiles.shape, est.profiles.tobytes())
+
+
+@pytest.mark.parametrize("ffo_stage", [True, False])
+@pytest.mark.parametrize("dead", ["both", "first", "second"])
+def test_a_symbol_without_signal_is_degenerate(ffo_stage, dead):
+    """A symbol without signal carries no offset, for either estimator, whichever stages run.
+
+    In a stack its row reads NaN beside good rows, which keep their bits;
+    alone it raises, as the fractional stage does for a symbol without
+    phase.  Schmidl-Cox with a zero first symbol and the fractional stage
+    off reads B(g) = 0 at every shift: it too is degenerate.
+    """
+    spec = _spec()
+    block = spec.n_fft + spec.cp_len
+    cfo = 20.3 if ffo_stage else 20.0
+    pre = sca_build_preamble(spec.n_fft, spec.cp_len, np.random.default_rng(3))
+    sca_frame = transmit(pre.frame, ChannelProfile(4, 2.0), ImpairmentSpec(cfo, 10.0),
+                         np.random.default_rng(5), "static").stream
+    for name, receiver, frame in (("proposed", spec, _transmit(spec, cfo, 5)), ("sca", pre, sca_frame)):
+        batch, one_frame = _ESTIMATORS[name]
+        rx = frame.copy()
+        if dead != "second":
+            rx[:block] = 0
+        if dead != "first":
+            rx[block:] = 0
+        report = batch(np.stack([frame, rx, frame]), receiver, ffo_stage)
+        assert math.isnan(report.ffo[1]) and not np.isnan(report.ffo[[0, 2]]).any(), name
+        want = _row_bits(one_frame(frame, receiver, ffo_stage))
+        assert _row_bits(report.row(0)) == _row_bits(report.row(2)) == want, name
+        with pytest.raises(DegenerateSignalError, match="no usable phase or energy"):
+            one_frame(rx, receiver, ffo_stage)
 
 
 @st.composite
@@ -543,13 +558,6 @@ def _batch_cases(draw):
         "dead": draw(st.none() | dead),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
-
-
-def _row_bits(est):
-    """Everything a one-frame estimate reports, floats as their bit patterns."""
-    total = None if est.total is None else est.total.hex()
-    return (est.ffo.hex(), est.ifo_residual, total, est.peaks, est.failed,
-            est.profiles.shape, est.profiles.tobytes())
 
 
 @settings(max_examples=200)
@@ -583,10 +591,6 @@ def test_batch_rows_are_the_one_frame_estimates(case):
     if kind is not None:
         block = n_fft + cp
         stack[dead_row, block if kind == "second" else 0 : block if kind == "first" else None] = 0
-    # Schmidl-Cox without the fractional stage does not see a dead first
-    # symbol: B(g) is 0 at every shift and the row reads as an estimate.
-    if case["estimator"] == "sca" and kind == "first" and not case["ffo_stage"]:
-        dead_row = None
     batch, one_frame = _ESTIMATORS[case["estimator"]]
     report = batch(stack, receiver, ffo_stage=case["ffo_stage"])
     for t, row in enumerate(stack):

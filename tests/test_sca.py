@@ -113,10 +113,19 @@ def test_fractional_and_odd_offsets():
 
 
 def test_degenerate_input():
+    """An all-zero frame, and one whose symbol 2 energy underflows to 0, are degenerate.
+
+    In the second, B(g) divides a nonzero correlation by 0 and reads inf,
+    which is no peak to trust.
+    """
     pre = _preamble(n_fft=64)
     rx = _rx(pre, 0.0, seed=1)
-    with pytest.raises(DegenerateSignalError):
-        sca_estimate(np.zeros_like(rx), pre)
+    faint = rx.copy()
+    faint[80:] *= 1e-170
+    for ffo_stage in (False, True):
+        for dead in (np.zeros_like(rx), faint):
+            with pytest.raises(DegenerateSignalError):
+                sca_estimate(dead, pre, ffo_stage=ffo_stage)
 
 
 def test_scale_decides_nothing():
