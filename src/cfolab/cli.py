@@ -16,6 +16,9 @@ Each command declares its settings once, in SETTINGS: every key is both a
 config-file key and a flag (``_`` written ``-``).  Config files are flat
 UTF-8 ``key = value`` lines with ``#`` comments; a flag overrides the file
 value for the same key, and a key the command does not declare is an error.
+A flag given twice takes its last value.  Well-formed argv is read from the
+flag table build_parser records as it adds each flag; argparse parses the
+rest, so help and every usage error come from argparse.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -38,7 +42,7 @@ from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
 from .signal import CazacParams, PreambleSpec, build_preamble
-from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, dump_correlations, run_sweeps
+from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, _preamble_for, dump_correlations, run_sweeps
 
 # fig2 runs every FFT size through run_sweeps; run_sweep stays bound here
 # because bench/spans.py traces cli.run_sweep.
@@ -50,6 +54,10 @@ EXIT_ESTIMATION = 3
 
 # Most points a start:step:stop SNR grid may hold; the paper's grid has 11.
 MAX_GRID_POINTS = 10_000
+
+# estimate's report encoder: json.dumps(report, sort_keys=True, allow_nan=False)
+# builds this same encoder on every call.
+_REPORT_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -71,8 +79,9 @@ def write_iq(path: str | Path, samples: np.ndarray) -> None:
 def read_iq(path: str | Path) -> np.ndarray:
     """Read interleaved little-endian float32 I/Q into complex128.
 
-    The values are read as complex64 pairs and widened, so each part keeps
-    its float32 value exactly, the sign of a zero included.  A decoder that
+    The file is read whole with one unbuffered read, and the values are
+    read as complex64 pairs and widened, so each part keeps its float32
+    value exactly, the sign of a zero included.  A decoder that
     adds I and j*Q turns an imaginary -0.0 into +0.0, so compare decoded
     samples with ==, under which -0.0 equals 0.0, not by their bytes.
 
@@ -81,7 +90,7 @@ def read_iq(path: str | Path) -> np.ndarray:
             byte or an odd float32 count), or a NaN or infinite value.
         OSError: the file cannot be opened or read.
     """
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=0) as handle:
         data = handle.read()
     if len(data) % 8 != 0:
         raise ConfigError(f"{path}: {len(data)} bytes, not a whole number of float32 I/Q pairs")
@@ -336,8 +345,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    n_fft, cp = settings["n"], settings["cp"]
-    spec = PreambleSpec(CazacParams(n_fft, settings["r1"]), CazacParams(n_fft, settings["r2"]), cp)
+    spec, _ = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"])
     samples = read_iq(args.infile)
     if samples.size < spec.frame_len:
         raise ConfigError(
@@ -352,8 +360,36 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "loc_2": est.peaks[1],
         "failed": est.failed,
     }
-    print(json.dumps(report, sort_keys=True, allow_nan=False))
+    print(_REPORT_JSON.encode(report))
     return EXIT_ESTIMATION if est.failed else EXIT_OK
+
+
+@dataclass
+class _Command:
+    """One command: its subparser, its handler, and what each of its flags says.
+
+    add() adds a flag to the subparser and records, from the action that
+    argparse returns, the flag's dest, whether it takes one value or none,
+    whether it is required and its default.  _read_flags reads well-formed
+    argv from this table; argparse reads everything else.
+    """
+
+    parser: argparse.ArgumentParser
+    func: Callable[[argparse.Namespace], int]
+    defaults: dict[str, Any]  # dest -> value when no flag sets it
+    values: dict[str, str] = field(default_factory=dict)  # flag -> dest, one value
+    switches: dict[str, str] = field(default_factory=dict)  # flag -> dest, store_true
+    required: list[str] = field(default_factory=list)
+
+    def add(self, *flags: str, **kwargs: Any) -> None:
+        action = self.parser.add_argument(*flags, **kwargs)
+        if action.nargs is None:
+            self.values.update(dict.fromkeys(action.option_strings, action.dest))
+        elif action.nargs == 0:
+            self.switches.update(dict.fromkeys(action.option_strings, action.dest))
+        self.defaults[action.dest] = action.default
+        if action.required:
+            self.required.append(action.dest)
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     _settings to parse.  No flag may be abbreviated, so each has the one
     spelling _join_setting_values matches.  Parsing leaves the parser
     unchanged (each call fills a new namespace), so every call of main
-    shares it.  ``parser.commands`` maps each command name to its
-    subparser, which sets ``command`` itself, so _parse_argv can hand a
-    command's argv straight to it.
+    shares it.  ``parser.commands`` maps each command name to its _Command:
+    its subparser, which _parse_argv can hand the command's argv straight
+    to, its handler, and its flag table.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
@@ -375,29 +411,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
+    parser.commands = {}
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        cmd = _Command(sub.add_parser(name, help=help, allow_abbrev=False), func, {"command": name})
         for key, (_, default, text) in SETTINGS[name].items():
             # No flag default: an absent flag is None, so the config file can set the key.
-            p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default})")
-        p.add_argument("--config", help="flat key = value config file; flags override")
-        p.set_defaults(command=name, func=func)
-        return p
+            cmd.add("--" + key.replace("_", "-"), help=f"{text} (default: {default})")
+        cmd.add("--config", help="flat key = value config file; flags override")
+        parser.commands[name] = cmd
+        return cmd
 
-    p = command("preamble", _cmd_preamble, "write the two-symbol preamble as raw IQ")
-    p.add_argument("--out", required=True, help="output IQ path")
-    p = command("fig1", _cmd_fig1, "single-shot correlation comb profiles (CSV)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p = command("fig2", _cmd_fig2, "failure-probability sweep (CSV + manifest)")
-    p.add_argument("--paper", action="store_true",
-                   help="sweep N = 64 and 128 (x.csv: x_n64.csv, x_n128.csv); other settings "
-                        "keep their defaults, the paper's values, unless a flag or config key "
-                        "sets them")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p = command("estimate", _cmd_estimate, "estimate the offset carried by an IQ capture")
-    p.add_argument("--in", dest="infile", required=True, help="input IQ path")
+    cmd = command("preamble", _cmd_preamble, "write the two-symbol preamble as raw IQ")
+    cmd.add("--out", required=True, help="output IQ path")
+    cmd = command("fig1", _cmd_fig1, "single-shot correlation comb profiles (CSV)")
+    cmd.add("--out", required=True, help="output CSV path")
+    cmd = command("fig2", _cmd_fig2, "failure-probability sweep (CSV + manifest)")
+    cmd.add("--paper", action="store_true",
+            help="sweep N = 64 and 128 (x.csv: x_n64.csv, x_n128.csv); other settings "
+                 "keep their defaults, the paper's values, unless a flag or config key "
+                 "sets them")
+    cmd.add("--out", required=True, help="output CSV path")
+    cmd = command("estimate", _cmd_estimate, "estimate the offset carried by an IQ capture")
+    cmd.add("--in", dest="infile", required=True, help="input IQ path")
     return parser
 
 
@@ -418,22 +454,62 @@ def _join_setting_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as build_parser().parse_args would, in one argparse pass.
+def _read_flags(command: _Command, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives command's argv, if argv is well formed; else None.
 
-    When argv[0] names a command, the rest goes straight to that command's
-    parser: the top-level parser would hand it all there unchanged, so
-    its own pass over argv only costs time.  Tokens the command's parser
-    leaves are reported by the top-level parser, as its parse_args reports
-    them.  Any other argv (none, -h, --version, an unknown or abbreviated
-    command) goes to the top-level parser.
+    Well formed means every token is a switch, ``--flag=value`` for a flag
+    that takes a value, or such a flag followed by a token that does not
+    start with '-', and every required flag is given.  No value may be
+    ``--``, which some argparse versions drop.  On such argv argparse
+    stores each value as written, the last one where a flag repeats, and
+    reports nothing.  Anything else (help, ``--``, an unknown or abbreviated
+    flag, a missing value, a value given to a switch) is left to argparse.
+    """
+    given: dict[str, Any] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        dest = command.switches.get(token)
+        if dest is not None:
+            given[dest] = True
+            continue
+        flag, eq, value = token.partition("=")
+        dest = command.values.get(flag)
+        if dest is None:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        elif value == "--":
+            return None  # argparse may drop a '--' value, depending on its version
+        given[dest] = value
+    if not all(dest in given for dest in command.required):
+        return None
+    return argparse.Namespace(**{**command.defaults, **given})
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as build_parser().parse_args would, in at most one argparse pass.
+
+    When argv[0] names a command, well-formed argv is read from that
+    command's flag table (_read_flags) without argparse.  Other argv goes
+    straight to the command's parser: the top-level parser would hand it
+    all there unchanged, so its own pass over argv only costs time.
+    Tokens the command's parser leaves are reported by the top-level
+    parser, as its parse_args reports them.  Any other argv (none, -h,
+    --version, an unknown or abbreviated command) goes to the top-level
+    parser.  So every help text and usage error comes from argparse.
     """
     parser = build_parser()
     argv = _join_setting_values(argv)
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
+    args = _read_flags(command, argv[1:])
+    if args is not None:
+        return args
+    # The top-level parser names the command before its parser runs.
+    args, extras = command.parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
@@ -442,14 +518,15 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     """Run the command argv names; return its exit code.
 
-    argv is parsed once (_parse_argv): a command's argv goes straight to
-    that command's parser, anything else to the top-level parser.  A usage
+    argv is parsed once (_parse_argv): a command's well-formed argv is read
+    from its flag table, the rest of a command's argv goes straight to that
+    command's parser, anything else to the top-level parser.  A usage
     error that argparse catches exits through SystemExit(2); one the
     command finds returns EXIT_USAGE with an ``error:`` line.
     """
     args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return build_parser().commands[args.command].func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

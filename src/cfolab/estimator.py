@@ -146,25 +146,31 @@ def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
     autocorrelation is too small to carry a phase reads NaN instead of
     raising, so one unusable trial does not stop the others.  The floor is
     relative to the symbol's mean power, so no scale of y alone trips it.
+    Each row's phase and floor test are taken in one Python pass.
 
     Raises:
         DegenerateSignalError: one symbol whose autocorrelation magnitude is
             too small to carry a phase (all-zero or pathological input).
     """
     y = np.asarray(y)
-    r_t = np.atleast_1d(time_autocorr(y, rate))
+    r_t = time_autocorr(y, rate)
+    # The symbol's energy as one BLAS dot per symbol, like time_autocorr's sum.
+    energy = (np.conj(y[..., None, :]) @ y[..., :, None])[..., 0, 0].real
+    # np.abs, not abs(): Python's complex magnitude differs from numpy's in
+    # the last bit for about a third of values, which could move a row
+    # across the floor.
+    magnitude = np.abs(r_t)
+    scale, n = rate / (2.0 * np.pi), y.shape[-1]
     # math.atan2 per row: numpy's vectorized arctan2 may differ from it in
     # the last bit, which would move printed estimates.
-    ffo = rate / (2.0 * np.pi) * np.array([math.atan2(r.imag, r.real) for r in r_t.tolist()])
-    # The symbol's energy as one BLAS dot per symbol, like time_autocorr's sum.
-    energy = np.atleast_1d((np.conj(y[..., None, :]) @ y[..., :, None])[..., 0, 0].real)
-    degenerate = np.abs(r_t) <= _DEGENERATE_FLOOR * energy / y.shape[-1]
-    if np.ndim(y) > 1:
-        ffo[degenerate] = np.nan
-        return ffo
-    if degenerate[0]:
-        raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
-    return float(ffo[0])
+    if y.ndim == 1:
+        if magnitude <= _DEGENERATE_FLOOR * energy / n:
+            raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
+        return scale * math.atan2(r_t.imag, r_t.real)
+    return np.array([
+        math.nan if m <= _DEGENERATE_FLOOR * e / n else scale * math.atan2(r.imag, r.real)
+        for r, m, e in zip(r_t.tolist(), magnitude.tolist(), energy.tolist())
+    ])
 
 
 def compensate(y: np.ndarray, ffo: float | np.ndarray) -> np.ndarray:
@@ -173,13 +179,18 @@ def compensate(y: np.ndarray, ffo: float | np.ndarray) -> np.ndarray:
     y may carry leading axes; ffo is a scalar or broadcasts against
     y.shape[:-1].  The phase is real, ((-2*pi*ffo) * n) * (1/N): the
     products, in their order, that numpy's complex form exp(-2j*pi*ffo*n/N)
-    takes on its imaginary part (complex division by N multiplies by 1/N),
-    so both forms give the same bits.
+    takes on its imaginary part (complex division by N multiplies by 1/N).
+    The phasor's real and imaginary parts are written as cos(theta) and
+    sin(theta), without a complex exponential; they have the bits of
+    np.exp(1j*theta), so both forms give the same bits.
     """
     y = np.asarray(y)
     n = np.arange(y.shape[-1])
     theta = (-2.0 * np.pi * np.asarray(ffo))[..., None] * n * (1.0 / y.shape[-1])
-    return y * np.exp(1j * theta)
+    phasor = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=phasor.real)
+    np.sin(theta, out=phasor.imag)
+    return y * phasor
 
 
 @lru_cache(maxsize=32)

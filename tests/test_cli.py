@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, byte-level determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -562,9 +563,10 @@ def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
 _PINNED_CAPTURES = [(128, 10.3, 5), (128, -37.71, 6), (128, 0.49, 7),
                     (1024, 200.45, 8), (1024, -311.62, 9)]
 # sha256 of `cfolab estimate` stdout over _pinned_captures, one call per
-# capture in order, computed with numpy's complex forms of the receiver's
-# real scalings (complex division by sqrt(N), a complex phase in compensate
-# and a complex sum in read_iq).
+# capture in order.  It was computed with numpy's complex forms of the
+# receiver's real arithmetic (complex division by sqrt(N), np.exp of a
+# complex phase in compensate, a complex sum in read_iq); the real forms
+# that replaced them give the same bytes.
 ESTIMATE_STDOUT_SHA256 = "c13c0a23fb3216bb3a74d5548c6f61b7daadc1ba8ac1f361852e642cbf84f2e4"
 
 
@@ -1023,3 +1025,57 @@ def test_parse_dispatch_matches_the_top_level_parse(argv):
     """
     reference = _outcome(lambda a: build_parser().parse_args(_join_setting_values(a)), argv)
     assert _outcome(_parse_argv, argv) == reference
+
+
+# Values a drawn flag may take: plain ones, and ones argparse may read apart
+# from a plain value (empty, a leading '-' or '--', an '=').
+_PLAIN_VALUES = ["3", "x", "a b"]
+_ODD_VALUES = ["", "-1", "-x", "--x", "--", "a=b", "=", "--n=64"]
+
+
+def _drawn_argv(command):
+    """Token lists for command: its flags as '--flag value', '--flag=value' or bare, and strays.
+
+    Half the lists hold only flags with their values and the required flag,
+    in any order, so that both paths of _parse_argv see many examples.
+    """
+    flags = [_flag(key) for key in SETTINGS[command]] + ["--config", *_COMMAND_FLAGS[command]]
+    value = st.one_of(st.sampled_from(_PLAIN_VALUES), st.sampled_from(_ODD_VALUES))
+    pair = st.tuples(st.sampled_from(flags), value)
+    spaced, joined = pair.map(list), pair.map(lambda fv: [f"{fv[0]}={fv[1]}"])
+    required = [_COMMAND_FLAGS[command][0], "x"]
+    stray = st.sampled_from(["--", "-h", "--bogus", "stray", "--paper", "--paper=1"])
+    any_items = st.lists(st.one_of(spaced, joined, st.just(required),
+                                   st.sampled_from(flags).map(lambda flag: [flag]),
+                                   stray.map(lambda token: [token])), max_size=6)
+    flag_items = st.lists(st.one_of(spaced, joined), max_size=5).flatmap(
+        lambda items: st.permutations([*items, required]))
+    return st.one_of(any_items, flag_items).map(lambda items: [command, *sum(items, [])])
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_matches_the_top_level_parse_on_drawn_argv(command, data):
+    """main's parse gives what parse_args gives on argv drawn from every flag and form.
+
+    The same Namespace, or the same exit code, stdout and stderr, whichever
+    path _parse_argv takes.
+    """
+    argv = data.draw(_drawn_argv(command))
+    reference = _outcome(lambda a: build_parser().parse_args(_join_setting_values(a)), argv)
+    assert _outcome(_parse_argv, argv) == reference
+
+
+def test_the_benchmark_argv_is_read_without_argparse(monkeypatch):
+    """Well-formed argv never reaches argparse: a silent fallback would be correct but slow."""
+    shapes = (["estimate", "--in", "cap.iq", "--n", "1024"],
+              ["fig2", "--paper", "--estimators", "proposed", "--trials", "1", "--seed", "1048576",
+               "--out", "fig2.csv"])
+    expected = [build_parser().parse_args(_join_setting_values(argv)) for argv in shapes]
+
+    def no_argparse(*args, **kwargs):
+        raise AssertionError("argparse parsed well-formed argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_argparse)
+    assert [_parse_argv(argv) for argv in shapes] == expected
