@@ -34,13 +34,10 @@ from .signal import (
 from .simlab import (
     ESTIMATORS,
     ExperimentConfig,
-    SweepCell,
     SweepResult,
-    TrialRecord,
     dump_correlations,
     run_sweep,
     run_trial,
-    wilson_interval,
 )
 
 __all__ = [
@@ -57,9 +54,7 @@ __all__ = [
     "PreambleSpec",
     "ReceivedFrame",
     "ScaPreamble",
-    "SweepCell",
     "SweepResult",
-    "TrialRecord",
     "build_preamble",
     "cazac_generate",
     "compensate",
@@ -77,6 +72,5 @@ __all__ = [
     "sca_estimate",
     "time_autocorr",
     "transmit",
-    "wilson_interval",
     "wrap_offset",
 ]

@@ -19,7 +19,7 @@ import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -155,34 +155,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single transmission/estimation trial in one channel mode."""
-
-    snr_db: float
-    estimator: str
-    mode: str
-    ifo_correct: bool
-    ffo_error: float
-    total_error: float
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Aggregate over trials_per_point trials at one (snr, estimator, mode) cell."""
-
-    snr_db: float
-    estimator: str
-    mode: str
-    trials: int
-    failures: int
-    failure_prob: float
-    ffo_mse: float
-    wilson_ci_95: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """One sweep's cells as columns in (mode, snr, estimator) order; cells, on first access, as records."""
+    """One sweep's cells as columns in (mode, snr, estimator) order, trials_per_point trials each.
+
+    ci_lo and ci_hi bound each failure_prob's 95% Wilson score interval;
+    ffo_mse is NaN in a cell where no ffo_error is finite.
+    """
 
     config: ExperimentConfig
     failures: tuple[int, ...]
@@ -196,14 +174,6 @@ class SweepResult:
         keys = product(self.config.modes, self.config.snr_grid_db, self.config.estimators)
         return zip(keys, self.failures, self.failure_prob, self.ci_lo, self.ci_hi, self.ffo_mse)
 
-    @cached_property
-    def cells(self) -> tuple[SweepCell, ...]:
-        trials = self.config.trials_per_point
-        return tuple(
-            SweepCell(snr_db, estimator, mode, trials, failures, prob, mse, (lo, hi))
-            for (mode, snr_db, estimator), failures, prob, lo, hi, mse in self.rows()
-        )
-
 
 def _wilson(p: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """95% Wilson score bounds of each proportion p of failures in trials trials."""
@@ -212,14 +182,6 @@ def _wilson(p: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
-
-
-def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion, the one-cell case of the sweep's columns."""
-    if not 0 <= failures <= trials > 0:
-        raise ConfigError(
-            f"wilson interval needs trials > 0 and 0 <= failures <= trials, got {failures} of {trials}")
-    return tuple(map(float, _wilson(np.float64(failures / trials), trials)))
 
 
 @lru_cache(maxsize=8)
@@ -309,26 +271,23 @@ def _run_trials(
 
 def run_trial(
     cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index: int
-) -> tuple[TrialRecord, ...]:
+) -> tuple[tuple[bool, float, float], ...]:
     """Transmit one frame in each channel mode of cfg and run one estimator on each.
 
-    Returns one record per mode, in cfg.modes order.  ifo_correct records
-    whether the integer part was resolved: the total estimate lies within
-    half a subcarrier of the true offset.  With the fractional stage
-    disabled and an integer true offset, this reduces to the resolved
-    integer equalling the offset exactly.  A trial whose input
-    carries no usable phase has ffo_error and total_error NaN; one whose
-    integer stage fails keeps its ffo_error and has total_error NaN.  This
-    is the sweep engine's pass over a batch of one.
+    Returns one (ifo_correct, ffo_error, total_error) tuple per mode, in
+    cfg.modes order.  ifo_correct records whether the integer part was
+    resolved: the total estimate lies within half a subcarrier of the true
+    offset.  With the fractional stage disabled and an integer true offset,
+    this reduces to the resolved integer equalling the offset exactly.  A
+    trial whose input carries no usable phase has ffo_error and total_error
+    NaN; one whose integer stage fails keeps its ffo_error and has
+    total_error NaN.  This is the sweep engine's pass over a batch of one.
     """
     (outcomes,) = _run_trials(
         (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
         np.array([noise_std(cfg.channel, snr_db)]),
     )
-    return tuple(
-        TrialRecord(snr_db, estimator, mode, correct, ffo_error, total_error)
-        for mode, correct, ffo_error, total_error in zip(cfg.modes, *(a[0].tolist() for a in outcomes))
-    )
+    return tuple(zip(*(a[0].tolist() for a in outcomes)))
 
 
 def _chunk_trials(cfgs: Sequence[ExperimentConfig]) -> int:

@@ -1,7 +1,13 @@
-"""Shared oracle helpers: direct constructions independent of the package internals."""
+"""Shared oracle helpers: direct constructions independent of the package internals,
+and the channel engine's tap draws for the statistics tests."""
+
+from itertools import repeat
 
 import numpy as np
 from hypothesis import settings
+
+from cfolab.channel import propagate
+from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
 # Tier 1 runs the same examples every time: each @given draws from a seed
 # fixed by its test, keeps its own max_examples, and reads no example
@@ -55,3 +61,27 @@ def rayleigh_taps(rng, path_count, decay):
     return np.sqrt(power / 2) * (
         rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count)
     )
+
+
+# Frames per propagate call in engine_taps.  Even without noise, propagate
+# allocates a (frames, modes, 4 * block) noise buffer, so the chunk bounds
+# its memory.
+ENGINE_TAPS_CHUNK = 4096
+
+
+def engine_taps(profile, mode, rng, count):
+    """The (count, 2, L) taps channel.propagate draws for count frames from rng, in one mode.
+
+    These are the taps a sweep's frames see: propagate draws each frame's
+    taps and common phase from rng, one frame after another, and at scale 0
+    draws no noise.  Row 1 of a frame is its symbol-1 taps and row 2 its
+    symbol-2 taps, a copy of row 1 in static mode.
+    """
+    spec = PreambleSpec(CazacParams(16, 2), CazacParams(16, 4), profile.path_count - 1)
+    frame = build_preamble(spec)
+    chunks = []
+    for start in range(0, count, ENGINE_TAPS_CHUNK):
+        frames = min(ENGINE_TAPS_CHUNK, count - start)
+        _, taps, _ = propagate((frame,), profile, (mode,), 0.0, repeat(rng, frames), np.zeros(frames))
+        chunks.append(taps)
+    return np.concatenate(chunks)

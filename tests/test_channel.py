@@ -20,13 +20,11 @@ from cfolab.channel import (
 from cfolab.errors import ConfigError
 from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
 
+from conftest import engine_taps
+
 
 def _frame(n_fft=64, cp=16):
     return build_preamble(PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), cp))
-
-
-def _draw_many(profile, rng, count):
-    return np.stack([draw_channel(profile, rng)[0] for _ in range(count)])
 
 
 def test_profile_validation():
@@ -47,7 +45,7 @@ def test_tap_power_profile():
     np.testing.assert_allclose(shape, [1.0, 0.6065, 0.3679, 0.2231], atol=5e-4)
     expected = shape / shape.sum()
     np.testing.assert_allclose(profile.tap_powers(), expected, rtol=1e-15)
-    taps = _draw_many(profile, np.random.default_rng(1234), 100_000)
+    taps = engine_taps(profile, "static", np.random.default_rng(1234), 100_000)[:, 0]
     powers = np.abs(taps) ** 2
     mean = powers.mean(axis=0)
     stderr = powers.std(axis=0, ddof=1) / np.sqrt(powers.shape[0])
@@ -71,7 +69,7 @@ def test_tap_power_subnormal_decay_is_the_one_tap_limit(decay):
 def test_tap_power_rayleigh_distribution():
     """Per-tap |h|^2 is exponential with mean exp(-l/decay) / sum (KS at alpha=0.01)."""
     profile = ChannelProfile(path_count=3, decay=2.0)
-    taps = _draw_many(profile, np.random.default_rng(99), 100_000)
+    taps = engine_taps(profile, "static", np.random.default_rng(99), 100_000)[:, 0]
     shape = np.exp(-np.arange(3) / 2.0)
     for l in range(3):
         scale = shape[l] / shape.sum()
@@ -144,17 +142,33 @@ def test_static_mode_shares_one_realization():
 def test_varying_mode_taps_independent():
     """Across-symbol correlation of h(0) stays below 0.02 over 20k frames."""
     profile = ChannelProfile(path_count=4, decay=2.0)
-    rng = np.random.default_rng(17)
-    first = np.empty(20_000, dtype=complex)
-    second = np.empty(20_000, dtype=complex)
-    for i in range(first.size):
-        a, _ = draw_channel(profile, rng)
-        b, _ = draw_channel(profile, rng)
-        first[i], second[i] = a[0], b[0]
+    taps = engine_taps(profile, "varying", np.random.default_rng(17), 20_000)
+    first, second = taps[:, 0, 0], taps[:, 1, 0]
     corr = np.abs(np.mean(first * np.conj(second))) / np.sqrt(
         np.mean(np.abs(first) ** 2) * np.mean(np.abs(second) ** 2)
     )
     assert corr < 0.02
+
+
+@pytest.mark.parametrize("paths", [1, 4, 16])
+def test_draw_channel_is_the_engines_static_symbol_1_draw(paths):
+    """draw_channel gives the symbol-1 taps and phase_0 that propagate draws in static mode, bit for bit.
+
+    The sweep engine never calls draw_channel.  It stays only because the
+    benchmark's traced spans (bench/spans.py) bind channel.draw_channel,
+    until the benchmark is rebound to the layers the engine runs; this test
+    keeps it equal to the engine's draw until then.
+    """
+    profile = ChannelProfile(paths, 2.0)
+    count = 5
+    (_,), taps, phase_0 = propagate(
+        (_frame(),), profile, ("static",), 0.0,
+        (np.random.default_rng([paths, i]) for i in range(count)), np.zeros(count),
+    )
+    for i in range(count):
+        got_taps, got_phase = draw_channel(profile, np.random.default_rng([paths, i]))
+        np.testing.assert_array_equal(got_taps.view(np.uint64), taps[i, 0].view(np.uint64))
+        assert got_phase.hex() == phase_0[i].hex()
 
 
 def test_varying_mode_shares_phase():

@@ -402,14 +402,13 @@ def test_sweep_rows_equal_the_per_field_join():
     result = run_sweep(cfg)
     result = dataclasses.replace(result, ffo_mse=(math.nan, *result.ffo_mse[1:]))
     want = [
-        ",".join([_fmt(c.snr_db), c.estimator, c.mode, str(c.trials), str(c.failures),
-                  _fmt(c.failure_prob), _fmt(c.wilson_ci_95[0]), _fmt(c.wilson_ci_95[1]),
-                  _fmt(c.ffo_mse)])
-        for c in result.cells
+        ",".join([_fmt(snr_db), estimator, mode, str(cfg.trials_per_point), str(failures),
+                  _fmt(failure_prob), _fmt(ci_lo), _fmt(ci_hi), _fmt(ffo_mse)])
+        for (mode, snr_db, estimator), failures, failure_prob, ci_lo, ci_hi, ffo_mse in result.rows()
     ]
     assert _sweep_rows(result) == want
     assert want[0].startswith("-0,") and want[0].endswith(",nan") and len(want) == 12
-    assert any(c.failures not in (0, 3) for c in result.cells)
+    assert any(failures not in (0, 3) for failures in result.failures)
 
 
 def test_write_text_writes_every_byte_through_short_writes(tmp_path, monkeypatch):

@@ -21,13 +21,10 @@ from cfolab.sca import sca_build_preamble, sca_estimate
 from cfolab.signal import CazacParams
 from cfolab.simlab import (
     ExperimentConfig,
-    SweepCell,
-    TrialRecord,
     dump_correlations,
     run_sweep,
     run_trial,
     trial_rng,
-    wilson_interval,
 )
 
 
@@ -76,9 +73,9 @@ def test_trial_deterministic():
 def test_trial_noiseless_sentinel():
     cfg = _cfg()
     for trial in range(20):
-        (rec,) = run_trial(cfg, math.inf, "proposed", trial)
-        assert rec.ifo_correct
-        assert abs(rec.total_error) < 1e-6
+        ((ifo_correct, _, total_error),) = run_trial(cfg, math.inf, "proposed", trial)
+        assert ifo_correct
+        assert abs(total_error) < 1e-6
 
 
 def test_trial_streams_differ_between_estimators():
@@ -198,7 +195,7 @@ def test_fractional_stage_mse_matches_its_analytical_variance():
         predicted = (r1 / (2 * math.pi)) ** 2 * (
             s2 * lag / (m * m) * mean_inv_g + s2 * s2 / (2 * m) * mean_inv_g2
         )
-        ratio = run_sweep(cfg).cells[0].ffo_mse / predicted
+        ratio = run_sweep(cfg).ffo_mse[0] / predicted
         assert 0.9 < ratio < 1.1, (n_fft, r1, mode, snr_db, ratio)
 
 
@@ -209,24 +206,21 @@ def test_sweep_bit_identical():
 
 def test_sweep_empty_for_zero_trials():
     result = run_sweep(_cfg(trials_per_point=0))
-    assert result.cells == ()
+    assert list(result.rows()) == []
 
 
 def test_sweep_cell_bookkeeping():
     cfg = _cfg(trials_per_point=30, snr_grid_db=(5.0,))
-    result = run_sweep(cfg)
-    assert len(result.cells) == 2  # one per estimator
-    for cell in result.cells:
-        assert cell.trials == 30
-        assert cell.failure_prob == cell.failures / cell.trials
-        lo, hi = cell.wilson_ci_95
-        assert 0.0 <= lo <= cell.failure_prob <= hi <= 1.0
-        assert cell.mode == "varying"
+    rows = list(run_sweep(cfg).rows())
+    assert [key for key, *_ in rows] == [("varying", 5.0, "proposed"), ("varying", 5.0, "sca")]
+    for _, failures, failure_prob, lo, hi, _ in rows:
+        assert failure_prob == failures / 30
+        assert 0.0 <= lo <= failure_prob <= hi <= 1.0
 
 
 @pytest.mark.parametrize("failures,trials", [(0, 100), (3, 50), (50, 100), (97, 100)])
 def test_wilson_interval_matches_scipy(failures, trials):
-    lo, hi = wilson_interval(failures, trials)
+    (lo,), (hi,) = simlab._wilson(np.array([failures / trials]), trials)
     ref = binomtest(failures, trials).proportion_ci(confidence_level=0.95, method="wilson")
     assert lo == pytest.approx(ref.low, abs=1e-12)
     assert hi == pytest.approx(ref.high, abs=1e-12)
@@ -243,7 +237,7 @@ def _scalar_wilson(failures, trials):
 
 
 def test_wilson_bounds_keep_the_scalar_formula_bits():
-    """wilson_interval and the sweep's column form give the scalar formula's bits.
+    """The sweep's column form of the Wilson bounds gives the scalar formula's bits.
 
     Every (failures, trials) with trials <= 64, and 0, 1, t // 2, t - 1 and
     t failures out of 1e3, 1e6 and 2**24 trials.
@@ -252,15 +246,8 @@ def test_wilson_bounds_keep_the_scalar_formula_bits():
     cases.update({t: (0, 1, t // 2, t - 1, t) for t in (10**3, 10**6, 2**24)})
     for trials, counts in cases.items():
         want = [tuple(x.hex() for x in _scalar_wilson(f, trials)) for f in counts]
-        assert [tuple(x.hex() for x in wilson_interval(f, trials)) for f in counts] == want, trials
         lo, hi = simlab._wilson(np.array(counts, dtype=float) / trials, trials)
         assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == want, trials
-
-
-@pytest.mark.parametrize("failures,trials", [(5, 3), (-1, 3), (0, 0), (0, -1)])
-def test_wilson_interval_rejects_failures_outside_the_trials(failures, trials):
-    with pytest.raises(ConfigError, match="wilson interval"):
-        wilson_interval(failures, trials)
 
 
 def test_a_cell_without_a_finite_ffo_error_has_nan_mse_and_equal_sweeps_stay_equal(monkeypatch):
@@ -274,17 +261,17 @@ def test_a_cell_without_a_finite_ffo_error_has_nan_mse_and_equal_sweeps_stay_equ
     monkeypatch.setattr(simlab, "estimate_cfo_batch", degenerate)
     cfg = _cfg(snr_grid_db=(10.0,), trials_per_point=3, estimators=("proposed",))
     first, second = run_sweep(cfg), run_sweep(cfg)
-    (cell,) = first.cells
-    assert cell.failures == 3 and math.isnan(cell.ffo_mse)
-    assert first == second and first.cells == second.cells
+    assert first.failures == (3,) and math.isnan(first.ffo_mse[0])
+    assert first == second
 
 
 def test_proposed_failure_rare_at_high_snr():
     """At 20 dB with offset 20 the integer stage almost never misses."""
     cfg = _cfg(snr_grid_db=(20.0,), trials_per_point=1)
-    failures = sum(
-        not run_trial(cfg, 20.0, "proposed", t)[0].ifo_correct for t in range(10_000)
-    )
+    failures = 0
+    for t in range(10_000):
+        ((ifo_correct, _, _),) = run_trial(cfg, 20.0, "proposed", t)
+        failures += not ifo_correct
     assert failures / 10_000 < 1e-2
 
 
@@ -295,8 +282,8 @@ def test_mode_gap_smaller_for_proposed():
     for estimator in ("proposed", "sca"):
         bad = {"static": 0, "varying": 0}
         for t in range(3000):
-            for rec in run_trial(cfg, 5.0, estimator, t):
-                bad[rec.mode] += not rec.ifo_correct
+            for mode, (ifo_correct, _, _) in zip(cfg.modes, run_trial(cfg, 5.0, estimator, t)):
+                bad[mode] += not ifo_correct
         rates = {mode: count / 3000 for mode, count in bad.items()}
         assert rates["varying"] >= rates["static"]
         gaps[estimator] = rates["varying"] - rates["static"]
@@ -344,39 +331,32 @@ def test_config_is_frozen():
         cfg.n_fft = 64
 
 
-def _record_tuple(rec):
-    """A TrialRecord as a tuple whose NaN fields compare equal to each other."""
-    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in dataclasses.astuple(rec))
-
-
-def _reference_cells(cfg):
-    """The sweep as a plain loop over run_trial's per-mode records, aggregated cell by cell."""
-    cells = []
+def _reference_rows(cfg):
+    """The sweep's rows() as a plain loop over run_trial's per-mode outcomes, aggregated cell by cell."""
+    rows = []
+    trials = cfg.trials_per_point
     for m, mode in enumerate(cfg.modes):
         for snr_db in cfg.snr_grid_db:
             for estimator in cfg.estimators:
                 failures, sq_sum, sq_count = 0, 0.0, 0
-                for t in range(cfg.trials_per_point):
-                    rec = run_trial(cfg, snr_db, estimator, t)[m]
-                    failures += not rec.ifo_correct
-                    if math.isfinite(rec.ffo_error):
-                        sq_sum += rec.ffo_error * rec.ffo_error
+                for t in range(trials):
+                    ifo_correct, ffo_error, _ = run_trial(cfg, snr_db, estimator, t)[m]
+                    failures += not ifo_correct
+                    if math.isfinite(ffo_error):
+                        sq_sum += ffo_error * ffo_error
                         sq_count += 1
-                cells.append(SweepCell(
-                    snr_db=snr_db, estimator=estimator, mode=mode,
-                    trials=cfg.trials_per_point, failures=failures,
-                    failure_prob=failures / cfg.trials_per_point,
-                    ffo_mse=sq_sum / sq_count if sq_count else math.nan,
-                    wilson_ci_95=wilson_interval(failures, cfg.trials_per_point),
+                rows.append((
+                    (mode, snr_db, estimator), failures, failures / trials,
+                    *_scalar_wilson(failures, trials), sq_sum / sq_count if sq_count else math.nan,
                 ))
-    return tuple(cells)
+    return rows
 
 
 @pytest.mark.parametrize("ffo", [False, True])
 @pytest.mark.parametrize("mode", ["static", "varying"])
 @pytest.mark.parametrize("estimator", ["proposed", "sca"])
 def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo):
-    """Every trial of a shared pass, in either mode, equals run_trial's record for its cell and index.
+    """Every trial of a shared pass, in either mode, equals run_trial's outcome for its cell and index.
 
     The config sweeps `mode` and then the other mode in shared passes;
     chunks of 7 trials hold 3 (snr, trial) pairs of both modes, so
@@ -413,14 +393,13 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
         assert sorted((snr, t) for k, snr, t, *_ in rows if k == m) == sorted(
             (snr, t) for snr in cfg.snr_grid_db for t in range(10)
         )
-    for m, snr, t, correct, ffo_error, total_error in rows:
-        rec = TrialRecord(snr, estimator, cfg.modes[m], correct, ffo_error, total_error)
-        assert _record_tuple(rec) == _record_tuple(run_trial(cfg, snr, estimator, t)[m]), (
-            cfg.modes[m], snr, t)
+    for m, snr, t, *outcome in rows:
+        np.testing.assert_array_equal(outcome, run_trial(cfg, snr, estimator, t)[m],
+                                      err_msg=f"{cfg.modes[m]} {snr} {t}")
     assert result.config == cfg
-    assert result.cells == _reference_cells(cfg)
+    assert list(result.rows()) == _reference_rows(cfg)
     for mode in cfg.modes:
-        assert any(cell.failures for cell in result.cells if cell.mode == mode), mode
+        assert any(f for (row_mode, *_), f, *_ in result.rows() if row_mode == mode), mode
 
 
 @pytest.mark.parametrize("snr_db", [10.0, math.inf])
@@ -448,16 +427,13 @@ def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
         rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng, mode=mode)
         est = estimate(rx.stream, ffo_stage=True)
         total_error = math.nan if est.failed else est.total - cfg.cfo_true
-        replay = TrialRecord(
-            snr_db, estimator, mode, abs(total_error) < 0.5,
-            est.ffo - wrap_offset(cfg.cfo_true, rate), total_error,
-        )
-        (rec,) = run_trial(cfg, snr_db, estimator, t)
-        assert _record_tuple(replay) == _record_tuple(rec), t
+        replay = (abs(total_error) < 0.5, est.ffo - wrap_offset(cfg.cfo_true, rate), total_error)
+        (outcome,) = run_trial(cfg, snr_db, estimator, t)
+        np.testing.assert_array_equal(replay, outcome, err_msg=str(t))
 
 
-def _ffo_mse_bits(cells):
-    return [struct.pack("<d", c.ffo_mse) for c in cells]
+def _ffo_mse_bits(rows):
+    return [struct.pack("<d", ffo_mse) for *_, ffo_mse in rows]
 
 
 @pytest.mark.parametrize("ffo", [False, True])
@@ -476,11 +452,11 @@ def test_each_mode_of_a_config_sweeps_as_it_does_alone(modes, ffo):
     for zero in (0.0, -0.0):
         cfg = _cfg(n_fft=64, modes=modes, cfo_true=20.3 if ffo else 20.0, ffo_stage_enabled=ffo,
                    snr_grid_db=(zero, 6.0, math.inf), trials_per_point=12)
-        shared = run_sweep(cfg).cells
-        alone = tuple(
-            cell for mode in modes for cell in run_sweep(dataclasses.replace(cfg, modes=(mode,))).cells
-        )
-        assert [c.mode for c in shared] == [mode for mode in modes for _ in range(6)]
+        shared = list(run_sweep(cfg).rows())
+        alone = [
+            row for mode in modes for row in run_sweep(dataclasses.replace(cfg, modes=(mode,))).rows()
+        ]
+        assert [mode for (mode, _, _), *_ in shared] == [mode for mode in modes for _ in range(6)]
         assert shared == alone
         assert _ffo_mse_bits(shared) == _ffo_mse_bits(alone)
         sweeps.append(shared)
@@ -532,8 +508,8 @@ def test_sweeps_over_fft_sizes_equal_one_sweep_per_size(monkeypatch, ffo):
     assert len(shared) == 2
     for result, size_cfg, want in zip(shared, cfgs, alone):
         assert result.config == size_cfg
-        assert result.cells == want.cells
-        assert _ffo_mse_bits(result.cells) == _ffo_mse_bits(want.cells)
+        assert result == want
+        assert _ffo_mse_bits(result.rows()) == _ffo_mse_bits(want.rows())
 
 
 def test_sweeps_over_no_fft_size_return_nothing(monkeypatch):
@@ -592,11 +568,11 @@ def test_failed_resolution_is_a_failure_with_finite_ffo_error(monkeypatch):
     monkeypatch.setattr(estimator_module, "resolve_ifo", give_up)
     cfg = _cfg(cfo_true=20.3, ffo_stage_enabled=True, snr_grid_db=(10.0,), trials_per_point=4,
                estimators=("proposed",))
-    (rec,) = run_trial(cfg, 10.0, "proposed", 0)
-    assert not rec.ifo_correct
-    assert math.isfinite(rec.ffo_error) and math.isnan(rec.total_error)
-    (cell,) = run_sweep(cfg).cells
-    assert cell.failures == 4 and math.isfinite(cell.ffo_mse)
+    ((ifo_correct, ffo_error, total_error),) = run_trial(cfg, 10.0, "proposed", 0)
+    assert not ifo_correct
+    assert math.isfinite(ffo_error) and math.isnan(total_error)
+    result = run_sweep(cfg)
+    assert result.failures == (4,) and math.isfinite(result.ffo_mse[0])
 
 
 # sha256 of the CSVs of `cfolab fig2 --paper --trials 20 --seed 9 --ffo off|on`,
