@@ -207,6 +207,11 @@ def noise_std(profile: ChannelProfile, snr_db: float) -> float:
     return math.sqrt(noise_variance(profile, snr_db) / 2.0)
 
 
+# propagate pads its matrix products with zero rows to a multiple of this many
+# rows: a multiple of 2, 4, 6 and 8, the row chunks OpenBLAS's x86-64 kernels take.
+_GEMM_ROWS = 24
+
+
 @lru_cache(maxsize=8)
 def _cfo_ramp(cfo: float, n_fft: int, total_len: int) -> np.ndarray:
     ramp = np.exp(2j * np.pi * cfo * np.arange(total_len) / n_fft)
@@ -265,12 +270,14 @@ def propagate(
     Each symbol's convolution is one (rows, L) @ (L, block) matrix product
     of the reversed taps with the frame's windows.  A row does not depend on
     the batch it sits in: propagating a frame alone or among any other
-    frames gives the same bits.  BLAS takes a one-row product down a
-    matrix-vector path whose bits can differ (they do for L >= 6 with
-    numpy 2.4's OpenBLAS on x86-64), so a lone row is padded to two.  The
-    products need not sum in np.convolve's order, so a row can differ from
-    np.convolve in the last bits; like any BLAS result, the bits depend on
-    the BLAS build.
+    frames gives the same bits.  OpenBLAS picks its code for a row by the
+    call's row count: a one-row product takes a matrix-vector path, and
+    some kernels take the rows in chunks (6 under Haswell, 2 under
+    Sandybridge) and give the rows of a shorter last chunk other bits.  So
+    on every call the taps are padded with zero rows to a multiple of
+    _GEMM_ROWS rows, and the padded rows are dropped.  The products need
+    not sum in np.convolve's order, so a row can differ from np.convolve in
+    the last bits; like any BLAS result, the bits depend on the BLAS build.
 
     Raises:
         ConfigError: if modes is not a list of distinct channel modes
@@ -291,10 +298,10 @@ def propagate(
     white = np.zeros((count, width, 4 * max(frame.block_len for frame in frames)))
     for i, (rng, noisy) in enumerate(zip(rngs, (scale != 0).tolist(), strict=True)):
         phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if noisy else None)
-    taps = complex_taps(_tap_stats(paths, profile.decay)[2], tap_normals.reshape(count * width, 2, -1))
-    reversed_taps = np.ascontiguousarray(taps[..., ::-1])
-    if count * width == 1:
-        reversed_taps = np.concatenate([reversed_taps, reversed_taps])
+    n_rows = count * width
+    taps = complex_taps(_tap_stats(paths, profile.decay)[2], tap_normals.reshape(n_rows, 2, -1))
+    reversed_taps = np.zeros((-(-n_rows // _GEMM_ROWS) * _GEMM_ROWS, 2, paths), dtype=np.complex128)
+    reversed_taps[:n_rows] = taps[..., ::-1]
     rotation = np.exp(1j * phase_0)[:, None, None]
     # Scaling is elementwise, so each preamble's prefix of the scaled buffer
     # has the bits of its own noise scaled.
@@ -306,7 +313,7 @@ def propagate(
         faded = np.empty((len(reversed_taps), 2, blk), dtype=np.complex128)
         for s in range(2):
             np.matmul(reversed_taps[:, s], windows[s], out=faded[:, s])
-        stream = faded[: count * width].reshape(count * width, 2 * blk)
+        stream = faded[:n_rows].reshape(n_rows, 2 * blk)
         stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
         rows = stream.reshape(count, width, 2 * blk)
         rows *= rotation

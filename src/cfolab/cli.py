@@ -41,7 +41,6 @@ from . import __version__
 from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
-from .signal import CazacParams, PreambleSpec, build_preamble
 from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, _preamble_for, dump_correlations, run_sweeps
 
 # fig2 runs every FFT size through run_sweeps; run_sweep stays bound here
@@ -241,8 +240,8 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
-def write_manifest(out_path: Path, config: dict, output_paths: list[str], started_at: str) -> Path:
-    """Serialize the run manifest next to an output file.
+def write_manifest(out_path: Path, config: dict, started_at: str) -> Path:
+    """Serialize the run manifest of the output file out_path next to it.
 
     started_at is the command's _timestamp(), taken before it wrote anything.
     """
@@ -251,7 +250,7 @@ def write_manifest(out_path: Path, config: dict, output_paths: list[str], starte
         "config": config,
         "tool_version": __version__,
         "started_at": started_at,
-        "output_paths": output_paths,
+        "output_paths": [str(out_path)],
     }
     _write_text(manifest_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return manifest_path
@@ -284,11 +283,9 @@ def _cmd_preamble(args: argparse.Namespace) -> int:
     settings = _settings(args)
     out = Path(args.out)
     _check_targets([out])
-    n_fft = settings["n"]
-    frame = build_preamble(PreambleSpec(CazacParams(n_fft, settings["r1"]),
-                                        CazacParams(n_fft, settings["r2"]), settings["cp"]))
+    _, frame = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"])
     write_iq(out, frame.samples)
-    write_manifest(out, {"command": "preamble", **settings}, [str(out)], started_at)
+    write_manifest(out, {"command": "preamble", **settings}, started_at)
     print(f"wrote {frame.samples.size} samples to {out}")
     return EXIT_OK
 
@@ -305,7 +302,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     lines = ["tau,corr_r1,corr_r2"]
     lines.extend("%d,%.9g,%.9g" % (tau, c1, c2) for tau, c1, c2 in table.tolist())
     _write_text(out, "\n".join(lines) + "\n")
-    write_manifest(out, {"command": "fig1", **settings}, [str(out)], started_at)
+    write_manifest(out, {"command": "fig1", **settings}, started_at)
     print(f"wrote {len(table)} rows to {out}")
     return EXIT_OK
 
@@ -338,7 +335,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
         rows.extend(_sweep_rows(result))
         _write_text(target, "\n".join(rows) + "\n")
-        write_manifest(target, {**config, "n": result.config.n_fft}, [str(target)], started_at)
+        write_manifest(target, {**config, "n": result.config.n_fft}, started_at)
         print(f"wrote {len(rows) - 1} cells to {target}")
     return EXIT_OK
 
@@ -401,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     spelling _join_setting_values matches.  Parsing leaves the parser
     unchanged (each call fills a new namespace), so every call of main
     shares it.  ``parser.commands`` maps each command name to its _Command:
-    its subparser, which _parse_argv can hand the command's argv straight
-    to, its handler, and its flag table.
+    its subparser, its handler, and its flag table.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
@@ -489,44 +485,37 @@ def _read_flags(command: _Command, argv: list[str]) -> argparse.Namespace | None
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as build_parser().parse_args would, in at most one argparse pass.
+    """Parse argv as build_parser().parse_args would.
 
-    When argv[0] names a command, well-formed argv is read from that
-    command's flag table (_read_flags) without argparse.  Other argv goes
-    straight to the command's parser: the top-level parser would hand it
-    all there unchanged, so its own pass over argv only costs time.
-    Tokens the command's parser leaves are reported by the top-level
-    parser, as its parse_args reports them.  Any other argv (none, -h,
-    --version, an unknown or abbreviated command) goes to the top-level
-    parser.  So every help text and usage error comes from argparse.
+    When argv[0] names a command and the rest is well formed, it is read
+    from that command's flag table (_read_flags) without argparse; any
+    other argv goes to parse_args.  So every help text and usage error
+    comes from argparse.
     """
     parser = build_parser()
     argv = _join_setting_values(argv)
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read_flags(command, argv[1:])
-    if args is not None:
-        return args
-    # The top-level parser names the command before its parser runs.
-    args, extras = command.parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _read_flags(command, argv[1:]) if command else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command argv names; return its exit code.
 
     argv is parsed once (_parse_argv): a command's well-formed argv is read
-    from its flag table, the rest of a command's argv goes straight to that
-    command's parser, anything else to the top-level parser.  A usage
-    error that argparse catches exits through SystemExit(2); one the
-    command finds returns EXIT_USAGE with an ``error:`` line.
+    from its flag table, anything else by argparse.  A usage error that
+    argparse catches exits through SystemExit(2); one main or the command
+    finds returns EXIT_USAGE with an ``error:`` line.  A flag given the
+    value ``--`` is such an error: some argparse versions store it as []
+    and others keep it, so main rejects both before the command runs.
     """
     args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    command = build_parser().commands[args.command]
     try:
-        return build_parser().commands[args.command].func(args)
+        for flag, dest in command.values.items():
+            if getattr(args, dest) in ([], "--"):
+                raise ConfigError(f"{flag}: expected a value, got '--'")
+        return command.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

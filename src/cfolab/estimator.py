@@ -116,14 +116,15 @@ class CfoReport:
         return CfoEstimate(ffo, int(ifo), ifo + ffo, profiles, peaks)
 
 
-def time_autocorr(y: np.ndarray, rate: int) -> complex | np.ndarray:
+def time_autocorr(y: np.ndarray, rate: int) -> np.ndarray:
     """Average lag-N/rate autocorrelation of one received symbol, or of a stack.
 
     Returns (1/(N - N/rate)) * sum_n y(n + N/rate) * conj(y(n)).  For the
     chirp preamble over a noiseless multipath channel this equals
     sum_m |h(m)|^2 * exp(j*2*pi*cfo/rate): the cross-path terms cancel, so
     the phase encodes the offset modulo the rate.  y may carry leading axes
-    (a stack of symbols along the last axis); one symbol gives a complex.
+    (a stack of symbols along the last axis); the result has those axes,
+    so one symbol gives a 0-d array.
     """
     y = np.asarray(y)
     n = y.shape[-1]
@@ -132,8 +133,7 @@ def time_autocorr(y: np.ndarray, rate: int) -> complex | np.ndarray:
     lag = n // rate
     # A stacked (1, k) @ (k, 1) product is one BLAS dot per symbol: the sum
     # np.vdot forms, bit for bit, which np.sum and einsum are not.
-    r_t = (np.conj(y[..., None, : n - lag]) @ y[..., lag:, None])[..., 0, 0] / (n - lag)
-    return complex(r_t) if r_t.ndim == 0 else r_t
+    return (np.conj(y[..., None, : n - lag]) @ y[..., lag:, None])[..., 0, 0] / (n - lag)
 
 
 def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
@@ -141,18 +141,17 @@ def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
 
     The principal argument lands the result in (-rate/2, rate/2]; the true
     offset is recovered modulo the rate, and the leftover integer ambiguity
-    is the second stage's job.  y is one symbol (a float is returned) or a
-    (T, N) stack (a (T,) array is returned).  In a stack, a row whose
-    autocorrelation is too small to carry a phase reads NaN instead of
-    raising, so one unusable trial does not stop the others.  The floor is
-    relative to the symbol's mean power, so no scale of y alone trips it.
-    Each row's phase and floor test are taken in one Python pass.
-
-    Raises:
-        DegenerateSignalError: one symbol whose autocorrelation magnitude is
-            too small to carry a phase (all-zero or pathological input).
+    is the second stage's job.  y is a (T, N) stack (a (T,) array is
+    returned) or one symbol, which is row 0 of a one-row stack (a float is
+    returned).  A row whose autocorrelation is too small to carry a phase
+    (all-zero or pathological input) reads NaN, so one unusable trial does
+    not stop the others.  The floor is relative to the symbol's mean power,
+    so no scale of y alone trips it.  Each row's phase and floor test are
+    taken in one Python pass.
     """
     y = np.asarray(y)
+    if y.ndim == 1:
+        return estimate_ffo(y[None], rate)[0]
     r_t = time_autocorr(y, rate)
     # The symbol's energy as one BLAS dot per symbol, like time_autocorr's sum.
     energy = (np.conj(y[..., None, :]) @ y[..., :, None])[..., 0, 0].real
@@ -163,10 +162,6 @@ def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
     scale, n = rate / (2.0 * np.pi), y.shape[-1]
     # math.atan2 per row: numpy's vectorized arctan2 may differ from it in
     # the last bit, which would move printed estimates.
-    if y.ndim == 1:
-        if magnitude <= _DEGENERATE_FLOOR * energy / n:
-            raise DegenerateSignalError("autocorrelation magnitude below phase-noise floor")
-        return scale * math.atan2(r_t.imag, r_t.real)
     return np.array([
         math.nan if m <= _DEGENERATE_FLOOR * e / n else scale * math.atan2(r.imag, r.real)
         for r, m, e in zip(r_t.tolist(), magnitude.tolist(), energy.tolist())

@@ -10,7 +10,6 @@ each behind a cyclic prefix, form the two-symbol synchronization preamble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,20 +99,10 @@ class PreambleFrame:
         return self.n_fft + self.cp_len
 
 
-@lru_cache(maxsize=32)
-def _cazac_cached(n_fft: int, rate: int) -> np.ndarray:
-    n = np.arange(n_fft)
-    x = np.exp(1j * np.pi * rate * n * n / n_fft)
-    x.flags.writeable = False
-    return x
-
-
 def cazac_generate(params: CazacParams) -> np.ndarray:
-    """Generate the unit-modulus chirp exp(j*pi*rate*n^2/n_fft), n = 0..n_fft-1.
-
-    The returned buffer is read-only; copy before mutating.
-    """
-    return _cazac_cached(params.n_fft, params.rate)
+    """Generate the unit-modulus chirp exp(j*pi*rate*n^2/n_fft), n = 0..n_fft-1, as a new array."""
+    n = np.arange(params.n_fft)
+    return np.exp(1j * np.pi * params.rate * n * n / params.n_fft)
 
 
 def dft(x: np.ndarray) -> np.ndarray:

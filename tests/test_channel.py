@@ -235,39 +235,44 @@ def test_propagate_row_does_not_depend_on_its_batch(paths):
     Frame i draws from its own generator, default_rng([paths, i]), in both
     modes, and frame 3 draws no noise; its stream rows, taps and phase are
     compared.  The sweep engine relies on this: run_trial replays one trial
-    of a sweep as a batch of one.  The second and later calls read the
-    frame's convolution windows from the cache the first call filled.
+    of a sweep as a batch of one.  8 and 9 frames make 16 and 18 rows, row
+    counts Haswell's kernels split into chunks of other widths when
+    propagate padded to 16; 12 and 13 make 24 and 26 rows: exactly one
+    block of propagate's padding, and past it.  The second and later calls
+    read the frame's convolution windows from the cache the first call
+    filled.
     """
     frame = _frame(n_fft=64, cp=16)
     profile = ChannelProfile(paths, 2.0)
     modes = ("varying", "static")
-    count = 9
-    scale = np.random.default_rng(paths).uniform(0.0, 1.0, count)
-    scale[3] = 0.0
+    for count in (8, 9, 12, 13):
+        scale = np.random.default_rng(paths).uniform(0.0, 1.0, count)
+        scale[3] = 0.0
 
-    def run(frames):
-        """(stream, taps, phase_0) of these frames, the first two per frame."""
-        rngs = (np.random.default_rng([paths, i]) for i in frames.tolist())
-        (stream,), taps, phase_0 = propagate((frame,), profile, modes, 5.3, rngs, scale[frames])
-        return stream.reshape(len(frames), 2, -1), taps.reshape(len(frames), 2, 2, paths), phase_0
+        def run(frames):
+            """(stream, taps, phase_0) of these frames, the first two per frame."""
+            rngs = (np.random.default_rng([paths, i]) for i in frames.tolist())
+            (stream,), taps, phase_0 = propagate((frame,), profile, modes, 5.3, rngs, scale[frames])
+            return stream.reshape(len(frames), 2, -1), taps.reshape(len(frames), 2, 2, paths), phase_0
 
-    hits = channel._frame_windows.cache_info().hits
-    batch = run(np.arange(count))
-    order = np.random.default_rng(paths).permutation(count)
-    for got, want in zip(run(order), batch):
-        np.testing.assert_array_equal(got, want[order])
-    for i in range(count):
-        for got, want in zip(run(np.array([i])), batch):
-            np.testing.assert_array_equal(got[0], want[i])
-    assert channel._frame_windows.cache_info().hits >= hits + count + 1
+        hits = channel._frame_windows.cache_info().hits
+        batch = run(np.arange(count))
+        order = np.random.default_rng(paths).permutation(count)
+        for got, want in zip(run(order), batch):
+            np.testing.assert_array_equal(got, want[order])
+        for i in range(count):
+            for got, want in zip(run(np.array([i])), batch):
+                np.testing.assert_array_equal(got[0], want[i])
+        assert channel._frame_windows.cache_info().hits >= hits + count + 1
 
 
 @pytest.mark.parametrize("paths", [1, 4, 6, 8, 16])
 def test_propagate_lone_row_keeps_its_bits(paths):
-    """In one mode, a one-frame call is a one-row product, and it must equal its row in a batch.
+    """In one mode, a one-frame call holds one row, and it must equal its row in a batch of 5.
 
-    BLAS computes a one-row matrix product on another path than a
-    many-row one, which changes the last bits for L >= 6 on some builds.
+    Unpadded, BLAS computes a one-row matrix product on another path than
+    a many-row one, which changes the last bits for L >= 6 on some builds,
+    and Sandybridge's kernels give the odd last row of a call other bits.
     """
     frame = _frame(n_fft=64, cp=16)
     profile = ChannelProfile(paths, 2.0)

@@ -944,7 +944,7 @@ def test_fig2_paper_with_an_explicit_n_is_a_usage_error(tmp_path, capsys, source
 
 
 @pytest.mark.parametrize("target", ["out", "manifest", "missing directory"])
-@pytest.mark.parametrize("command,compute", [("preamble", "build_preamble"),
+@pytest.mark.parametrize("command,compute", [("preamble", "_preamble_for"),
                                              ("fig1", "dump_correlations")])
 def test_preamble_and_fig1_check_the_output_targets_before_they_compute(
         tmp_path, capsys, monkeypatch, command, compute, target):
@@ -1078,3 +1078,18 @@ def test_the_benchmark_argv_is_read_without_argparse(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_argparse)
     assert [_parse_argv(argv) for argv in shapes] == expected
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fig2", "--n", "64", "--trials", "1", "--snr-grid=--", "--out", "x.csv"], "--snr-grid"),
+    (["fig1", "--out=--"], "--out"),
+    (["estimate", "--in=--"], "--in"),
+    (["fig1", "--config=--", "--out", "y.csv"], "--config"),
+])
+def test_a_flag_given_the_value_double_dash_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    """argparse may store --flag=-- as [] (Python 3.11 does): main rejects it and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {flag}: expected a value, got '--'"]
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
