@@ -219,27 +219,6 @@ def _cfo_ramp(cfo: float, n_fft: int, total_len: int) -> np.ndarray:
     return ramp
 
 
-@lru_cache(maxsize=16)
-def _frame_windows(frame: PreambleFrame, paths: int) -> np.ndarray:
-    """Read-only, contiguous (2, paths, block_len) convolution windows of a frame's two blocks.
-
-    Row k of symbol s is its block delayed by paths-1-k samples, zeros
-    before the block starts, so column n holds samples n-paths+1..n and the
-    reversed taps times the rows is the full linear convolution truncated
-    to the block.  PreambleFrame compares by identity, and the cache keeps
-    the frames it keys alive.
-    """
-    padded = np.concatenate(
-        [np.zeros((2, paths - 1), dtype=np.complex128), frame.samples.reshape(2, frame.block_len)],
-        axis=1,
-    )
-    windows = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(padded, frame.block_len, axis=1)
-    )
-    windows.flags.writeable = False
-    return windows
-
-
 def propagate(
     frames: Sequence[PreambleFrame],
     profile: ChannelProfile,
@@ -268,16 +247,19 @@ def propagate(
     taps in the same order; and (T,) common phases.
 
     Each symbol's convolution is one (rows, L) @ (L, block) matrix product
-    of the reversed taps with the frame's windows.  A row does not depend on
-    the batch it sits in: propagating a frame alone or among any other
-    frames gives the same bits.  OpenBLAS picks its code for a row by the
-    call's row count: a one-row product takes a matrix-vector path, and
-    some kernels take the rows in chunks (6 under Haswell, 2 under
-    Sandybridge) and give the rows of a shorter last chunk other bits.  So
-    on every call the taps are padded with zero rows to a multiple of
-    _GEMM_ROWS rows, and the padded rows are dropped.  The products need
-    not sum in np.convolve's order, so a row can differ from np.convolve in
-    the last bits; like any BLAS result, the bits depend on the BLAS build.
+    of the reversed taps with the symbol's windows, built in the call: row k
+    is the block delayed by L-1-k samples, zeros before the block starts, so
+    the product is the full linear convolution truncated to the block.  A
+    row does not depend on the batch it sits in: propagating a frame alone
+    or among any other frames gives the same bits.  OpenBLAS picks its code
+    for a row by the call's row count: a one-row product takes a
+    matrix-vector path, and some kernels take the rows in chunks (6 under
+    Haswell, 2 under Sandybridge) and give the rows of a shorter last chunk
+    other bits.  So on every call the taps are padded with zero rows to a
+    multiple of _GEMM_ROWS rows, and the padded rows are dropped.  The
+    products need not sum in np.convolve's order, so a row can differ from
+    np.convolve in the last bits; like any BLAS result, the bits depend on
+    the BLAS build.
 
     Raises:
         ConfigError: if modes is not a list of distinct channel modes
@@ -309,7 +291,10 @@ def propagate(
     streams = []
     for frame in frames:
         blk = frame.block_len
-        windows = _frame_windows(frame, paths)
+        blocks = frame.samples.reshape(2, blk)
+        windows = np.zeros((2, paths, blk), dtype=np.complex128)
+        for k in range(paths):
+            windows[:, k, paths - 1 - k :] = blocks[:, : blk - paths + 1 + k]
         faded = np.empty((len(reversed_taps), 2, blk), dtype=np.complex128)
         for s in range(2):
             np.matmul(reversed_taps[:, s], windows[s], out=faded[:, s])

@@ -16,7 +16,9 @@ Each command declares its settings once, in SETTINGS: every key is both a
 config-file key and a flag (``_`` written ``-``).  Config files are flat
 UTF-8 ``key = value`` lines with ``#`` comments; a flag overrides the file
 value for the same key, and a key the command does not declare is an error.
-A flag given twice takes its last value.  Well-formed argv is read from the
+A flag given twice takes its last value.  A flag that takes a value takes
+the next token unless it starts with '--', as getopt does: ``--out -x.csv``
+writes -x.csv and ``--cfo -1e1`` is -10.  Well-formed argv is read from the
 flag table build_parser records as it adds each flag; argparse parses the
 rest, so help and every usage error come from argparse.
 """
@@ -192,7 +194,6 @@ SETTINGS: dict[str, dict[str, Setting]] = {
              "estimators": (_parse_estimators, ",".join(ESTIMATORS), "comma list of estimator names")},
     "estimate": _PREAMBLE_SETTINGS,
 }
-_SETTING_FLAGS = frozenset("--" + key.replace("_", "-") for table in SETTINGS.values() for key in table)
 
 
 def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
@@ -395,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each command's flags come from its SETTINGS and keep their text for
     _settings to parse.  No flag may be abbreviated, so each has the one
-    spelling _join_setting_values matches.  Parsing leaves the parser
-    unchanged (each call fills a new namespace), so every call of main
-    shares it.  ``parser.commands`` maps each command name to its _Command:
-    its subparser, its handler, and its flag table.
+    spelling _join_values matches.  Parsing leaves the parser unchanged
+    (each call fills a new namespace), so every call of main shares it.
+    ``parser.commands`` maps each command name to its _Command: its
+    subparser, its handler, and its flag table.
     """
     parser = argparse.ArgumentParser(
         prog="cfolab",
@@ -433,17 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_setting_values(argv: list[str]) -> list[str]:
-    """argv with each SETTINGS flag and the token after it joined as --key=value.
+def _join_values(argv: list[str]) -> list[str]:
+    """argv with each flag that takes a value and the token after it joined as --flag=value.
 
-    Every settings flag takes one value, and joined, a value that starts
-    with '-' (--snr-grid -10:2:0, --cfo -1e1) is not read as a flag.  A
-    token that starts with '--' stays a flag, so a missing value is still
-    reported as one.
+    The flags are those in the flag table of the command argv[0] names
+    (settings, --config, --out, --in).  As getopt does, a flag takes the
+    next token unless it starts with '--', so a value that starts with '-'
+    (--cfo -1e1, --out -x.csv) is not read as a flag, and a flag followed
+    by a flag is still reported as missing its value.
     """
+    command = build_parser().commands.get(argv[0]) if argv else None
+    values = command.values if command else {}
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in _SETTING_FLAGS and not token.startswith("--"):
+        if joined and joined[-1] in values and not token.startswith("--"):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -453,31 +457,24 @@ def _join_setting_values(argv: list[str]) -> list[str]:
 def _read_flags(command: _Command, argv: list[str]) -> argparse.Namespace | None:
     """The Namespace argparse gives command's argv, if argv is well formed; else None.
 
-    Well formed means every token is a switch, ``--flag=value`` for a flag
-    that takes a value, or such a flag followed by a token that does not
-    start with '-', and every required flag is given.  No value may be
-    ``--``, which some argparse versions drop.  On such argv argparse
-    stores each value as written, the last one where a flag repeats, and
-    reports nothing.  Anything else (help, ``--``, an unknown or abbreviated
-    flag, a missing value, a value given to a switch) is left to argparse.
+    argv comes from _join_values.  Well formed means every token is a
+    switch or ``--flag=value`` for a flag that takes a value, and every
+    required flag is given.  No value may be ``--``, which some argparse
+    versions drop.  On such argv argparse stores each value as written, the
+    last one where a flag repeats, and reports nothing.  Anything else
+    (help, ``--``, an unknown or abbreviated flag, a missing value, a value
+    given to a switch) is left to argparse.
     """
     given: dict[str, Any] = {}
-    tokens = iter(argv)
-    for token in tokens:
+    for token in argv:
         dest = command.switches.get(token)
         if dest is not None:
             given[dest] = True
             continue
         flag, eq, value = token.partition("=")
         dest = command.values.get(flag)
-        if dest is None:
+        if dest is None or not eq or value == "--":
             return None
-        if not eq:
-            value = next(tokens, None)
-            if value is None or value.startswith("-"):
-                return None
-        elif value == "--":
-            return None  # argparse may drop a '--' value, depending on its version
         given[dest] = value
     if not all(dest in given for dest in command.required):
         return None
@@ -493,7 +490,7 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     comes from argparse.
     """
     parser = build_parser()
-    argv = _join_setting_values(argv)
+    argv = _join_values(argv)
     command = parser.commands.get(argv[0]) if argv else None
     args = _read_flags(command, argv[1:]) if command else None
     return parser.parse_args(argv) if args is None else args

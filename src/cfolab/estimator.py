@@ -116,7 +116,7 @@ class CfoReport:
         return CfoEstimate(ffo, int(ifo), ifo + ffo, profiles, peaks)
 
 
-def time_autocorr(y: np.ndarray, rate: int) -> np.ndarray:
+def time_autocorr(y: np.ndarray, rate: int) -> np.complex128 | np.ndarray:
     """Average lag-N/rate autocorrelation of one received symbol, or of a stack.
 
     Returns (1/(N - N/rate)) * sum_n y(n + N/rate) * conj(y(n)).  For the
@@ -124,7 +124,7 @@ def time_autocorr(y: np.ndarray, rate: int) -> np.ndarray:
     sum_m |h(m)|^2 * exp(j*2*pi*cfo/rate): the cross-path terms cancel, so
     the phase encodes the offset modulo the rate.  y may carry leading axes
     (a stack of symbols along the last axis); the result has those axes,
-    so one symbol gives a 0-d array.
+    so one symbol gives a numpy scalar (np.complex128).
     """
     y = np.asarray(y)
     n = y.shape[-1]

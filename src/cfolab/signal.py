@@ -139,7 +139,7 @@ def assemble_frame(symbols: list[np.ndarray] | tuple[np.ndarray, ...], cp_len: i
     for sym in symbols:
         if sym.shape[0] != n_fft:
             raise ConfigError("all symbols in a frame must share one length")
-        blocks.append(sym[n_fft - cp_len :] if cp_len else sym[:0])
+        blocks.append(sym[n_fft - cp_len :])
         blocks.append(sym)
     return PreambleFrame(
         n_fft=n_fft,

@@ -238,9 +238,7 @@ def test_propagate_row_does_not_depend_on_its_batch(paths):
     of a sweep as a batch of one.  8 and 9 frames make 16 and 18 rows, row
     counts Haswell's kernels split into chunks of other widths when
     propagate padded to 16; 12 and 13 make 24 and 26 rows: exactly one
-    block of propagate's padding, and past it.  The second and later calls
-    read the frame's convolution windows from the cache the first call
-    filled.
+    block of propagate's padding, and past it.
     """
     frame = _frame(n_fft=64, cp=16)
     profile = ChannelProfile(paths, 2.0)
@@ -255,7 +253,6 @@ def test_propagate_row_does_not_depend_on_its_batch(paths):
             (stream,), taps, phase_0 = propagate((frame,), profile, modes, 5.3, rngs, scale[frames])
             return stream.reshape(len(frames), 2, -1), taps.reshape(len(frames), 2, 2, paths), phase_0
 
-        hits = channel._frame_windows.cache_info().hits
         batch = run(np.arange(count))
         order = np.random.default_rng(paths).permutation(count)
         for got, want in zip(run(order), batch):
@@ -263,7 +260,6 @@ def test_propagate_row_does_not_depend_on_its_batch(paths):
         for i in range(count):
             for got, want in zip(run(np.array([i])), batch):
                 np.testing.assert_array_equal(got[0], want[i])
-        assert channel._frame_windows.cache_info().hits >= hits + count + 1
 
 
 @pytest.mark.parametrize("paths", [1, 4, 6, 8, 16])
@@ -286,9 +282,6 @@ def test_propagate_lone_row_keeps_its_bits(paths):
     batch = run(range(count))
     for i in range(count):
         np.testing.assert_array_equal(run([i])[0], batch[i])
-    windows = channel._frame_windows(frame, paths)
-    assert windows.shape == (2, paths, frame.block_len)
-    assert windows.flags.c_contiguous and not windows.flags.writeable
 
 
 def test_propagate_adds_the_noise_the_scaled_product_gave():

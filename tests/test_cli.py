@@ -24,7 +24,7 @@ from cfolab.channel import ChannelProfile
 from cfolab.cli import (
     MAX_GRID_POINTS,
     SETTINGS,
-    _join_setting_values,
+    _join_values,
     _parse_argv,
     _parse_snr_grid,
     _settings,
@@ -866,6 +866,21 @@ def test_a_setting_value_may_start_with_a_minus(tmp_path, capsys):
         "cfo.csv", "cfo.csv.manifest.json", "grid.csv", "grid.csv.manifest.json"]
 
 
+def test_a_path_value_may_start_with_a_minus(tmp_path, monkeypatch, capsys):
+    """--out, --in and --config take the next token as their path when it starts with one '-'."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-run.conf").write_text("n = 64\n")
+    assert main(["preamble", "--config", "-run.conf", "--out", "-pre.iq"]) == 0
+    assert main(["fig1", "--n", "64", "--out", "-x.csv"]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--n", "64", "--in", "-pre.iq"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["estimate", "--n", "64", "--in=-pre.iq"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "-pre.iq", "-pre.iq.manifest.json", "-run.conf", "-x.csv", "-x.csv.manifest.json"]
+
+
 def test_flags_are_not_abbreviated(tmp_path, capsys):
     """Each flag has one spelling: a prefix, or another command's flag name, is a usage error."""
     base = ["fig2", "--n", "64", "--mode", "static", "--estimators", "sca"]
@@ -1001,7 +1016,8 @@ def _parse_corpus():
                 ["fig2", "--snr-grid", "-4:2:0", "--out", "x"],
                 ["fig2", "--snr-grid", "-4:2:0", "--snr-grid", "0", "--out", "x"],
                 ["fig2", "--paper", "--n", "64", "--config", "run.conf", "--out", "x"],
-                ["fig2", "--paper=1", "--out", "x"], ["estimate", "--in=x", "-n", "64"])
+                ["fig2", "--paper=1", "--out", "x"], ["estimate", "--in=x", "-n", "64"],
+                ["fig1", "--out", "-x.csv"], ["fig1", "--out=-x.csv"], ["estimate", "--in", "-cap.iq"])
 
 
 def _outcome(parse, argv):
@@ -1022,7 +1038,7 @@ def test_parse_dispatch_matches_the_top_level_parse(argv):
     The same Namespace, or the same exit code with byte-identical stdout and
     stderr: help, version, usage errors and leftover tokens included.
     """
-    reference = _outcome(lambda a: build_parser().parse_args(_join_setting_values(a)), argv)
+    reference = _outcome(lambda a: build_parser().parse_args(_join_values(a)), argv)
     assert _outcome(_parse_argv, argv) == reference
 
 
@@ -1062,7 +1078,7 @@ def test_parse_matches_the_top_level_parse_on_drawn_argv(command, data):
     path _parse_argv takes.
     """
     argv = data.draw(_drawn_argv(command))
-    reference = _outcome(lambda a: build_parser().parse_args(_join_setting_values(a)), argv)
+    reference = _outcome(lambda a: build_parser().parse_args(_join_values(a)), argv)
     assert _outcome(_parse_argv, argv) == reference
 
 
@@ -1071,7 +1087,7 @@ def test_the_benchmark_argv_is_read_without_argparse(monkeypatch):
     shapes = (["estimate", "--in", "cap.iq", "--n", "1024"],
               ["fig2", "--paper", "--estimators", "proposed", "--trials", "1", "--seed", "1048576",
                "--out", "fig2.csv"])
-    expected = [build_parser().parse_args(_join_setting_values(argv)) for argv in shapes]
+    expected = [build_parser().parse_args(_join_values(argv)) for argv in shapes]
 
     def no_argparse(*args, **kwargs):
         raise AssertionError("argparse parsed well-formed argv")

@@ -464,6 +464,57 @@ def test_estimate_cfo_integer_range(n_fft):
         assert abs(est.total - cfo) < 1e-6, cfo
 
 
+# Every (N, r1, r2, L) with 16 <= N <= 256 and L <= 16 inside the peak walk's
+# stated domain: r1*L <= r2 < N/L, r2*(L-1) <= N/2, and r2 < N/2 so that some
+# offset satisfies |q| < N/2 - r2.  L reaches 8, at N = 256.
+_WALK_DOMAIN = [
+    (n_fft, r1, r2, paths)
+    for n_fft in (16, 32, 64, 128, 256)
+    for r1 in _rates(n_fft)
+    for r2 in _rates(n_fft)[:-1]
+    for paths in range(1, 17)
+    if r1 * paths <= r2 < n_fft / paths and r2 * (paths - 1) <= n_fft / 2
+]
+
+
+@st.composite
+def _noiseless_cases(draw):
+    """A config of the walk's domain, a CP that absorbs the channel and an offset it resolves.
+
+    The path count is drawn first, so that every L of the domain is drawn often.
+    """
+    paths = draw(st.integers(1, max(config[-1] for config in _WALK_DOMAIN)))
+    n_fft, r1, r2, _ = draw(st.sampled_from([c for c in _WALK_DOMAIN if c[-1] == paths]))
+    ffo_stage = draw(st.booleans())
+    bound = n_fft // 2 - r2
+    offset = (st.floats(-bound, bound, exclude_min=True, exclude_max=True) if ffo_stage
+              else st.integers(1 - bound, bound - 1).map(float))
+    return {
+        "spec": PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2),
+                             draw(st.integers(paths - 1, n_fft))),
+        "profile": ChannelProfile(paths, draw(st.floats(0.1, 1e6))),
+        "mode": draw(st.sampled_from(["varying", "static"])),
+        "ffo_stage": ffo_stage,
+        "offset": draw(offset),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+
+
+@settings(max_examples=300)
+@given(_noiseless_cases())
+def test_noiseless_transmit_is_estimated_exactly_over_the_walk_domain(case):
+    """A noiseless frame's offset comes back to 1e-6, unfailed, anywhere in the walk's domain.
+
+    With the fractional stage the offsets are floats, without it integers.
+    """
+    spec = case["spec"]
+    rx = transmit(build_preamble(spec), case["profile"], ImpairmentSpec(case["offset"]),
+                  np.random.default_rng(case["seed"]), case["mode"])
+    est = estimate_cfo(rx.stream, spec, ffo_stage=case["ffo_stage"])
+    assert not est.failed
+    assert abs(est.total - case["offset"]) < 1e-6, (est.total, est.peaks)
+
+
 def test_estimate_cfo_without_ffo_stage():
     spec = _spec()
     est = estimate_cfo(_transmit(spec, 20.0, 5), spec, ffo_stage=False)
