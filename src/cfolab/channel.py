@@ -231,7 +231,8 @@ def propagate(
 
     Frame i draws its taps, common phase and noise from rngs[i] with
     draw_frame, once for all modes and all preambles, and no noise where
-    scale[i] (its noise standard deviation) is 0.  The noise is drawn for
+    scale[i] (its noise standard deviation) is 0: a call whose every frame
+    is noiseless allocates and adds no noise.  The noise is drawn for
     the longest block of frames, and each preamble takes the prefix its own
     two blocks need: a Generator fills a normal draw in order, so the first
     k normals of a longer draw are the k a draw of k gives, and a preamble
@@ -276,10 +277,12 @@ def propagate(
     count, width = len(scale), len(modes)
     tap_normals = np.empty((count, width, 2, 2 * paths))
     phase_0 = np.empty(count)
-    # Zeros, so frames drawn without noise add exact zeros.
-    white = np.zeros((count, width, 4 * max(frame.block_len for frame in frames)))
-    for i, (rng, noisy) in enumerate(zip(rngs, (scale != 0).tolist(), strict=True)):
-        phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if noisy else None)
+    noisy = (scale != 0).tolist()
+    # Only a call with a noisy frame holds noise; zeros, so its noiseless
+    # frames add exact zeros.
+    white = np.zeros((count, width, 4 * max(frame.block_len for frame in frames))) if any(noisy) else None
+    for i, (rng, has_noise) in enumerate(zip(rngs, noisy, strict=True)):
+        phase_0[i] = draw_frame(modes, rng, tap_normals[i], white[i] if has_noise else None)
     n_rows = count * width
     taps = complex_taps(_tap_stats(paths, profile.decay)[2], tap_normals.reshape(n_rows, 2, -1))
     reversed_taps = np.zeros((-(-n_rows // _GEMM_ROWS) * _GEMM_ROWS, 2, paths), dtype=np.complex128)
@@ -287,7 +290,8 @@ def propagate(
     rotation = np.exp(1j * phase_0)[:, None, None]
     # Scaling is elementwise, so each preamble's prefix of the scaled buffer
     # has the bits of its own noise scaled.
-    white *= scale[:, None, None]
+    if white is not None:
+        white *= scale[:, None, None]
     streams = []
     for frame in frames:
         blk = frame.block_len
@@ -302,8 +306,9 @@ def propagate(
         stream *= _cfo_ramp(cfo, frame.n_fft, 2 * blk)
         rows = stream.reshape(count, width, 2 * blk)
         rows *= rotation
-        rows.real += white[..., : 2 * blk]
-        rows.imag += white[..., 2 * blk : 4 * blk]
+        if white is not None:
+            rows.real += white[..., : 2 * blk]
+            rows.imag += white[..., 2 * blk : 4 * blk]
         streams.append(stream)
     return tuple(streams), taps, phase_0
 

@@ -18,14 +18,16 @@ UTF-8 ``key = value`` lines with ``#`` comments; a flag overrides the file
 value for the same key, and a key the command does not declare is an error.
 A flag given twice takes its last value.  A flag that takes a value takes
 the next token unless it starts with '--', as getopt does: ``--out -x.csv``
-writes -x.csv and ``--cfo -1e1`` is -10.  Well-formed argv is read from the
-flag table build_parser records as it adds each flag; argparse parses the
-rest, so help and every usage error come from argparse.
+writes -x.csv and ``--cfo -1e1`` is -10.  Each command's flags are declared
+once, as data (COMMANDS); well-formed argv is read from that table, and only
+help and ill-formed argv reach argparse, which build_parser builds from the
+same table, so help and every usage error come from argparse.  A command
+imports what only it runs when it runs: argparse for help and usage errors,
+the sweep engine (simlab, channel, sca) for fig1 and fig2.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime as _dt
 import functools
 import json
@@ -35,19 +37,20 @@ import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import __version__
-from .channel import ChannelProfile
 from .errors import ConfigError, DegenerateSignalError
 from .estimator import estimate_cfo
-from .simlab import ESTIMATORS, ExperimentConfig, SweepResult, _preamble_for, dump_correlations, run_sweeps
+from .signal import _preamble_for
 
-# fig2 runs every FFT size through run_sweeps; run_sweep stays bound here
-# because bench/spans.py traces cli.run_sweep.
-from .simlab import run_sweep  # noqa: F401
+if TYPE_CHECKING:
+    import argparse
+
+    from .simlab import ExperimentConfig, SweepResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,6 +147,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_estimators(text: str) -> tuple[str, ...]:
+    from .simlab import ESTIMATORS
+
     names = tuple(p.strip().lower() for p in text.split(",") if p.strip())
     for name in names:
         if name not in ESTIMATORS:
@@ -166,9 +171,17 @@ def _parse_mode(text: str) -> str:
     return text
 
 
+def _estimator_names() -> str:
+    """Every simlab.ESTIMATORS key, comma-separated: fig2's --estimators default."""
+    from .simlab import ESTIMATORS
+
+    return ",".join(ESTIMATORS)
+
+
 # A command's settings: key -> (parse, default, help).  The default is the
-# text a config file would hold and is parsed like one.
-Setting = tuple[Callable[[str], Any], str, str]
+# text a config file would hold and is parsed like one, or a function that
+# gives that text when it is read (_default).
+Setting = tuple[Callable[[str], Any], str | Callable[[], str], str]
 
 _PREAMBLE_SETTINGS: dict[str, Setting] = {
     "n": (int, "128", "FFT size (power of two)"),
@@ -191,12 +204,18 @@ SETTINGS: dict[str, dict[str, Setting]] = {
              "snr_grid": (_parse_snr_grid, "0:2:20", "'start:step:stop' or comma list, in dB"),
              "trials": (int, "10000", "trials per grid point"),
              "mode": (_parse_mode, "both", "channel mode: static, varying or both"),
-             "estimators": (_parse_estimators, ",".join(ESTIMATORS), "comma list of estimator names")},
+             "estimators": (_parse_estimators, _estimator_names, "comma list of estimator names")},
     "estimate": _PREAMBLE_SETTINGS,
 }
 
 
-def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
+def _default(setting: Setting) -> str:
+    """The default text of setting."""
+    default = setting[1]
+    return default() if callable(default) else default
+
+
+def _settings(args: SimpleNamespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
     """Resolve the command's SETTINGS: parse the flag's text, else the file's, else the default.
 
     fixed maps a key the command sets itself to the flag that makes it do
@@ -209,13 +228,14 @@ def _settings(args: argparse.Namespace, fixed: Mapping[str, str] | None = None) 
         if key not in table:
             raise ConfigError(f"unknown config key {key!r}; {args.command} takes {', '.join(table)}")
     settings = {}
-    for key, (parse, default, _) in table.items():
+    for key, setting in table.items():
         flag = getattr(args, key)
         if fixed and key in fixed and (flag is not None or key in file_values):
             raise ConfigError(f"{fixed[key]} sets {key} itself; drop {key} from the flags and config")
         source = f"config key {key!r}" if flag is None else "--" + key.replace("_", "-")
+        text = flag if flag is not None else file_values.get(key)
         try:
-            settings[key] = parse(file_values.get(key, default) if flag is None else flag)
+            settings[key] = setting[0](_default(setting) if text is None else text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: {exc}") from exc
     return settings
@@ -271,6 +291,9 @@ def _check_targets(targets: list[Path]) -> None:
 
 
 def _experiment(settings: dict[str, Any], n_fft: int, modes: tuple[str, ...], **sweep) -> ExperimentConfig:
+    from .channel import ChannelProfile
+    from .simlab import ExperimentConfig
+
     return ExperimentConfig(
         n_fft=n_fft, r1=settings["r1"], r2=settings["r2"], cp_len=settings["cp"],
         channel=ChannelProfile(path_count=settings["paths"], decay=settings["decay"]),
@@ -279,7 +302,7 @@ def _experiment(settings: dict[str, Any], n_fft: int, modes: tuple[str, ...], **
     )
 
 
-def _cmd_preamble(args: argparse.Namespace) -> int:
+def _cmd_preamble(args: SimpleNamespace) -> int:
     started_at = _timestamp()
     settings = _settings(args)
     out = Path(args.out)
@@ -291,7 +314,9 @@ def _cmd_preamble(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
+def _cmd_fig1(args: SimpleNamespace) -> int:
+    from .simlab import dump_correlations
+
     started_at = _timestamp()
     settings = _settings(args)
     out = Path(args.out)
@@ -317,7 +342,9 @@ def _sweep_rows(result: SweepResult) -> list[str]:
     ]
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
+def _cmd_fig2(args: SimpleNamespace) -> int:
+    from .simlab import run_sweeps
+
     started_at = _timestamp()
     settings = _settings(args, {"n": "--paper"} if args.paper else None)
     n_list = [64, 128] if args.paper else [settings["n"]]
@@ -341,7 +368,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: SimpleNamespace) -> int:
     settings = _settings(args)
     spec, _ = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"])
     samples = read_iq(args.infile)
@@ -364,43 +391,59 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 @dataclass
 class _Command:
-    """One command: its subparser, its handler, and what each of its flags says.
+    """One command: its name, handler and help, its own flags, and its flag table.
 
-    add() adds a flag to the subparser and records, from the action that
-    argparse returns, the flag's dest, whether it takes one value or none,
-    whether it is required and its default.  _read_flags reads well-formed
-    argv from this table; argparse reads everything else.
+    A command takes its SETTINGS, --config, its store_true switches
+    (switch_help: flag -> help) and one required path flag (path: flag,
+    dest, help), in that, their help, order.  Its flag table maps each flag
+    that takes a value to its dest (values), each switch to its dest
+    (switches) and each dest to its value when no flag sets it (defaults),
+    as argparse would.  _read_flags reads well-formed argv from the table
+    and build_parser builds the command's subparser from the same data.
     """
 
-    parser: argparse.ArgumentParser
-    func: Callable[[argparse.Namespace], int]
-    defaults: dict[str, Any]  # dest -> value when no flag sets it
-    values: dict[str, str] = field(default_factory=dict)  # flag -> dest, one value
-    switches: dict[str, str] = field(default_factory=dict)  # flag -> dest, store_true
-    required: list[str] = field(default_factory=list)
+    name: str
+    func: Callable[[SimpleNamespace], int]
+    help: str
+    path: tuple[str, str, str]
+    switch_help: dict[str, str] = field(default_factory=dict)
 
-    def add(self, *flags: str, **kwargs: Any) -> None:
-        action = self.parser.add_argument(*flags, **kwargs)
-        if action.nargs is None:
-            self.values.update(dict.fromkeys(action.option_strings, action.dest))
-        elif action.nargs == 0:
-            self.switches.update(dict.fromkeys(action.option_strings, action.dest))
-        self.defaults[action.dest] = action.default
-        if action.required:
-            self.required.append(action.dest)
+    def __post_init__(self) -> None:
+        flag, dest, _ = self.path
+        self.values = {"--" + key.replace("_", "-"): key for key in SETTINGS[self.name]}
+        self.values.update({"--config": "config", flag: dest})
+        self.switches = {switch: switch[2:] for switch in self.switch_help}
+        self.defaults = {"command": self.name, **dict.fromkeys(self.values.values()),
+                         **dict.fromkeys(self.switches.values(), False)}
+
+
+COMMANDS: dict[str, _Command] = {cmd.name: cmd for cmd in (
+    _Command("preamble", _cmd_preamble, "write the two-symbol preamble as raw IQ",
+             ("--out", "out", "output IQ path")),
+    _Command("fig1", _cmd_fig1, "single-shot correlation comb profiles (CSV)",
+             ("--out", "out", "output CSV path")),
+    _Command("fig2", _cmd_fig2, "failure-probability sweep (CSV + manifest)",
+             ("--out", "out", "output CSV path"),
+             {"--paper": "sweep N = 64 and 128 (x.csv: x_n64.csv, x_n128.csv); other settings "
+                         "keep their defaults, the paper's values, unless a flag or config key "
+                         "sets them"}),
+    _Command("estimate", _cmd_estimate, "estimate the offset carried by an IQ capture",
+             ("--in", "infile", "input IQ path")),
+)}
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+    """The command-line parser, built once per process from COMMANDS and SETTINGS.
 
-    Each command's flags come from its SETTINGS and keep their text for
-    _settings to parse.  No flag may be abbreviated, so each has the one
-    spelling _join_values matches.  Parsing leaves the parser unchanged
-    (each call fills a new namespace), so every call of main shares it.
-    ``parser.commands`` maps each command name to its _Command: its
-    subparser, its handler, and its flag table.
+    Only help and ill-formed argv reach it (_parse_argv), so only they
+    import argparse.  Each setting's flag keeps its text for _settings to
+    parse.  No flag may be abbreviated, so each has the one spelling
+    _join_values matches.  Parsing leaves the parser unchanged (each call
+    fills a new namespace), so every call of main shares it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cfolab",
         description="Carrier frequency offset estimation lab over dual chirp-rate preambles.",
@@ -408,29 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
-
-    def command(name, func, help):
-        cmd = _Command(sub.add_parser(name, help=help, allow_abbrev=False), func, {"command": name})
-        for key, (_, default, text) in SETTINGS[name].items():
+    for name, cmd in COMMANDS.items():
+        command = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        for key, setting in SETTINGS[name].items():
             # No flag default: an absent flag is None, so the config file can set the key.
-            cmd.add("--" + key.replace("_", "-"), help=f"{text} (default: {default})")
-        cmd.add("--config", help="flat key = value config file; flags override")
-        parser.commands[name] = cmd
-        return cmd
-
-    cmd = command("preamble", _cmd_preamble, "write the two-symbol preamble as raw IQ")
-    cmd.add("--out", required=True, help="output IQ path")
-    cmd = command("fig1", _cmd_fig1, "single-shot correlation comb profiles (CSV)")
-    cmd.add("--out", required=True, help="output CSV path")
-    cmd = command("fig2", _cmd_fig2, "failure-probability sweep (CSV + manifest)")
-    cmd.add("--paper", action="store_true",
-            help="sweep N = 64 and 128 (x.csv: x_n64.csv, x_n128.csv); other settings "
-                 "keep their defaults, the paper's values, unless a flag or config key "
-                 "sets them")
-    cmd.add("--out", required=True, help="output CSV path")
-    cmd = command("estimate", _cmd_estimate, "estimate the offset carried by an IQ capture")
-    cmd.add("--in", dest="infile", required=True, help="input IQ path")
+            command.add_argument("--" + key.replace("_", "-"),
+                                 help=f"{setting[2]} (default: {_default(setting)})")
+        command.add_argument("--config", help="flat key = value config file; flags override")
+        for switch, text in cmd.switch_help.items():
+            command.add_argument(switch, action="store_true", help=text)
+        flag, dest, text = cmd.path
+        command.add_argument(flag, dest=dest, required=True, help=text)
     return parser
 
 
@@ -443,7 +474,7 @@ def _join_values(argv: list[str]) -> list[str]:
     (--cfo -1e1, --out -x.csv) is not read as a flag, and a flag followed
     by a flag is still reported as missing its value.
     """
-    command = build_parser().commands.get(argv[0]) if argv else None
+    command = COMMANDS.get(argv[0]) if argv else None
     values = command.values if command else {}
     joined: list[str] = []
     for token in argv:
@@ -454,14 +485,16 @@ def _join_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _read_flags(command: _Command, argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse gives command's argv, if argv is well formed; else None.
+def _read_flags(command: _Command, argv: list[str]) -> SimpleNamespace | None:
+    """What argparse gives command's argv, if argv is well formed; else None.
 
-    argv comes from _join_values.  Well formed means every token is a
-    switch or ``--flag=value`` for a flag that takes a value, and every
-    required flag is given.  No value may be ``--``, which some argparse
-    versions drop.  On such argv argparse stores each value as written, the
-    last one where a flag repeats, and reports nothing.  Anything else
+    The result holds the attributes of argparse's Namespace, and argparse
+    is not imported.  argv comes from _join_values.  Well formed means
+    every token is a switch or ``--flag=value`` for a flag that takes a
+    value, and the required path flag is given.  No value may be ``--``,
+    which some argparse versions drop.  On such argv argparse stores each
+    value as written, the last one where a flag repeats, and reports
+    nothing.  Anything else
     (help, ``--``, an unknown or abbreviated flag, a missing value, a value
     given to a switch) is left to argparse.
     """
@@ -476,12 +509,12 @@ def _read_flags(command: _Command, argv: list[str]) -> argparse.Namespace | None
         if dest is None or not eq or value == "--":
             return None
         given[dest] = value
-    if not all(dest in given for dest in command.required):
+    if command.path[1] not in given:
         return None
-    return argparse.Namespace(**{**command.defaults, **given})
+    return SimpleNamespace(**{**command.defaults, **given})
 
 
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
+def _parse_argv(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """Parse argv as build_parser().parse_args would.
 
     When argv[0] names a command and the rest is well formed, it is read
@@ -489,11 +522,10 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     other argv goes to parse_args.  So every help text and usage error
     comes from argparse.
     """
-    parser = build_parser()
     argv = _join_values(argv)
-    command = parser.commands.get(argv[0]) if argv else None
+    command = COMMANDS.get(argv[0]) if argv else None
     args = _read_flags(command, argv[1:]) if command else None
-    return parser.parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -507,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     and others keep it, so main rejects both before the command runs.
     """
     args = _parse_argv(sys.argv[1:] if argv is None else argv)
-    command = build_parser().commands[args.command]
+    command = COMMANDS[args.command]
     try:
         for flag, dest in command.values.items():
             if getattr(args, dest) in ([], "--"):
@@ -525,6 +557,15 @@ def main(argv: list[str] | None = None) -> int:
         # A missing or unreadable input, or an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def __getattr__(name: str) -> Any:
+    """cli.run_sweep, read from simlab: bench/spans.py traces it until it traces run_sweeps."""
+    if name != "run_sweep":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .simlab import run_sweep
+
+    return run_sweep
 
 
 def entry() -> None:

@@ -10,6 +10,7 @@ each behind a cyclic prefix, form the two-symbol synchronization preamble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,3 +154,10 @@ def build_preamble(spec: PreambleSpec) -> PreambleFrame:
     return assemble_frame(
         [cazac_generate(spec.params_1), cazac_generate(spec.params_2)], spec.cp_len
     )
+
+
+@lru_cache(maxsize=8)
+def _preamble_for(n_fft: int, r1: int, r2: int, cp_len: int) -> tuple[PreambleSpec, PreambleFrame]:
+    """The spec and the frame of the preamble these parameters name, built once per set."""
+    spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp_len)
+    return spec, build_preamble(spec)

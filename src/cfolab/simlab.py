@@ -40,7 +40,7 @@ from .estimator import estimate_cfo, estimate_cfo_batch, wrap_offset
 # sca_estimate, the one-frame form of sca_estimate_batch, stays bound here
 # beside transmit and estimate_cfo: bench/spans.py traces these names.
 from .sca import ScaPreamble, sca_build_preamble, sca_estimate, sca_estimate_batch  # noqa: F401
-from .signal import CazacParams, PreambleFrame, PreambleSpec, build_preamble
+from .signal import PreambleFrame, _preamble_for
 
 
 def _proposed(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
@@ -182,12 +182,6 @@ def _wilson(p: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
-
-
-@lru_cache(maxsize=8)
-def _preamble_for(n_fft: int, r1: int, r2: int, cp_len: int) -> tuple[PreambleSpec, PreambleFrame]:
-    spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp_len)
-    return spec, build_preamble(spec)
 
 
 def _entropy_words(*keys: int) -> np.ndarray:

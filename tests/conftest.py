@@ -63,9 +63,9 @@ def rayleigh_taps(rng, path_count, decay):
     )
 
 
-# Frames per propagate call in engine_taps.  Even without noise, propagate
-# allocates a (frames, modes, 4 * block) noise buffer, so the chunk bounds
-# its memory.
+# Frames per propagate call in engine_taps.  Without noise, propagate holds no
+# noise buffer, but it returns each frame's stream beside its taps, so the
+# chunk bounds the streams a call holds.
 ENGINE_TAPS_CHUNK = 4096
 
 

@@ -1,6 +1,7 @@
 """Fading channel emulator: statistics, convolution correctness, reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,33 @@ def test_propagate_adds_the_noise_the_scaled_product_gave():
         want.real += scale[i] * white[..., : 2 * blk]
         want.imag += scale[i] * white[..., 2 * blk :]
         np.testing.assert_array_equal(noisy[i].view(np.uint64), want.view(np.uint64))
+
+
+def test_a_noiseless_call_holds_no_noise():
+    """A call whose every frame is noiseless peaks near the size of what it returns.
+
+    Its rows have the bits they get in a call that holds noise for other
+    frames.  A (frames, modes, 4 * block) noise buffer would double the peak.
+    """
+    frame = _frame(n_fft=128, cp=16)
+    profile, modes, count = ChannelProfile(4, 2.0), ("varying", "static"), 512
+
+    def run(scale):
+        rngs = (np.random.default_rng([7, i]) for i in range(len(scale)))
+        return propagate((frame,), profile, modes, 5.3, rngs, scale)
+
+    run(np.zeros(1))  # one call first, so first-call allocations do not count
+    tracemalloc.start()
+    try:
+        (stream,), taps, phase_0 = run(np.zeros(count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (stream.nbytes + taps.nbytes + phase_0.nbytes)
+    mixed = run(np.where(np.arange(count) % 2 == 0, 0.1, 0.0))[0][0].reshape(count, -1)
+    clean = stream.reshape(count, -1)
+    np.testing.assert_array_equal(mixed[1::2].view(np.uint64), clean[1::2].view(np.uint64))
+    assert not np.array_equal(mixed[::2], clean[::2])
 
 
 # FFT sizes whose frames share one draw, at one CP: the draws for each block

@@ -24,6 +24,7 @@ from cfolab.channel import ChannelProfile
 from cfolab.cli import (
     MAX_GRID_POINTS,
     SETTINGS,
+    _default,
     _join_values,
     _parse_argv,
     _parse_snr_grid,
@@ -36,6 +37,7 @@ from cfolab.cli import (
     write_iq,
 )
 from cfolab.errors import ConfigError
+from cfolab.signal import _preamble_for
 from cfolab.simlab import ESTIMATORS, ExperimentConfig, run_sweep
 
 
@@ -215,12 +217,12 @@ def test_bad_source_date_epoch_is_rejected_before_any_output(tmp_path, capsys, m
 
 
 def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, monkeypatch):
-    from cfolab import cli
+    from cfolab import simlab
 
     def no_sweep(cfg, n_ffts):
         raise AssertionError("swept before checking --out")
 
-    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    monkeypatch.setattr(simlab, "run_sweeps", no_sweep)
     out = tmp_path / "missing" / "fig2.csv"
     assert main(["fig2", "--paper", "--trials", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -237,12 +239,12 @@ def test_fig2_checks_the_output_directory_before_it_sweeps(tmp_path, capsys, mon
 ])
 def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monkeypatch,
                                                           paper, directory):
-    from cfolab import cli
+    from cfolab import simlab
 
     def no_sweep(cfg, n_ffts):
         raise AssertionError("swept before checking the output targets")
 
-    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    monkeypatch.setattr(simlab, "run_sweeps", no_sweep)
     (tmp_path / directory).mkdir()
     argv = ["fig2", "--paper"] if paper else ["fig2", "--n", "64"]
     assert main(argv + ["--trials", "1", "--out", str(tmp_path / "fig2.csv")]) == 2
@@ -253,12 +255,12 @@ def test_fig2_checks_the_output_targets_before_it_sweeps(tmp_path, capsys, monke
 
 
 def test_fig2_rejects_a_sweep_over_the_trial_cap_before_it_sweeps(tmp_path, capsys, monkeypatch):
-    from cfolab import cli
+    from cfolab import simlab
 
     def no_sweep(cfg, n_ffts):
         raise AssertionError("swept past the trial cap")
 
-    monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+    monkeypatch.setattr(simlab, "run_sweeps", no_sweep)
     out = tmp_path / "x.csv"
     assert main(["fig2", "--n", "64", "--snr-grid", "0", "--trials", "1000000000000000",
                  "--out", str(out)]) == 2
@@ -758,7 +760,7 @@ def _resolve(command, *argv, config=None):
 
 def _sample(command, key, tmp_path):
     """The key's parsed sample and default, and a config file that sets the sample."""
-    parse, default, _ = SETTINGS[command][key]
+    parse, default = SETTINGS[command][key][0], _default(SETTINGS[command][key])
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {SAMPLES[key]}\n", encoding="utf-8")
     assert parse(SAMPLES[key]) != parse(default)
@@ -782,7 +784,7 @@ def test_config_key_sets_each_setting(tmp_path, command, key):
 def test_flag_beats_the_config_file_for_each_setting(tmp_path, command, key):
     """A given flag wins even when it spells the default."""
     _, default, conf = _sample(command, key, tmp_path)
-    assert _resolve(command, _flag(key), SETTINGS[command][key][1], config=conf)[key] == default
+    assert _resolve(command, _flag(key), _default(SETTINGS[command][key]), config=conf)[key] == default
 
 
 @pytest.mark.parametrize("command", ["preamble", "fig1", "fig2"])
@@ -963,12 +965,13 @@ def test_fig2_paper_with_an_explicit_n_is_a_usage_error(tmp_path, capsys, source
                                              ("fig1", "dump_correlations")])
 def test_preamble_and_fig1_check_the_output_targets_before_they_compute(
         tmp_path, capsys, monkeypatch, command, compute, target):
-    from cfolab import cli
+    from cfolab import cli, simlab
 
     def no_compute(*args):
         raise AssertionError("computed before checking the output targets")
 
-    monkeypatch.setattr(cli, compute, no_compute)
+    # fig1 reads dump_correlations from simlab each time it runs.
+    monkeypatch.setattr(cli if command == "preamble" else simlab, compute, no_compute)
     out = tmp_path / "x.out"
     if target == "missing directory":
         out = tmp_path / "missing" / "x.out"
@@ -1021,11 +1024,15 @@ def _parse_corpus():
 
 
 def _outcome(parse, argv):
-    """What parse(argv) gives: its Namespace or its exit code, then its stdout and stderr."""
+    """What parse(argv) gives: its namespace's vars() or its exit code, then its stdout and stderr.
+
+    vars() is what argparse.Namespace equality compares, and main's parse
+    gives argparse's Namespace or, without argparse, a SimpleNamespace.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(list(argv))
+            result = vars(parse(list(argv)))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -1035,7 +1042,7 @@ def _outcome(parse, argv):
 def test_parse_dispatch_matches_the_top_level_parse(argv):
     """main's parse gives what the top-level parser's parse_args gives, on every argv.
 
-    The same Namespace, or the same exit code with byte-identical stdout and
+    The same attributes, or the same exit code with byte-identical stdout and
     stderr: help, version, usage errors and leftover tokens included.
     """
     reference = _outcome(lambda a: build_parser().parse_args(_join_values(a)), argv)
@@ -1074,7 +1081,7 @@ def _drawn_argv(command):
 def test_parse_matches_the_top_level_parse_on_drawn_argv(command, data):
     """main's parse gives what parse_args gives on argv drawn from every flag and form.
 
-    The same Namespace, or the same exit code, stdout and stderr, whichever
+    The same attributes, or the same exit code, stdout and stderr, whichever
     path _parse_argv takes.
     """
     argv = data.draw(_drawn_argv(command))
@@ -1087,13 +1094,39 @@ def test_the_benchmark_argv_is_read_without_argparse(monkeypatch):
     shapes = (["estimate", "--in", "cap.iq", "--n", "1024"],
               ["fig2", "--paper", "--estimators", "proposed", "--trials", "1", "--seed", "1048576",
                "--out", "fig2.csv"])
-    expected = [build_parser().parse_args(_join_values(argv)) for argv in shapes]
+    expected = [vars(build_parser().parse_args(_join_values(argv))) for argv in shapes]
 
     def no_argparse(*args, **kwargs):
         raise AssertionError("argparse parsed well-formed argv")
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_argparse)
-    assert [_parse_argv(argv) for argv in shapes] == expected
+    assert [vars(_parse_argv(argv)) for argv in shapes] == expected
+
+
+_ENGINE = ("cfolab.simlab", "cfolab.channel", "cfolab.sca")
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["estimate", "--in", "cap.iq", "--n", "1024"], ("argparse", *_ENGINE)),
+    (["preamble", "--n", "1024", "--out", "pre.iq"], ("argparse", *_ENGINE)),
+    (["fig2", "--paper", "--estimators", "proposed", "--trials", "1", "--seed", "1048576",
+      "--out", "fig2.csv"], ("argparse",)),
+])
+def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, argv, absent):
+    """cli.main on the benchmark's argv, in a fresh process, imports no module of absent.
+
+    Well-formed argv never needs argparse, and estimate and preamble never
+    run the sweep engine: each would only add to a fresh process's start-up.
+    """
+    write_iq(tmp_path / "cap.iq", _preamble_for(1024, 2, 8, 16)[1].samples)
+    script = "import sys\nfrom cfolab import cli\ncode = cli.main(sys.argv[1:])\nprint(code, *sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                            cwd=tmp_path, env=env)
+    assert result.returncode == 0, result.stderr
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    assert code == "0" and "cfolab.cli" in loaded
+    assert sorted(set(absent) & set(loaded)) == []
 
 
 @pytest.mark.parametrize("argv,flag", [

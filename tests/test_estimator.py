@@ -1,6 +1,7 @@
 """Two-stage estimator: autocorrelation identities, comb correlation, peak walk."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ def _comb_prediction(n_fft, rate, taps, q, phase0):
     return pred
 
 
+def _assert_comb(n_fft, rate, taps, q, phase0):
+    """freq_correlate of the noiseless symbol equals _comb_prediction to 1e-9."""
+    y = synth_rx(n_fft, rate, taps, cfo=float(q), phase0=phase0)
+    got = freq_correlate(y, CazacParams(n_fft, rate))
+    np.testing.assert_allclose(got, _comb_prediction(n_fft, rate, taps, q, phase0), atol=1e-9)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_freq_correlate_matches_comb_closed_form(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -185,10 +193,37 @@ def test_freq_correlate_matches_comb_closed_form(seed):
     paths = int(rng.integers(1, 5))
     taps = rayleigh_taps(rng, paths, rng.uniform(0.5, 5.0))
     q = int(rng.integers(-n_fft // 2 + 1, n_fft // 2))
-    phase0 = rng.uniform(0, 2 * np.pi)
-    y = synth_rx(n_fft, rate, taps, cfo=float(q), phase0=phase0)
-    got = freq_correlate(y, CazacParams(n_fft, rate))
-    np.testing.assert_allclose(got, _comb_prediction(n_fft, rate, taps, q, phase0), atol=1e-9)
+    _assert_comb(n_fft, rate, taps, q, rng.uniform(0, 2 * np.pi))
+
+
+@st.composite
+def _comb_cases(draw):
+    """N from 16 to 256, every rate CazacParams takes, L <= 16 taps and an integer offset.
+
+    The offset runs over four wraps of N either way, so every residue is
+    reached from both signs; synth_rx's phase, 2*pi*q*n/N, keeps its
+    precision well inside atol there.
+    """
+    n_fft = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    return {
+        "n_fft": n_fft,
+        "rate": draw(st.sampled_from(_rates(n_fft))),
+        "taps": rayleigh_taps(rng, draw(st.integers(1, 16)), draw(st.floats(0.5, 5.0))),
+        "q": draw(st.integers(-4 * n_fft, 4 * n_fft)),
+        "phase0": draw(st.floats(0.0, 2 * np.pi)),
+    }
+
+
+@settings(max_examples=300)
+@given(_comb_cases())
+def test_freq_correlate_matches_comb_closed_form_over_its_domain(case):
+    """The seeded cases above, widened to every N, rate, L <= 16 and offset _comb_cases draws.
+
+    A noiseless symbol's correlation is the comb: conj(h_m) times a known
+    phase at tooth (q - rate*m) mod N, and 0 elsewhere.
+    """
+    _assert_comb(**case)
 
 
 def _definitional_correlation(y, f, rate):
@@ -704,3 +739,66 @@ def test_wrap_offset_principal_range():
     assert wrap_offset(1.0, 2) == 1.0
     assert wrap_offset(-1.0, 2) == 1.0
     assert wrap_offset(21.0, 2) == 1.0
+
+
+@st.composite
+def _wrap_cases(draw):
+    """An even rate and a finite offset: any float, a branch edge ±r/2, ±0.0, or near a multiple of r."""
+    rate = 2 * draw(st.integers(1, 2**20))
+    k = draw(st.integers(-2**20, 2**20))
+    eps = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([rate / 2, -rate / 2, 0.0, -0.0]),
+        st.sampled_from([-0.5, 0.0, 0.5]).map(lambda half: (k + half) * rate),
+    ))
+    return rate, eps
+
+
+@settings(max_examples=500)
+@given(_wrap_cases())
+@example((2, -0.0))
+@example((2, 1.0))
+@example((8, -4.0))
+def test_wrap_offset_lands_in_its_principal_range(case):
+    """wrap_offset(eps, r) lies in (-r/2, r/2] and differs from eps by a whole number of r, exactly."""
+    rate, eps = case
+    wrapped = wrap_offset(eps, rate)
+    assert -rate / 2 < wrapped <= rate / 2
+    assert (Fraction(eps) - Fraction(wrapped)) % rate == 0
+
+
+@st.composite
+def _ffo_cases(draw):
+    """A chirp symbol of N from 16 to 256 at any rate it takes, L <= 16 taps and an offset in (-N/2, N/2).
+
+    The offset is any float there or a multiple of r/2, a branch edge of the wrap.
+    """
+    n_fft = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    rate = draw(st.sampled_from(_rates(n_fft)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    cfo = draw(st.one_of(
+        st.floats(-n_fft / 2, n_fft / 2, exclude_min=True, exclude_max=True),
+        st.integers(1 - n_fft // rate, n_fft // rate - 1).map(lambda k: k * rate / 2),
+    ))
+    return {
+        "n_fft": n_fft,
+        "rate": rate,
+        "taps": rayleigh_taps(rng, draw(st.integers(1, 16)), draw(st.floats(0.5, 5.0))),
+        "cfo": cfo,
+        "phase0": draw(st.floats(0.0, 2 * np.pi)),
+    }
+
+
+@settings(max_examples=300)
+@given(_ffo_cases())
+@example({"n_fft": 64, "rate": 8, "taps": np.array([1.0]), "cfo": 4.0, "phase0": 0.0})
+def test_noiseless_estimate_ffo_is_the_wrapped_offset(case):
+    """A noiseless symbol's fractional estimate is wrap_offset(cfo, r) to 1e-9, in (-r/2, r/2].
+
+    The distance is taken around the circle of period r: at the branch edge
+    an estimate of -r/2 + 1e-15 is within 1e-9 of r/2.
+    """
+    n_fft, rate, taps, cfo, phase0 = case.values()
+    got = estimate_ffo(synth_rx(n_fft, rate, taps, cfo, phase0), rate)
+    assert -rate / 2 < got <= rate / 2
+    assert abs(wrap_offset(got - wrap_offset(cfo, rate), rate)) < 1e-9
