@@ -283,10 +283,10 @@ def _check_targets(targets: list[Path]) -> None:
     Writing commands call this before they compute, so a usage error writes no file.
     """
     for target in targets:
-        if not target.parent.is_dir():
+        if not os.path.isdir(target.parent):
             raise ConfigError(f"{target}: directory {target.parent} does not exist")
         for path in (target, _manifest_path(target)):
-            if path.is_dir():
+            if os.path.isdir(path):
                 raise ConfigError(f"{path} is a directory")
 
 
@@ -433,14 +433,19 @@ COMMANDS: dict[str, _Command] = {cmd.name: cmd for cmd in (
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process from COMMANDS and SETTINGS.
+def build_parser(names: frozenset[str] = frozenset(COMMANDS)) -> argparse.ArgumentParser:
+    """The command-line parser for names, built once per process from COMMANDS and SETTINGS.
 
-    Only help and ill-formed argv reach it (_parse_argv), so only they
-    import argparse.  Each setting's flag keeps its text for _settings to
-    parse.  No flag may be abbreviated, so each has the one spelling
-    _join_values matches.  Parsing leaves the parser unchanged (each call
-    fills a new namespace), so every call of main shares it.
+    Every command is listed with its help, and the commands in names get
+    their flags: argparse hands the tokens after a command's name to that
+    command's parser, so argv that names no other command parses as it
+    would with every command's flags.  Only help and ill-formed argv reach
+    it (_parse_argv), so only they import argparse, and only fig2's flags
+    (its --estimators help) import the sweep engine.  Each setting's flag
+    keeps its text for _settings to parse.  No flag may be abbreviated, so
+    each has the one spelling _join_values matches.  Parsing leaves the
+    parser unchanged (each call fills a new namespace), so every call of
+    main with the same names shares it.
     """
     import argparse
 
@@ -453,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         command = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        if name not in names:
+            continue
         for key, setting in SETTINGS[name].items():
             # No flag default: an absent flag is None, so the config file can set the key.
             command.add_argument("--" + key.replace("_", "-"),
@@ -519,13 +526,16 @@ def _parse_argv(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
 
     When argv[0] names a command and the rest is well formed, it is read
     from that command's flag table (_read_flags) without argparse; any
-    other argv goes to parse_args.  So every help text and usage error
-    comes from argparse.
+    other argv goes to parse_args, on a parser with the flags of the
+    commands argv names.  So every help text and usage error comes from
+    argparse.
     """
     argv = _join_values(argv)
     command = COMMANDS.get(argv[0]) if argv else None
     args = _read_flags(command, argv[1:]) if command else None
-    return build_parser().parse_args(argv) if args is None else args
+    if args is None:
+        args = build_parser(frozenset(COMMANDS).intersection(argv)).parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

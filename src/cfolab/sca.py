@@ -39,8 +39,10 @@ class ScaPreamble:
 
     pn_even_1 holds the even-bin values of symbol 1 (bin 2j -> pn_even_1[j]),
     pn_2 the full spectrum of symbol 2, and v the per-even-bin ratio
-    pn_2(2j) / pn_even_1(j).  frame is the assembled CP-prefixed waveform with
-    both time symbols scaled to unit average power.
+    pn_2(2j) / pn_even_1(j).  kernel is conj(dft(v)) * sqrt(N/2), the factor
+    every B(g) correlation multiplies by, formed once per preamble.  frame
+    is the assembled CP-prefixed waveform with both time symbols scaled to
+    unit average power.  A sweep builds one per master seed and FFT size.
     """
 
     n_fft: int
@@ -48,11 +50,12 @@ class ScaPreamble:
     pn_even_1: np.ndarray
     pn_2: np.ndarray
     v: np.ndarray
+    kernel: np.ndarray
     frame: PreambleFrame
 
 
-def _random_qpsk(rng: np.random.Generator, size: int) -> np.ndarray:
-    return np.exp(1j * (np.pi / 2.0 * rng.integers(0, 4, size) + np.pi / 4.0))
+# The four QPSK points exp(j*(pi/2*k + pi/4)), k = 0..3: a draw indexes them.
+_QPSK = np.exp(1j * (np.pi / 2.0 * np.arange(4) + np.pi / 4.0))
 
 
 def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> ScaPreamble:
@@ -70,28 +73,21 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
         raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
     half = n_fft // 2
     while True:
-        pn_even_1 = _random_qpsk(rng, half)
-        pn_2 = _random_qpsk(rng, n_fft)
+        pn_even_1 = _QPSK[rng.integers(0, 4, half)]
+        pn_2 = _QPSK[rng.integers(0, 4, n_fft)]
         v = pn_2[0::2] / pn_even_1
+        kernel = np.conj(dft(v)) * math.sqrt(half)
         # |sum_j conj(v(j)) v(j + g)| reaches N/2 only when v(j + g) / v(j)
-        # is the same for every j.
-        autocorr = np.abs(np.fft.ifft(np.abs(np.fft.fft(v)) ** 2))
+        # is the same for every j; |kernel|^2 is the plain |FFT of v|^2.
+        autocorr = np.abs(np.fft.ifft(np.abs(kernel) ** 2))
         if half == 1 or autocorr[1:].max() < half * (1.0 - 1e-9):
             break
-    spectrum_1 = np.zeros(n_fft, dtype=np.complex128)
-    spectrum_1[0::2] = pn_even_1
-    sym_1 = idft(spectrum_1)
-    sym_1 *= 1.0 / np.sqrt(np.mean(np.abs(sym_1) ** 2))
-    sym_2 = idft(pn_2)
-    sym_2 *= 1.0 / np.sqrt(np.mean(np.abs(sym_2) ** 2))
-    return ScaPreamble(
-        n_fft=n_fft,
-        cp_len=cp_len,
-        pn_even_1=pn_even_1,
-        pn_2=pn_2,
-        v=v,
-        frame=assemble_frame([sym_1, sym_2], cp_len),
-    )
+    spectra = np.zeros((2, n_fft), dtype=np.complex128)
+    spectra[0, 0::2] = pn_even_1
+    spectra[1] = pn_2
+    symbols = idft(spectra)
+    symbols *= 1.0 / np.sqrt(np.mean(np.abs(symbols) ** 2, axis=-1, keepdims=True))
+    return ScaPreamble(n_fft, cp_len, pn_even_1, pn_2, v, kernel, assemble_frame(list(symbols), cp_len))
 
 
 def sca_estimate_batch(
@@ -115,13 +111,14 @@ def sca_estimate_batch(
     energy = np.sum(np.abs(x[:, 1]) ** 2, axis=-1)
 
     # The sum in B(g) is sum_j conj(v(j)) * P((j + g) mod N/2): one FFT of P,
-    # a product with the conjugate spectrum of v, one inverse FFT.  sqrt(N/2)
-    # turns the unitary transforms' scale into the plain sum.  g = +-N/4 read
-    # the same bin, so they tie exactly and argmax keeps the lower g.
+    # a product with the conjugate spectrum of v (the kernel), one inverse
+    # FFT.  The kernel's sqrt(N/2) turns the unitary transforms' scale into
+    # the plain sum.  g = +-N/4 read the same bin, so they tie exactly and
+    # argmax keeps the lower g.
     half = n // 2
     shifts = np.arange(-(n // 4), n // 4 + 1)
     p = np.conj(x[:, 0, 0::2]) * x[:, 1, 0::2]
-    corr = idft(dft(p) * (np.conj(dft(pre.v)) * math.sqrt(half)))
+    corr = idft(dft(p) * pre.kernel)
     # Dividing before squaring keeps the metric finite when the energy is
     # huge (very low SNR).  B(g) is NaN where symbol 2 carries no energy,
     # also where that energy underflowed to 0 under a nonzero correlation,

@@ -204,7 +204,7 @@ def _entropy_words(*keys: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sca_preamble_for(master_seed: int, n_fft: int, cp_len: int) -> ScaPreamble:
-    rng = np.random.default_rng(_entropy_words(master_seed, _SCA_PREAMBLE_TAG))
+    rng = np.random.Generator(np.random.PCG64(_entropy_words(master_seed, _SCA_PREAMBLE_TAG)))
     return sca_build_preamble(n_fft, cp_len, rng)
 
 
@@ -299,23 +299,23 @@ def _chunk_trials(cfgs: Sequence[ExperimentConfig]) -> int:
 def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResult, ...]:
     """Sweep cfg at each FFT size of n_ffts in shared passes; return one SweepResult per size.
 
-    The result for size n is that of replace(cfg, n_fft=n), in the order of
-    n_ffts; every such config is built, and so validated, before a trial
-    runs.  Each result holds trials_per_point trials for every (mode, snr,
-    estimator) cell of its config, in that order.  Each estimator's trials
-    over the whole grid, in (snr, trial) order, run as array passes of
-    _chunk_trials trials each, every size's and every mode's trial of a
-    (snr, trial) pair in the same pass.  The stream key (trial_rng) holds
-    no n_fft, so each (snr, estimator, trial) builds one trial_rng
-    generator, and channel.propagate draws its frame once for every size
-    and mode: the noise is drawn for the longest block, each N reads its
-    prefix, and so each size gets the draws it would make alone.  A size's
-    cells do not depend on the other sizes, nor a mode's on the other
-    modes, and every trial equals run_trial for its cell and index.  Each
-    pass adds its outcomes into per-cell tallies, so memory does not grow
-    with the trial count.
+    The result for size n is that of replace(cfg, n_fft=n), or of cfg at its
+    own size, in the order of n_ffts; every such config is built, and so
+    validated, before a trial runs.  Each result holds trials_per_point
+    trials for every (mode, snr, estimator) cell of its config, in that
+    order.  Each estimator's trials over the whole grid, in (snr, trial)
+    order, run as array passes of _chunk_trials trials each, every size's
+    and every mode's trial of a (snr, trial) pair in the same pass.  The
+    stream key (trial_rng) holds no n_fft, so each (snr, estimator, trial)
+    builds one trial_rng generator, and channel.propagate draws its frame
+    once for every size and mode: the noise is drawn for the longest block,
+    each N reads its prefix, and so each size gets the draws it would make
+    alone.  A size's cells do not depend on the other sizes, nor a mode's on
+    the other modes, and every trial equals run_trial for its cell and
+    index.  Each pass adds its outcomes into per-cell tallies, so memory
+    does not grow with the trial count.
     """
-    cfgs = tuple(replace(cfg, n_fft=n_fft) for n_fft in n_ffts)
+    cfgs = tuple(cfg if n_fft == cfg.n_fft else replace(cfg, n_fft=n_fft) for n_fft in n_ffts)
     if not cfgs:
         return ()
     trials = cfg.trials_per_point
@@ -327,8 +327,9 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
     total = grid.size * trials
     step = max(1, _chunk_trials(cfgs) // width)
     # Per (config, estimator, snr, mode): failures, the sum of squared finite
-    # ffo_error and the finite count.  ufunc.at adds in index order, so each
-    # sum runs in trial order, as a loop over the trials forms it.
+    # ffo_error and the finite count, added for each pass as one stacked
+    # block.  ufunc.at adds in index order, so each sum runs in trial order,
+    # as a loop over the trials forms it.
     tally = np.zeros((len(cfgs), len(cfg.estimators), 3, grid.size, width))
     for e, estimator in enumerate(cfg.estimators):
         for lo in range(0, total, step):
@@ -336,11 +337,9 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
             for k, (correct, ffo_error, _) in enumerate(
                 _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
             ):
-                failures, sq_sum, sq_count = tally[k, e]
                 finite = np.isfinite(ffo_error)
-                np.add.at(failures, cell, ~correct)
-                np.add.at(sq_sum, cell, np.where(finite, ffo_error**2, 0.0))
-                np.add.at(sq_count, cell, finite)
+                block = np.stack([~correct, np.where(finite, ffo_error**2, 0.0), finite])
+                np.add.at(tally[k, e], (slice(None), cell), block)
     return tuple(_result(c, counts) for c, counts in zip(cfgs, tally))
 
 

@@ -1106,26 +1106,35 @@ def test_the_benchmark_argv_is_read_without_argparse(monkeypatch):
 _ENGINE = ("cfolab.simlab", "cfolab.channel", "cfolab.sca")
 
 
+# argv that argparse rejects with exit 2; every other argv below exits 0.
+_USAGE_ERRORS = (["estimate", "--in", "x", "--bogus"], ["preamble", "--out"])
+
+
 @pytest.mark.parametrize("argv,absent", [
     (["estimate", "--in", "cap.iq", "--n", "1024"], ("argparse", *_ENGINE)),
     (["preamble", "--n", "1024", "--out", "pre.iq"], ("argparse", *_ENGINE)),
     (["fig2", "--paper", "--estimators", "proposed", "--trials", "1", "--seed", "1048576",
       "--out", "fig2.csv"], ("argparse",)),
+    (["--version"], _ENGINE),
+    *((argv, _ENGINE) for argv in _USAGE_ERRORS),
 ])
 def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, argv, absent):
-    """cli.main on the benchmark's argv, in a fresh process, imports no module of absent.
+    """cli.main on argv, in a fresh process, exits as it should and imports no module of absent.
 
     Well-formed argv never needs argparse, and estimate and preamble never
     run the sweep engine: each would only add to a fresh process's start-up.
+    Help and usage errors build only the flags of the command they name,
+    so only fig2's help loads the engine.
     """
     write_iq(tmp_path / "cap.iq", _preamble_for(1024, 2, 8, 16)[1].samples)
-    script = "import sys\nfrom cfolab import cli\ncode = cli.main(sys.argv[1:])\nprint(code, *sys.modules)"
+    script = ("import sys\nfrom cfolab import cli\ntry:\n    code = cli.main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n    code = exc.code\nprint(code, *sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                             cwd=tmp_path, env=env)
     assert result.returncode == 0, result.stderr
     code, *loaded = result.stdout.splitlines()[-1].split()
-    assert code == "0" and "cfolab.cli" in loaded
+    assert code == ("2" if argv in _USAGE_ERRORS else "0") and "cfolab.cli" in loaded
     assert sorted(set(absent) & set(loaded)) == []
 
 

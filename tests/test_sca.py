@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
 from cfolab.errors import DegenerateSignalError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
-from cfolab.signal import idft
+from cfolab.signal import assemble_frame, dft, idft
 from cfolab.simlab import ExperimentConfig, run_trial
 
 
@@ -52,6 +52,62 @@ def test_preamble_symbols_have_the_bits_of_the_division_by_their_rms():
                 sym = idft(spectrum)
                 want = sym / np.sqrt(np.mean(np.abs(sym) ** 2))
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _reference_preamble(n_fft, rng):
+    """The PN draws, v, the two unit-power symbols and the draw count, built the plain way.
+
+    A complex exp per drawn symbol, one idft per symbol, and the rejection
+    test on np.fft's unnormalized transforms of v.
+    """
+    half = n_fft // 2
+    draws = 0
+    while True:
+        draws += 1
+        pn_even_1 = np.exp(1j * (np.pi / 2.0 * rng.integers(0, 4, half) + np.pi / 4.0))
+        pn_2 = np.exp(1j * (np.pi / 2.0 * rng.integers(0, 4, n_fft) + np.pi / 4.0))
+        v = pn_2[0::2] / pn_even_1
+        autocorr = np.abs(np.fft.ifft(np.abs(np.fft.fft(v)) ** 2))
+        if autocorr[1:].max() < half * (1.0 - 1e-9):
+            break
+    spectrum_1 = np.zeros(n_fft, dtype=np.complex128)
+    spectrum_1[0::2] = pn_even_1
+    symbols = []
+    for spectrum in (spectrum_1, pn_2):
+        sym = idft(spectrum)
+        sym *= 1.0 / np.sqrt(np.mean(np.abs(sym) ** 2))
+        symbols.append(sym)
+    return pn_even_1, pn_2, v, symbols, draws
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_fft", [16, 64, 128, 1024])
+def test_preamble_has_the_bits_of_the_plain_construction(n_fft):
+    """Table-drawn QPSK, one stacked idft and the kernel-read rejection test change no bit.
+
+    Over 500 seeds, with and without a prefix: pn_even_1, pn_2, v and the
+    frame equal the plain construction's, the generator ends in the same
+    state, and the stored kernel is conj(dft(v)) * sqrt(N/2).  At N = 16
+    some seeds are redrawn, so the rejection test decides as before.
+    """
+    redrawn = 0
+    for seed in range(500):
+        ref_rng = np.random.default_rng(seed)
+        pn_even_1, pn_2, v, symbols, draws = _reference_preamble(n_fft, ref_rng)
+        redrawn += draws > 1
+        for cp in (0, 16):
+            rng = np.random.default_rng(seed)
+            pre = sca_build_preamble(n_fft, cp, rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (seed, cp)
+            for got, want in ((pre.pn_even_1, pn_even_1), (pre.pn_2, pn_2), (pre.v, v),
+                              (pre.frame.samples, assemble_frame(symbols, cp).samples),
+                              (pre.kernel, np.conj(dft(v)) * math.sqrt(n_fft // 2))):
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"seed {seed}, cp {cp}")
+    if n_fft == 16:
+        assert redrawn > 0
 
 
 def test_preamble_deterministic():
