@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 # Public name -> the module that defines it.
 _EXPORTS = {
-    **dict.fromkeys(("ChannelProfile", "ImpairmentSpec", "ReceivedFrame", "draw_channel", "transmit"),
-                    "channel"),
+    **dict.fromkeys(("ChannelProfile", "ReceivedFrame", "transmit"), "channel"),
     **dict.fromkeys(("ConfigError", "DegenerateSignalError"), "errors"),
     **dict.fromkeys(("CfoEstimate", "CfoReport", "compensate", "estimate_cfo", "estimate_ffo",
                      "freq_correlate", "resolve_ifo", "time_autocorr", "wrap_offset"), "estimator"),

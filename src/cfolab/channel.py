@@ -87,19 +87,6 @@ def _tap_stats(path_count: int, decay: float) -> tuple[np.ndarray, float, np.nda
     return p, float(p.sum()), std
 
 
-@dataclass(frozen=True)
-class ImpairmentSpec:
-    """Receiver-side impairments for one transmission.
-
-    cfo is normalized to the subcarrier spacing; snr_db relates the total
-    mean received signal power to the per-sample complex noise variance.
-    Noise is drawn unless snr_db is +inf, the noiseless run (noise_variance).
-    """
-
-    cfo: float
-    snr_db: float = math.inf
-
-
 @dataclass(frozen=True, eq=False)
 class ReceivedFrame:
     """Channel output: the CP-intact frame stream and the channel's draws.
@@ -316,24 +303,27 @@ def propagate(
 def transmit(
     frame: PreambleFrame,
     profile: ChannelProfile,
-    imp: ImpairmentSpec,
+    cfo: float,
+    snr_db: float,
     rng: np.random.Generator,
     mode: str = MODE_VARYING,
 ) -> ReceivedFrame:
     """Push a preamble frame through the fading channel with CFO and AWGN, in one channel mode.
 
+    cfo is normalized to the subcarrier spacing; snr_db relates the total
+    mean received signal power to the per-sample complex noise variance.
     Per symbol, the CP-extended block is convolved with that symbol's taps,
     then the whole frame is rotated by exp(j*(2*pi*cfo*n/n_fft + phase_0))
     with n running continuously from the first frame sample.  Complex white
-    noise is added last, unless snr_db is +inf.  Returns the CP-intact
-    stream with the taps and the common phase it was drawn with.  This is
-    propagate for one frame in mode.
+    noise is added last, unless snr_db is +inf, the noiseless run
+    (noise_variance).  Returns the CP-intact stream with the taps and the
+    common phase it was drawn with.  This is propagate for one frame in mode.
 
     Raises:
         ConfigError: if mode is not a channel mode, the CP cannot absorb the
             channel memory, the offset exceeds half the signal bandwidth or
             the SNR is one the channel cannot model (noise_variance).
     """
-    scale = np.array([noise_std(profile, imp.snr_db)])
-    (stream,), taps, phase_0 = propagate((frame,), profile, (mode,), imp.cfo, (rng,), scale)
+    scale = np.array([noise_std(profile, snr_db)])
+    (stream,), taps, phase_0 = propagate((frame,), profile, (mode,), cfo, (rng,), scale)
     return ReceivedFrame(stream=stream[0], taps=taps[0], phase_0=float(phase_0[0]))

@@ -107,9 +107,9 @@ def read_iq(path: str | Path) -> np.ndarray:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    """Parse a flat ``key = value`` UTF-8 file, a leading byte-order mark dropped; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values: dict[str, str] = {}
@@ -261,20 +261,18 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
-def write_manifest(out_path: Path, config: dict, started_at: str) -> Path:
+def write_manifest(out_path: Path, config: dict, started_at: str) -> None:
     """Serialize the run manifest of the output file out_path next to it.
 
     started_at is the command's _timestamp(), taken before it wrote anything.
     """
-    manifest_path = _manifest_path(out_path)
     payload = {
         "config": config,
         "tool_version": __version__,
         "started_at": started_at,
         "output_paths": [str(out_path)],
     }
-    _write_text(manifest_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+    _write_text(_manifest_path(out_path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _check_targets(targets: list[Path]) -> None:

@@ -42,11 +42,10 @@ class ScaPreamble:
     pn_2(2j) / pn_even_1(j).  kernel is conj(dft(v)) * sqrt(N/2), the factor
     every B(g) correlation multiplies by, formed once per preamble.  frame
     is the assembled CP-prefixed waveform with both time symbols scaled to
-    unit average power.  A sweep builds one per master seed and FFT size.
+    unit average power, and holds the FFT size and CP length.  A sweep
+    builds one per master seed and FFT size.
     """
 
-    n_fft: int
-    cp_len: int
     pn_even_1: np.ndarray
     pn_2: np.ndarray
     v: np.ndarray
@@ -87,7 +86,7 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
     spectra[1] = pn_2
     symbols = idft(spectra)
     symbols *= 1.0 / np.sqrt(np.mean(np.abs(symbols) ** 2, axis=-1, keepdims=True))
-    return ScaPreamble(n_fft, cp_len, pn_even_1, pn_2, v, kernel, assemble_frame(list(symbols), cp_len))
+    return ScaPreamble(pn_even_1, pn_2, v, kernel, assemble_frame(list(symbols), cp_len))
 
 
 def sca_estimate_batch(
@@ -104,9 +103,9 @@ def sca_estimate_batch(
     Raises:
         ConfigError: the streams are not (T, 2*(N+cp)).
     """
-    n = pre.n_fft
+    n = pre.frame.n_fft
     # The half-symbol correlation is the lag-N/2 autocorrelation.
-    ffo, y = receive(stream, n, pre.cp_len, 2, ffo_stage)
+    ffo, y = receive(stream, n, pre.frame.cp_len, 2, ffo_stage)
     x = dft(y)
     energy = np.sum(np.abs(x[:, 1]) ** 2, axis=-1)
 

@@ -28,9 +28,10 @@ class CazacParams:
     Attributes:
         n_fft: symbol length N in samples; must be a power of two.
         rate: chirp rate; must be even, divide n_fft, and be at most
-            n_fft/2 so the chirp period n_fft/rate is even.  The even
-            period is what makes the sequence exactly periodic mod N and
-            keeps the circular-shift algebra of the frequency comb exact.
+            n_fft/2 so the chirp period, n_fft // rate samples, is even.
+            The even period is what makes the sequence exactly periodic
+            mod N and keeps the circular-shift algebra of the frequency
+            comb exact.
     """
 
     n_fft: int
@@ -49,11 +50,6 @@ class CazacParams:
             raise ConfigError(
                 f"rate must be at most n_fft/2 (chirp period must be even), got rate={self.rate}"
             )
-
-    @property
-    def period(self) -> int:
-        """Period of the chirp in samples (n_fft / rate)."""
-        return self.n_fft // self.rate
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import numpy as np
 from .channel import (
     MODE_VARYING,
     ChannelProfile,
-    ImpairmentSpec,
     check_modes,
     noise_std,
     noise_variance,
@@ -176,12 +175,17 @@ class SweepResult:
 
 
 def _wilson(p: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """95% Wilson score bounds of each proportion p of failures in trials trials."""
+    """95% Wilson score bounds of each proportion p of failures in trials trials.
+
+    The lower bound is exactly 0 at no failures and the upper bound exactly 1
+    when every trial failed, where the formula leaves a rounding residue.
+    """
     z = 1.959963984540054  # the standard normal's 97.5% quantile
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
-    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
+    lo = np.where(p == 0.0, 0.0, np.maximum(0.0, center - half))
+    return lo, np.where(p == 1.0, 1.0, np.minimum(1.0, center + half))
 
 
 def _entropy_words(*keys: int) -> np.ndarray:
@@ -369,8 +373,7 @@ def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.nda
     Returns an (n_fft, 3) array with columns (tau, |corr rate-1|, |corr rate-2|).
     """
     spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    imp = ImpairmentSpec(cfg.cfo_true, snr_db)
-    rx = transmit(frame, cfg.channel, imp, np.random.default_rng(seed), cfg.modes[0])
+    rx = transmit(frame, cfg.channel, cfg.cfo_true, snr_db, np.random.default_rng(seed), cfg.modes[0])
     est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     tau = np.arange(cfg.n_fft, dtype=float)
     return np.column_stack([tau, *est.profiles])

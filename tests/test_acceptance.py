@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+from cfolab.channel import ChannelProfile, transmit
 from cfolab.estimator import estimate_cfo, estimate_ffo, freq_correlate, resolve_ifo, time_autocorr
 from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 from cfolab.simlab import ExperimentConfig, _preamble_for, run_sweep
@@ -59,7 +59,7 @@ def test_criterion_1_noiseless_end_to_end_exact():
             for _ in range(500):
                 half_steps = int(rng.integers(-(2 * limit - 1), 2 * limit))
                 cfo = half_steps / 2.0
-                rx = transmit(frame, profile, ImpairmentSpec(cfo, math.inf), rng, mode="varying")
+                rx = transmit(frame, profile, cfo, math.inf, rng, mode="varying")
                 est = estimate_cfo(rx.stream, spec)
                 assert not est.failed
                 assert abs(est.total - cfo) < 1e-6, (n_fft, cfo)
@@ -148,8 +148,7 @@ def test_criterion_4_correlation_comb_reproduction(tmp_path):
         # replay the same frame in-process to learn the realized taps
         cfg = _fig1_config(seed)
         frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
-        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, 20.0), np.random.default_rng(seed),
-                      mode="varying")
+        rx = transmit(frame, cfg.channel, cfg.cfo_true, 20.0, np.random.default_rng(seed), mode="varying")
         m1 = int(np.argmax(np.abs(rx.taps[0])))
         m2 = int(np.argmax(np.abs(rx.taps[1])))
         assert int(rows[:, 1].argmax()) == (20 - 2 * m1) % 128

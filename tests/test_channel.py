@@ -12,7 +12,6 @@ from scipy import stats
 from cfolab import channel
 from cfolab.channel import (
     ChannelProfile,
-    ImpairmentSpec,
     draw_channel,
     noise_variance,
     propagate,
@@ -35,8 +34,7 @@ def test_profile_validation():
         ChannelProfile(path_count=4, decay=0.0)
     # The channel mode is transmit's, not the profile's.
     with pytest.raises(ConfigError, match="'warping'"):
-        transmit(_frame(), ChannelProfile(4, 2.0), ImpairmentSpec(0.0), np.random.default_rng(0),
-                 mode="warping")
+        transmit(_frame(), ChannelProfile(4, 2.0), 0.0, math.inf, np.random.default_rng(0), mode="warping")
 
 
 def test_tap_power_profile():
@@ -83,10 +81,9 @@ def test_normalized_energy():
     frame = _frame()
     profile = ChannelProfile(path_count=4, decay=2.0)
     rng = np.random.default_rng(7)
-    imp = ImpairmentSpec(cfo=0.0, snr_db=np.inf)
     powers = []
     for _ in range(4000):
-        rx = transmit(frame, profile, imp, rng, mode="static")
+        rx = transmit(frame, profile, 0.0, np.inf, rng, mode="static")
         sym = rx.stream[frame.cp_len : frame.block_len]
         powers.append(np.mean(np.abs(sym) ** 2))
     powers = np.asarray(powers)
@@ -98,7 +95,7 @@ def test_single_path_is_scaled_rotated_copy():
     frame = _frame()
     profile = ChannelProfile(path_count=1, decay=2.0)
     rng = np.random.default_rng(3)
-    rx = transmit(frame, profile, ImpairmentSpec(cfo=0.0, snr_db=np.inf), rng, mode="static")
+    rx = transmit(frame, profile, 0.0, np.inf, rng, mode="static")
     gain = rx.taps[0, 0] * np.exp(1j * rx.phase_0)
     np.testing.assert_allclose(rx.stream, frame.samples * gain, atol=1e-14)
 
@@ -108,7 +105,7 @@ def test_cfo_rotation_is_frame_continuous():
     frame = _frame(n_fft=128, cp=16)
     profile = ChannelProfile(path_count=1, decay=2.0)
     rng = np.random.default_rng(5)
-    rx = transmit(frame, profile, ImpairmentSpec(cfo=20.0, snr_db=np.inf), rng, mode="static")
+    rx = transmit(frame, profile, 20.0, np.inf, rng, mode="static")
     gain = rx.taps[0, 0] * np.exp(1j * rx.phase_0)
     n = np.arange(frame.samples.size)
     expected = frame.samples * gain * np.exp(2j * np.pi * 20.0 * n / 128)
@@ -120,7 +117,7 @@ def test_cp_window_equals_circular_convolution():
     frame = _frame(n_fft=64, cp=16)
     profile = ChannelProfile(path_count=4, decay=2.0)
     rng = np.random.default_rng(21)
-    rx = transmit(frame, profile, ImpairmentSpec(cfo=3.7, snr_db=np.inf), rng, mode="varying")
+    rx = transmit(frame, profile, 3.7, np.inf, rng, mode="varying")
     n = np.arange(64)
     for s, params in enumerate((CazacParams(64, 2), CazacParams(64, 8))):
         raw = cazac_generate(params)
@@ -135,7 +132,7 @@ def test_cp_window_equals_circular_convolution():
 def test_static_mode_shares_one_realization():
     frame = _frame()
     rng = np.random.default_rng(2)
-    rx = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(0.0), rng, mode="static")
+    rx = transmit(frame, ChannelProfile(4, 2.0), 0.0, math.inf, rng, mode="static")
     assert rx.taps.shape == (2, 4)
     np.testing.assert_array_equal(rx.taps[0], rx.taps[1])
 
@@ -175,7 +172,7 @@ def test_draw_channel_is_the_engines_static_symbol_1_draw(paths):
 def test_varying_mode_shares_phase():
     frame = _frame()
     rng = np.random.default_rng(8)
-    rx = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(0.0), rng, mode="varying")
+    rx = transmit(frame, ChannelProfile(4, 2.0), 0.0, math.inf, rng, mode="varying")
     assert rx.taps.shape == (2, 4) and isinstance(rx.phase_0, float)
     assert not np.allclose(rx.taps[0], rx.taps[1])
 
@@ -183,9 +180,8 @@ def test_varying_mode_shares_phase():
 def test_reproducible_with_seed():
     frame = _frame()
     profile = ChannelProfile(path_count=4, decay=2.0)
-    imp = ImpairmentSpec(cfo=11.25, snr_db=10.0)
-    rx_a = transmit(frame, profile, imp, np.random.default_rng(42), mode="varying")
-    rx_b = transmit(frame, profile, imp, np.random.default_rng(42), mode="varying")
+    rx_a = transmit(frame, profile, 11.25, 10.0, np.random.default_rng(42), mode="varying")
+    rx_b = transmit(frame, profile, 11.25, 10.0, np.random.default_rng(42), mode="varying")
     np.testing.assert_array_equal(rx_a.stream, rx_b.stream)
 
 
@@ -193,10 +189,8 @@ def test_noise_variance_matches_snr():
     """Difference between noisy and noiseless runs with one seed is the noise."""
     frame = _frame(n_fft=128, cp=16)
     profile = ChannelProfile(path_count=4, decay=2.0)
-    noisy = transmit(frame, profile, ImpairmentSpec(0.0, snr_db=10.0), np.random.default_rng(6),
-                     mode="static")
-    clean = transmit(frame, profile, ImpairmentSpec(0.0, snr_db=np.inf), np.random.default_rng(6),
-                     mode="static")
+    noisy = transmit(frame, profile, 0.0, 10.0, np.random.default_rng(6), mode="static")
+    clean = transmit(frame, profile, 0.0, np.inf, np.random.default_rng(6), mode="static")
     noise = noisy.stream - clean.stream
     sigma2 = noise_variance(profile, 10.0)
     assert sigma2 == pytest.approx(0.1)
@@ -211,7 +205,7 @@ def test_channel_rejects_snr_it_cannot_model(snr_db):
     with pytest.raises(ConfigError, match="outside what the channel can model"):
         noise_variance(profile, snr_db)
     with pytest.raises(ConfigError, match="outside what the channel can model"):
-        transmit(_frame(), profile, ImpairmentSpec(20.0, snr_db), np.random.default_rng(0))
+        transmit(_frame(), profile, 20.0, snr_db, np.random.default_rng(0))
     assert noise_variance(profile, math.inf) == 0.0
     for finite in (3000.0, -3000.0):
         assert 0.0 < noise_variance(profile, finite) < math.inf
@@ -220,13 +214,13 @@ def test_channel_rejects_snr_it_cannot_model(snr_db):
 def test_cp_too_short_rejected():
     frame = _frame(n_fft=64, cp=2)
     with pytest.raises(ConfigError):
-        transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(0.0), np.random.default_rng(0))
+        transmit(frame, ChannelProfile(4, 2.0), 0.0, math.inf, np.random.default_rng(0))
 
 
 def test_cfo_out_of_range_rejected():
     frame = _frame(n_fft=64, cp=16)
     with pytest.raises(ConfigError):
-        transmit(frame, ChannelProfile(1, 2.0), ImpairmentSpec(40.0), np.random.default_rng(0))
+        transmit(frame, ChannelProfile(1, 2.0), 40.0, math.inf, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("paths", [1, 4, 8, 16])

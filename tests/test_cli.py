@@ -201,6 +201,16 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_a_byte_order_mark_sets_its_first_key(tmp_path):
+    """Editors that save UTF-8 with a byte-order mark write one before the first key."""
+    conf = tmp_path / "bom.conf"
+    conf.write_bytes(b"\xef\xbb\xbfn = 64\n")
+    assert load_config_file(conf) == {"n": "64"}
+    out = tmp_path / "pre.iq"
+    assert main(["preamble", "--config", str(conf), "--out", str(out)]) == 0
+    assert out.stat().st_size == 2 * (64 + 16) * 8
+
+
 @pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999"])
 @pytest.mark.parametrize("command", ["preamble", "fig1", "fig2"])
 def test_bad_source_date_epoch_is_rejected_before_any_output(tmp_path, capsys, monkeypatch,
@@ -525,12 +535,11 @@ def test_estimate_zero_file_is_degenerate(tmp_path):
 
 def test_estimate_of_a_capture_without_its_second_symbol_is_degenerate(tmp_path, capsys):
     """A zeroed second symbol leaves the integer stage no comb: exit 2 and no report."""
-    from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+    from cfolab.channel import ChannelProfile, transmit
     from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
     frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
-    stream = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(10.3, 30.0),
-                      np.random.default_rng(5)).stream
+    stream = transmit(frame, ChannelProfile(4, 2.0), 10.3, 30.0, np.random.default_rng(5)).stream
     stream[frame.block_len:] = 0
     capture = tmp_path / "capture.iq"
     write_iq(capture, stream)
@@ -542,12 +551,11 @@ def test_estimate_of_a_capture_without_its_second_symbol_is_degenerate(tmp_path,
 
 def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
     """A capture scaled by any factor gives the same integer and, to float32 precision, ffo."""
-    from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+    from cfolab.channel import ChannelProfile, transmit
     from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
     frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
-    stream = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(10.3, 20.0),
-                      np.random.default_rng(5)).stream
+    stream = transmit(frame, ChannelProfile(4, 2.0), 10.3, 20.0, np.random.default_rng(5)).stream
     reports, float32_eps = [], float(np.finfo(np.float32).eps)
     for scale in (1.0, 1e-6, 1e-9, 1e-20):
         capture = tmp_path / "capture.iq"
@@ -573,14 +581,13 @@ ESTIMATE_STDOUT_SHA256 = "c13c0a23fb3216bb3a74d5548c6f61b7daadc1ba8ac1f361852e64
 
 def _pinned_captures():
     """The transmit-built captures of _PINNED_CAPTURES, then the first with signed zeros."""
-    from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+    from cfolab.channel import ChannelProfile, transmit
     from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
     captures = []
     for n_fft, cfo, seed in _PINNED_CAPTURES:
         frame = build_preamble(PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), 16))
-        stream = transmit(frame, ChannelProfile(4, 2.0), ImpairmentSpec(cfo, 20.0),
-                          np.random.default_rng(seed)).stream
+        stream = transmit(frame, ChannelProfile(4, 2.0), cfo, 20.0, np.random.default_rng(seed)).stream
         captures.append((n_fft, stream))
     zeros = captures[0][1].copy()
     zeros.real[40:48] = [0.0, -0.0] * 4

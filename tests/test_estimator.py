@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+from cfolab.channel import ChannelProfile, transmit
 from cfolab.errors import ConfigError, DegenerateSignalError
 from cfolab.estimator import (
     compensate,
@@ -459,7 +459,7 @@ def _transmit(spec, cfo, seed, mode="varying", paths=4):
     profile = ChannelProfile(path_count=paths, decay=2.0)
     rng = np.random.default_rng(seed)
     return transmit(profile=profile, frame=build_preamble(spec), rng=rng,
-                    imp=ImpairmentSpec(cfo=cfo, snr_db=np.inf), mode=mode).stream
+                    cfo=cfo, snr_db=np.inf, mode=mode).stream
 
 
 @pytest.mark.parametrize("cfo", [20.0, 20.3, -20.0, -20.4, 0.5, 47.0])
@@ -543,7 +543,7 @@ def test_noiseless_transmit_is_estimated_exactly_over_the_walk_domain(case):
     With the fractional stage the offsets are floats, without it integers.
     """
     spec = case["spec"]
-    rx = transmit(build_preamble(spec), case["profile"], ImpairmentSpec(case["offset"]),
+    rx = transmit(build_preamble(spec), case["profile"], case["offset"], math.inf,
                   np.random.default_rng(case["seed"]), case["mode"])
     est = estimate_cfo(rx.stream, spec, ffo_stage=case["ffo_stage"])
     assert not est.failed
@@ -603,8 +603,8 @@ def test_a_symbol_without_signal_is_degenerate(ffo_stage, dead):
     block = spec.n_fft + spec.cp_len
     cfo = 20.3 if ffo_stage else 20.0
     pre = sca_build_preamble(spec.n_fft, spec.cp_len, np.random.default_rng(3))
-    sca_frame = transmit(pre.frame, ChannelProfile(4, 2.0), ImpairmentSpec(cfo, 10.0),
-                         np.random.default_rng(5), "static").stream
+    sca_frame = transmit(pre.frame, ChannelProfile(4, 2.0), cfo, 10.0, np.random.default_rng(5),
+                         "static").stream
     for name, receiver, frame in (("proposed", spec, _transmit(spec, cfo, 5)), ("sca", pre, sca_frame)):
         batch, one_frame = _ESTIMATORS[name]
         rx = frame.copy()
@@ -672,7 +672,7 @@ def test_batch_rows_are_the_one_frame_estimates(case):
         frame, receiver = pre.frame, pre
     profile = ChannelProfile(path_count=case["paths"], decay=2.0)
     stack = np.stack([
-        transmit(frame, profile, ImpairmentSpec(cfo, case["snr_db"]), rng, case["mode"]).stream
+        transmit(frame, profile, cfo, case["snr_db"], rng, case["mode"]).stream
         for cfo in case["offsets"]
     ])
     dead_row, kind = case["dead"] or (None, None)

@@ -15,7 +15,8 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_not_exported():
     for name in ("decompose_cfo", "CfoDecomposition", "ChannelRealization",
                  "ESTIMATOR_PROPOSED", "ESTIMATOR_SCA", "run_single_frame", "run_sweeps",
-                 "PeakReport", "SweepCell", "TrialRecord", "wilson_interval"):
+                 "PeakReport", "SweepCell", "TrialRecord", "wilson_interval", "ImpairmentSpec",
+                 "draw_channel"):
         assert name not in cfolab.__all__
         assert not hasattr(cfolab, name)
 

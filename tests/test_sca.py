@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+from cfolab.channel import ChannelProfile, transmit
 from cfolab.errors import DegenerateSignalError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
 from cfolab.signal import assemble_frame, dft, idft
@@ -134,8 +134,7 @@ def test_preamble_differential_sequence_unambiguous():
 def _rx(pre, cfo, seed, mode="static", snr_db=np.inf, paths=4):
     """The received frame stream of one transmission of the preamble."""
     profile = ChannelProfile(path_count=paths, decay=2.0)
-    imp = ImpairmentSpec(cfo=cfo, snr_db=snr_db)
-    return transmit(pre.frame, profile, imp, np.random.default_rng(seed), mode=mode).stream
+    return transmit(pre.frame, profile, cfo, snr_db, np.random.default_rng(seed), mode=mode).stream
 
 
 def test_metric_finds_every_even_shift():

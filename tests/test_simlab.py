@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binomtest
 
 from cfolab import channel, estimator, simlab
-from cfolab.channel import ChannelProfile, ImpairmentSpec, transmit
+from cfolab.channel import ChannelProfile, transmit
 from cfolab.cli import main
 from cfolab.errors import ConfigError
 from cfolab.estimator import CfoReport, estimate_cfo, wrap_offset
@@ -236,18 +236,33 @@ def _scalar_wilson(failures, trials):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _exact_wilson(failures, trials):
+    """_scalar_wilson with exact ends: a lower bound of 0 at no failures, an upper of 1 at all."""
+    lo, hi = _scalar_wilson(failures, trials)
+    return (0.0 if failures == 0 else lo, 1.0 if failures == trials else hi)
+
+
 def test_wilson_bounds_keep_the_scalar_formula_bits():
-    """The sweep's column form of the Wilson bounds gives the scalar formula's bits.
+    """The sweep's column form of the Wilson bounds gives the scalar formula's bits, ends exact.
 
     Every (failures, trials) with trials <= 64, and 0, 1, t // 2, t - 1 and
-    t failures out of 1e3, 1e6 and 2**24 trials.
+    t failures out of 1e3, 1e6 and 2**24 trials.  The lower bound is exactly
+    0 at no failures and the upper exactly 1 at all failures; every other
+    bound has _scalar_wilson's bits.
     """
     cases = {t: range(t + 1) for t in range(1, 65)}
     cases.update({t: (0, 1, t // 2, t - 1, t) for t in (10**3, 10**6, 2**24)})
     for trials, counts in cases.items():
-        want = [tuple(x.hex() for x in _scalar_wilson(f, trials)) for f in counts]
+        want = [tuple(x.hex() for x in _exact_wilson(f, trials)) for f in counts]
         lo, hi = simlab._wilson(np.array(counts, dtype=float) / trials, trials)
         assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == want, trials
+
+
+def test_wilson_bounds_are_exact_with_no_failures_and_with_all_failures():
+    """The ends are exact at every trial count 1-20,000; the bare formula missed 0 at 4,013, 1 at 6,341."""
+    for trials in range(1, 20_001):
+        lo, hi = simlab._wilson(np.array([0.0, 1.0]), trials)
+        assert (lo[0], hi[1]) == (0.0, 1.0), trials
 
 
 def test_a_cell_without_a_finite_ffo_error_has_nan_mse_and_equal_sweeps_stay_equal(monkeypatch):
@@ -318,8 +333,7 @@ def test_run_single_frame_exposes_realizations():
     """dump_correlations' frame replays with transmit from the same seed, taps and all."""
     cfg = _cfg(modes=("varying",))
     frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
-    rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, math.inf), np.random.default_rng(3),
-                  mode="varying")
+    rx = transmit(frame, cfg.channel, cfg.cfo_true, math.inf, np.random.default_rng(3), mode="varying")
     assert rx.taps.shape == (2, 4)
     m1 = int(np.argmax(np.abs(rx.taps[0])))
     assert int(dump_correlations(cfg, math.inf, 3)[:, 1].argmax()) == (20 - 2 * m1) % 128
@@ -347,7 +361,7 @@ def _reference_rows(cfg):
                         sq_count += 1
                 rows.append((
                     (mode, snr_db, estimator), failures, failures / trials,
-                    *_scalar_wilson(failures, trials), sq_sum / sq_count if sq_count else math.nan,
+                    *_exact_wilson(failures, trials), sq_sum / sq_count if sq_count else math.nan,
                 ))
     return rows
 
@@ -424,7 +438,7 @@ def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
         frame, estimate, rate = pre.frame, partial(sca_estimate, pre=pre), 2
     for t in range(20):
         rng = trial_rng(cfg, snr_db, estimator, t)
-        rx = transmit(frame, cfg.channel, ImpairmentSpec(cfg.cfo_true, snr_db), rng, mode=mode)
+        rx = transmit(frame, cfg.channel, cfg.cfo_true, snr_db, rng, mode=mode)
         est = estimate(rx.stream, ffo_stage=True)
         total_error = math.nan if est.failed else est.total - cfg.cfo_true
         replay = (abs(total_error) < 0.5, est.ffo - wrap_offset(cfg.cfo_true, rate), total_error)
