@@ -171,17 +171,9 @@ def _parse_mode(text: str) -> str:
     return text
 
 
-def _estimator_names() -> str:
-    """Every simlab.ESTIMATORS key, comma-separated: fig2's --estimators default."""
-    from .simlab import ESTIMATORS
-
-    return ",".join(ESTIMATORS)
-
-
 # A command's settings: key -> (parse, default, help).  The default is the
-# text a config file would hold and is parsed like one, or a function that
-# gives that text when it is read (_default).
-Setting = tuple[Callable[[str], Any], str | Callable[[], str], str]
+# text a config file would hold and is parsed like one.
+Setting = tuple[Callable[[str], Any], str, str]
 
 _PREAMBLE_SETTINGS: dict[str, Setting] = {
     "n": (int, "128", "FFT size (power of two)"),
@@ -204,15 +196,9 @@ SETTINGS: dict[str, dict[str, Setting]] = {
              "snr_grid": (_parse_snr_grid, "0:2:20", "'start:step:stop' or comma list, in dB"),
              "trials": (int, "10000", "trials per grid point"),
              "mode": (_parse_mode, "both", "channel mode: static, varying or both"),
-             "estimators": (_parse_estimators, _estimator_names, "comma list of estimator names")},
+             "estimators": (_parse_estimators, "proposed,sca", "comma list of estimator names")},
     "estimate": _PREAMBLE_SETTINGS,
 }
-
-
-def _default(setting: Setting) -> str:
-    """The default text of setting."""
-    default = setting[1]
-    return default() if callable(default) else default
 
 
 def _settings(args: SimpleNamespace, fixed: Mapping[str, str] | None = None) -> dict[str, Any]:
@@ -235,7 +221,7 @@ def _settings(args: SimpleNamespace, fixed: Mapping[str, str] | None = None) -> 
         source = f"config key {key!r}" if flag is None else "--" + key.replace("_", "-")
         text = flag if flag is not None else file_values.get(key)
         try:
-            settings[key] = setting[0](_default(setting) if text is None else text)
+            settings[key] = setting[0](setting[1] if text is None else text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: {exc}") from exc
     return settings
@@ -261,18 +247,26 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
+def _json_value(value: Any) -> Any:
+    """A config value as strict JSON holds it: +inf as "inf", which the CSV prints and a flag reads."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return "inf" if value == math.inf else value
+
+
 def write_manifest(out_path: Path, config: dict, started_at: str) -> None:
-    """Serialize the run manifest of the output file out_path next to it.
+    """Serialize the run manifest of the output file out_path next to it, as strict JSON.
 
     started_at is the command's _timestamp(), taken before it wrote anything.
     """
     payload = {
-        "config": config,
+        "config": {key: _json_value(value) for key, value in config.items()},
         "tool_version": __version__,
         "started_at": started_at,
         "output_paths": [str(out_path)],
     }
-    _write_text(_manifest_path(out_path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_text(_manifest_path(out_path), text + "\n")
 
 
 def _check_targets(targets: list[Path]) -> None:
@@ -319,10 +313,9 @@ def _cmd_fig1(args: SimpleNamespace) -> int:
     settings = _settings(args)
     out = Path(args.out)
     _check_targets([out])
-    snr_db, seed = settings["snr"], settings["seed"]
-    cfg = _experiment(settings, settings["n"], ("varying",), snr_grid_db=(snr_db,),
+    cfg = _experiment(settings, settings["n"], ("varying",), snr_grid_db=(settings["snr"],),
                       trials_per_point=1, estimators=("proposed",))
-    table = dump_correlations(cfg, snr_db, seed)
+    table = dump_correlations(cfg)
     lines = ["tau,corr_r1,corr_r2"]
     lines.extend("%d,%.9g,%.9g" % (tau, c1, c2) for tau, c1, c2 in table.tolist())
     _write_text(out, "\n".join(lines) + "\n")
@@ -430,20 +423,15 @@ COMMANDS: dict[str, _Command] = {cmd.name: cmd for cmd in (
 )}
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser(names: frozenset[str] = frozenset(COMMANDS)) -> argparse.ArgumentParser:
-    """The command-line parser for names, built once per process from COMMANDS and SETTINGS.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process from COMMANDS and SETTINGS.
 
-    Every command is listed with its help, and the commands in names get
-    their flags: argparse hands the tokens after a command's name to that
-    command's parser, so argv that names no other command parses as it
-    would with every command's flags.  Only help and ill-formed argv reach
-    it (_parse_argv), so only they import argparse, and only fig2's flags
-    (its --estimators help) import the sweep engine.  Each setting's flag
-    keeps its text for _settings to parse.  No flag may be abbreviated, so
-    each has the one spelling _join_values matches.  Parsing leaves the
-    parser unchanged (each call fills a new namespace), so every call of
-    main with the same names shares it.
+    Only help and ill-formed argv reach it (_parse_argv), so only they
+    import argparse.  Each setting's flag keeps its text for _settings to
+    parse.  No flag may be abbreviated, so each has the one spelling
+    _join_values matches.  Parsing leaves the parser unchanged (each call
+    fills a new namespace), so every call of main shares it.
     """
     import argparse
 
@@ -456,12 +444,10 @@ def build_parser(names: frozenset[str] = frozenset(COMMANDS)) -> argparse.Argume
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         command = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
-        if name not in names:
-            continue
         for key, setting in SETTINGS[name].items():
             # No flag default: an absent flag is None, so the config file can set the key.
             command.add_argument("--" + key.replace("_", "-"),
-                                 help=f"{setting[2]} (default: {_default(setting)})")
+                                 help=f"{setting[2]} (default: {setting[1]})")
         command.add_argument("--config", help="flat key = value config file; flags override")
         for switch, text in cmd.switch_help.items():
             command.add_argument(switch, action="store_true", help=text)
@@ -524,16 +510,13 @@ def _parse_argv(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
 
     When argv[0] names a command and the rest is well formed, it is read
     from that command's flag table (_read_flags) without argparse; any
-    other argv goes to parse_args, on a parser with the flags of the
-    commands argv names.  So every help text and usage error comes from
-    argparse.
+    other argv goes to parse_args.  So every help text and usage error
+    comes from argparse.
     """
     argv = _join_values(argv)
     command = COMMANDS.get(argv[0]) if argv else None
     args = _read_flags(command, argv[1:]) if command else None
-    if args is None:
-        args = build_parser(frozenset(COMMANDS).intersection(argv)).parse_args(argv)
-    return args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -366,14 +366,16 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     return run_sweeps(cfg, (cfg.n_fft,))[0]
 
 
-def dump_correlations(cfg: ExperimentConfig, snr_db: float, seed: int) -> np.ndarray:
+def dump_correlations(cfg: ExperimentConfig) -> np.ndarray:
     """One-shot correlation profiles for comb inspection.
 
-    The frame goes through the channel in the config's first mode.
+    The frame goes through the channel in the config's first mode at its
+    first SNR, with a generator seeded by its master seed.
     Returns an (n_fft, 3) array with columns (tau, |corr rate-1|, |corr rate-2|).
     """
     spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    rx = transmit(frame, cfg.channel, cfg.cfo_true, snr_db, np.random.default_rng(seed), cfg.modes[0])
+    rng = np.random.default_rng(cfg.master_seed)
+    rx = transmit(frame, cfg.channel, cfg.cfo_true, cfg.snr_grid_db[0], rng, cfg.modes[0])
     est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     tau = np.arange(cfg.n_fft, dtype=float)
     return np.column_stack([tau, *est.profiles])

@@ -24,7 +24,6 @@ from cfolab.channel import ChannelProfile
 from cfolab.cli import (
     MAX_GRID_POINTS,
     SETTINGS,
-    _default,
     _join_values,
     _parse_argv,
     _parse_snr_grid,
@@ -767,7 +766,7 @@ def _resolve(command, *argv, config=None):
 
 def _sample(command, key, tmp_path):
     """The key's parsed sample and default, and a config file that sets the sample."""
-    parse, default = SETTINGS[command][key][0], _default(SETTINGS[command][key])
+    parse, default, _ = SETTINGS[command][key]
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {SAMPLES[key]}\n", encoding="utf-8")
     assert parse(SAMPLES[key]) != parse(default)
@@ -791,7 +790,7 @@ def test_config_key_sets_each_setting(tmp_path, command, key):
 def test_flag_beats_the_config_file_for_each_setting(tmp_path, command, key):
     """A given flag wins even when it spells the default."""
     _, default, conf = _sample(command, key, tmp_path)
-    assert _resolve(command, _flag(key), _default(SETTINGS[command][key]), config=conf)[key] == default
+    assert _resolve(command, _flag(key), SETTINGS[command][key][1], config=conf)[key] == default
 
 
 @pytest.mark.parametrize("command", ["preamble", "fig1", "fig2"])
@@ -909,7 +908,7 @@ def test_flags_are_not_abbreviated(tmp_path, capsys):
 
 
 def test_fig2_estimators_are_the_keys_of_the_estimator_table(tmp_path, capsys):
-    """--estimators takes each key of simlab.ESTIMATORS, defaults to all of them and names a bad one."""
+    """--estimators takes each key of simlab.ESTIMATORS, defaults to the paper's pair and names a bad one."""
     base = ["fig2", "--n", "64", "--trials", "1", "--mode", "static", "--snr-grid", "0"]
     for name in ESTIMATORS:
         out = tmp_path / f"{name}.csv"
@@ -923,6 +922,38 @@ def test_fig2_estimators_are_the_keys_of_the_estimator_table(tmp_path, capsys):
     assert main([*base, "--estimators", "proposed,bogus", "--out", str(bad / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: --estimators: unknown estimator 'bogus'\n"
     assert list(bad.iterdir()) == []
+
+
+def test_fig2_defaults_to_the_papers_pair_when_the_estimator_table_grows(tmp_path, capsys, monkeypatch):
+    """A third estimator joins fig2 by name only: the default, and so --paper, keeps proposed and sca."""
+    from cfolab import simlab
+
+    monkeypatch.setitem(simlab.ESTIMATORS, "comb", (2, simlab.ESTIMATORS["proposed"][1]))
+    out = tmp_path / "x.csv"
+    assert main(["fig2", "--n", "64", "--trials", "1", "--snr-grid", "0", "--mode", "static",
+                 "--out", str(out)]) == 0
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["proposed", "sca"]
+
+
+def _strict_json(text):
+    """json.loads(text), raising on NaN, Infinity and -Infinity, which RFC 8259 lacks."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["fig1", "--snr", "inf"], "snr", "inf"),
+    (["fig1", "--decay", "1e400"], "decay", "inf"),
+    (["fig2", "--n", "64", "--trials", "2", "--snr-grid", "inf,20"], "snr_grid", ["inf", 20.0]),
+    (["fig2", "--n", "64", "--trials", "2", "--snr-grid", "0", "--decay", "inf"], "decay", "inf"),
+])
+def test_a_manifest_writes_an_infinite_setting_as_the_string_inf(tmp_path, capsys, argv, key, value):
+    """An infinite setting is written "inf", as the CSV prints it, so the manifest is strict JSON."""
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _strict_json((tmp_path / "x.csv.manifest.json").read_text())["config"][key] == value
 
 
 @pytest.mark.parametrize("flags,duplicate", [
@@ -1114,7 +1145,8 @@ _ENGINE = ("cfolab.simlab", "cfolab.channel", "cfolab.sca")
 
 
 # argv that argparse rejects with exit 2; every other argv below exits 0.
-_USAGE_ERRORS = (["estimate", "--in", "x", "--bogus"], ["preamble", "--out"])
+_USAGE_ERRORS = (["estimate", "--in", "x", "--bogus"], ["preamble", "--out"],
+                 ["fig2", "--n", "64", "--out"])
 
 
 @pytest.mark.parametrize("argv,absent", [
@@ -1124,14 +1156,15 @@ _USAGE_ERRORS = (["estimate", "--in", "x", "--bogus"], ["preamble", "--out"])
       "--out", "fig2.csv"], ("argparse",)),
     (["--version"], _ENGINE),
     *((argv, _ENGINE) for argv in _USAGE_ERRORS),
+    (["fig2", "--help"], _ENGINE),
 ])
 def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, argv, absent):
     """cli.main on argv, in a fresh process, exits as it should and imports no module of absent.
 
     Well-formed argv never needs argparse, and estimate and preamble never
     run the sweep engine: each would only add to a fresh process's start-up.
-    Help and usage errors build only the flags of the command they name,
-    so only fig2's help loads the engine.
+    Help and usage errors load argparse, and no command's help or flags
+    load the engine, fig2's included.
     """
     write_iq(tmp_path / "cap.iq", _preamble_for(1024, 2, 8, 16)[1].samples)
     script = ("import sys\nfrom cfolab import cli\ntry:\n    code = cli.main(sys.argv[1:])\n"
@@ -1143,6 +1176,7 @@ def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, argv, absent
     code, *loaded = result.stdout.splitlines()[-1].split()
     assert code == ("2" if argv in _USAGE_ERRORS else "0") and "cfolab.cli" in loaded
     assert sorted(set(absent) & set(loaded)) == []
+    assert ("argparse" in loaded) == ("argparse" not in absent)
 
 
 @pytest.mark.parametrize("argv,flag", [

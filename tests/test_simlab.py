@@ -306,8 +306,8 @@ def test_mode_gap_smaller_for_proposed():
 
 
 def test_dump_correlations_single_path_peaks():
-    cfg = _cfg(channel=ChannelProfile(1, 2.0))
-    table = dump_correlations(cfg, 20.0, seed=1)
+    cfg = _cfg(channel=ChannelProfile(1, 2.0), snr_grid_db=(20.0,), master_seed=1)
+    table = dump_correlations(cfg)
     assert table.shape == (128, 3)
     assert int(table[:, 1].argmax()) == 20
     assert int(table[:, 2].argmax()) == 20
@@ -316,8 +316,8 @@ def test_dump_correlations_single_path_peaks():
 
 def test_dump_correlations_multipath_comb_support():
     """Noiseless combs live exactly on (20 - rate*m) mod N per path delay m."""
-    cfg = _cfg()
-    table = dump_correlations(cfg, math.inf, seed=3)
+    cfg = _cfg(snr_grid_db=(math.inf,), master_seed=3)
+    table = dump_correlations(cfg)
     support_1 = {(20 - 2 * m) % 128 for m in range(4)}
     support_2 = {(20 - 8 * m) % 128 for m in range(4)}
     for tau, c1, c2 in table:
@@ -331,12 +331,12 @@ def test_dump_correlations_multipath_comb_support():
 
 def test_run_single_frame_exposes_realizations():
     """dump_correlations' frame replays with transmit from the same seed, taps and all."""
-    cfg = _cfg(modes=("varying",))
+    cfg = _cfg(modes=("varying",), snr_grid_db=(math.inf,), master_seed=3)
     frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
     rx = transmit(frame, cfg.channel, cfg.cfo_true, math.inf, np.random.default_rng(3), mode="varying")
     assert rx.taps.shape == (2, 4)
     m1 = int(np.argmax(np.abs(rx.taps[0])))
-    assert int(dump_correlations(cfg, math.inf, 3)[:, 1].argmax()) == (20 - 2 * m1) % 128
+    assert int(dump_correlations(cfg)[:, 1].argmax()) == (20 - 2 * m1) % 128
 
 
 def test_config_is_frozen():
