@@ -350,12 +350,14 @@ def _cmd_fig2(args: SimpleNamespace) -> int:
     config = {"command": "fig2", **settings, "modes": modes}
     del config["mode"]
     # One pass for every N: each trial's generator and draws serve both sizes.
-    for result, target in zip(run_sweeps(cfg, n_list), targets):
+    results = run_sweeps(cfg, n_list)
+    for result, target in zip(results, targets):
         rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
         rows.extend(_sweep_rows(result))
         _write_text(target, "\n".join(rows) + "\n")
         write_manifest(target, {**config, "n": result.config.n_fft}, started_at)
-        print(f"wrote {len(rows) - 1} cells to {target}")
+    # Print after every write: a closed stdout pipe must not cost a size its files.
+    print("\n".join(f"wrote {len(r.failures)} cells to {t}" for r, t in zip(results, targets)))
     return EXIT_OK
 
 

@@ -30,16 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateSignalError
-from .signal import CazacParams, PreambleSpec, cazac_generate, dft
+from .signal import PreambleSpec, dft
 
 # Autocorrelation magnitude, as a share of the symbol's mean power, at or
 # below which the phase is meaningless.  Being relative, it flags the same
-# captures at any scale; an all-zero symbol (power 0) is always flagged.
+# captures at any scale estimate_ffo takes; an all-zero symbol is flagged.
 _DEGENERATE_FLOOR = 1e-12
 
 
@@ -57,10 +56,10 @@ def wrap_offset(eps: float, rate: float) -> float:
 class CfoEstimate:
     """One frame's receiver report: a row of CfoReport.
 
-    On success, total == ifo_residual + ffo.  When the integer stage fails to
-    resolve, failed is True, ifo_residual/total are None, and ffo still holds
-    the fractional-stage output.  profiles (k, M) holds what the integer
-    stage searched and peaks the index of each profile's maximum.
+    On success, total == ifo_residual + ffo.  Where the report's ifo is NaN,
+    which no estimator yields yet (CfoReport), failed is True, ifo_residual
+    and total are None, and ffo keeps the fractional estimate.  profiles
+    (k, M) and peaks are the row's CfoReport fields.
     """
 
     ffo: float
@@ -76,7 +75,8 @@ class CfoReport:
     """Both stages' output for a stack of T frames; every field has a leading trial axis.
 
     ffo (T,) is NaN for a degenerate row.  ifo (T,) is the resolved integer
-    as a float, NaN where the integer stage did not resolve.  profiles
+    as a float; a NaN would mark an unresolved row, which neither estimator
+    yields (ROADMAP item 18 would give failed a source).  profiles
     (T, k, M) holds what the integer stage searched: the two correlation
     magnitudes (k = 2, M = N) for the proposed estimator, B(g) over
     g = -N/4..N/4 (k = 1, M = N/2 + 1) for Schmidl-Cox.  peaks (T, k) is
@@ -146,8 +146,8 @@ def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
     returned).  A row whose autocorrelation is too small to carry a phase
     (all-zero or pathological input) reads NaN, so one unusable trial does
     not stop the others.  The floor is relative to the symbol's mean power,
-    so no scale of y alone trips it.  Each row's phase and floor test are
-    taken in one Python pass.
+    so scale alone does not trip it for sample magnitudes of about 1e-150 to
+    1e150, every float32 capture included; past that the row reads NaN.
     """
     y = np.asarray(y)
     if y.ndim == 1:
@@ -188,20 +188,7 @@ def compensate(y: np.ndarray, ffo: float | np.ndarray) -> np.ndarray:
     return y * phasor
 
 
-@lru_cache(maxsize=32)
-def _conj_chirps(params: CazacParams | tuple[CazacParams, ...]) -> np.ndarray:
-    """Conjugate reference chirps, read-only: (N,) for one CazacParams, (k, N) for k of them."""
-    if isinstance(params, CazacParams):
-        x = np.conj(cazac_generate(params))
-    else:
-        x = np.conj(np.stack([cazac_generate(p) for p in params]))
-    x.flags.writeable = False
-    return x
-
-
-def freq_correlate(
-    y_comp: np.ndarray, params: CazacParams | tuple[CazacParams, ...]
-) -> np.ndarray:
+def freq_correlate(y_comp: np.ndarray, dechirp: np.ndarray) -> np.ndarray:
     """Circular spectrum correlation against the reference chirp.
 
     Computes R(tau) = (1/N) * sum_k X((k - tau) mod N) * conj(Z(k)) for all
@@ -211,20 +198,19 @@ def freq_correlate(
     x the clean chirp in time.  With an integer residual offset the
     magnitude is zero everywhere except the comb teeth (q - rate*m) mod N.
     y_comp may carry leading axes; the correlation runs along the last.
-    params is one CazacParams, or a tuple of k sharing one n_fft whose
-    (k, N) chirps broadcast against y_comp: for a (T, k, N) stack, symbol s
-    correlates against chirp s, and all of them take one DFT.  The result
-    is scaled by multiplying with 1/sqrt(N).  numpy's complex division by
-    a real also multiplies by the reciprocal, so the values are the
-    division's, bit for bit except that a zero part may carry the other
+    dechirp is conj(x), one (N,) row or a (k, N) stack such as
+    PreambleSpec.dechirp that broadcasts against y_comp: for a (T, k, N)
+    stack, symbol s correlates against row s, and all take one DFT.  The
+    result is scaled by multiplying with 1/sqrt(N).  numpy's complex
+    division by a real also multiplies by the reciprocal, so the values are
+    the division's, bit for bit except that a zero part may carry the other
     sign; the estimator reads only the magnitude, which drops that sign.
     """
     y_comp = np.asarray(y_comp)
-    conj_x = _conj_chirps(params)
-    n_fft = conj_x.shape[-1]
+    n_fft = dechirp.shape[-1]
     if y_comp.shape[-1] != n_fft:
         raise ConfigError(f"buffer length {y_comp.shape[-1]} does not match n_fft {n_fft}")
-    corr = dft(conj_x * y_comp)
+    corr = dft(dechirp * y_comp)
     np.conj(corr, out=corr)
     corr *= 1.0 / np.sqrt(n_fft)
     return corr
@@ -295,19 +281,19 @@ def estimate_cfo_batch(
     """Run both stages on (T, frame_len) received frame streams.
 
     Each stage is one array pass over the trial axis; the integer stage
-    dechirps both symbols against a cached conjugate chirp pair and takes
-    one DFT, one magnitude and one argmax over the whole stack.  Only
-    resolve_ifo runs per row.  A row is degenerate (NaN ffo) when its first
-    symbol's autocorrelation is too small to carry a phase or its symbols
-    leave either correlation profile all zero (CfoReport), with or without
-    the fractional stage.  The report's profiles are the (T, 2, N)
+    dechirps both symbols against spec.dechirp and takes one DFT, one
+    magnitude and one argmax over the whole stack.  Only resolve_ifo runs
+    per row.  A row is degenerate (NaN ffo) when its first symbol's
+    autocorrelation is too small to carry a phase or its symbols leave
+    either correlation profile all zero (CfoReport), with or without the
+    fractional stage.  The report's profiles are the (T, 2, N)
     correlation magnitudes and its peaks their (T, 2) argmax bins.
 
     Raises:
         ConfigError: the streams are not (T, spec.frame_len).
     """
     ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.params_1.rate, ffo_stage)
-    corr = np.abs(freq_correlate(y, (spec.params_1, spec.params_2)))
+    corr = np.abs(freq_correlate(y, spec.dechirp))
     loc = np.argmax(corr, axis=-1)
     rate_2, n_fft = spec.params_2.rate, spec.n_fft
     ifo = np.array([resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in loc.tolist()], dtype=float)

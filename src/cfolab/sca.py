@@ -86,7 +86,7 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
     spectra[1] = pn_2
     symbols = idft(spectra)
     symbols *= 1.0 / np.sqrt(np.mean(np.abs(symbols) ** 2, axis=-1, keepdims=True))
-    return ScaPreamble(pn_even_1, pn_2, v, kernel, assemble_frame(list(symbols), cp_len))
+    return ScaPreamble(pn_even_1, pn_2, v, kernel, assemble_frame(symbols, cp_len))
 
 
 def sca_estimate_batch(

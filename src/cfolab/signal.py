@@ -10,7 +10,7 @@ each behind a cyclic prefix, form the two-symbol synchronization preamble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +81,13 @@ class PreambleSpec:
         """Total frame length: two CP-prefixed symbols."""
         return 2 * (self.n_fft + self.cp_len)
 
+    @cached_property
+    def dechirp(self) -> np.ndarray:
+        """The receiver's read-only (2, N) conjugate chirp pair, built once per spec."""
+        x = np.conj(np.stack([cazac_generate(self.params_1), cazac_generate(self.params_2)]))
+        x.flags.writeable = False
+        return x
+
 
 @dataclass(frozen=True, eq=False)
 class PreambleFrame:
@@ -128,32 +135,23 @@ def _check_cp(cp_len: int, n_fft: int) -> None:
         raise ConfigError(f"cp_len must be between 0 and n_fft = {n_fft}, got {cp_len}")
 
 
-def assemble_frame(symbols: list[np.ndarray] | tuple[np.ndarray, ...], cp_len: int) -> PreambleFrame:
-    """Prefix each symbol with its own last cp_len samples and concatenate."""
-    n_fft = symbols[0].shape[0]
+def assemble_frame(symbols: np.ndarray, cp_len: int) -> PreambleFrame:
+    """Prefix each row of the (k, N) stack with its own last cp_len samples; join the rows."""
+    n_fft = symbols.shape[1]
     _check_cp(cp_len, n_fft)
-    blocks = []
-    for sym in symbols:
-        if sym.shape[0] != n_fft:
-            raise ConfigError("all symbols in a frame must share one length")
-        blocks.append(sym[n_fft - cp_len :])
-        blocks.append(sym)
-    return PreambleFrame(
-        n_fft=n_fft,
-        cp_len=cp_len,
-        samples=np.concatenate(blocks).astype(np.complex128),
-    )
+    blocks = np.concatenate([symbols[:, n_fft - cp_len :], symbols], axis=1, dtype=np.complex128)
+    return PreambleFrame(n_fft=n_fft, cp_len=cp_len, samples=blocks.ravel())
 
 
 def build_preamble(spec: PreambleSpec) -> PreambleFrame:
-    """Build the transmit frame: CP + chirp(rate_1), then CP + chirp(rate_2)."""
-    return assemble_frame(
-        [cazac_generate(spec.params_1), cazac_generate(spec.params_2)], spec.cp_len
-    )
+    """Build the transmit frame, a new array: CP + chirp(rate_1), then CP + chirp(rate_2)."""
+    return assemble_frame(np.conj(spec.dechirp), spec.cp_len)
 
 
 @lru_cache(maxsize=8)
 def _preamble_for(n_fft: int, r1: int, r2: int, cp_len: int) -> tuple[PreambleSpec, PreambleFrame]:
-    """The spec and the frame of the preamble these parameters name, built once per set."""
+    """The spec and read-only frame of the preamble these parameters name, built once per set."""
     spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp_len)
-    return spec, build_preamble(spec)
+    frame = build_preamble(spec)
+    frame.samples.flags.writeable = False
+    return spec, frame

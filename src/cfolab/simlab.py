@@ -209,7 +209,10 @@ def _entropy_words(*keys: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _sca_preamble_for(master_seed: int, n_fft: int, cp_len: int) -> ScaPreamble:
     rng = np.random.Generator(np.random.PCG64(_entropy_words(master_seed, _SCA_PREAMBLE_TAG)))
-    return sca_build_preamble(n_fft, cp_len, rng)
+    pre = sca_build_preamble(n_fft, cp_len, rng)
+    for values in (pre.pn_even_1, pre.pn_2, pre.v, pre.kernel, pre.frame.samples):
+        values.flags.writeable = False
+    return pre
 
 
 def _snr_key(snr_db: float) -> int:
@@ -246,8 +249,8 @@ def _run_trials(
     generator for every config and mode (see channel.propagate); scale[i]
     is noise_std at snrs[i].  Returns, per config, (ifo_correct,
     ffo_error, total_error), each (trials, modes).  ffo_error is NaN for a
-    degenerate trial; total_error is NaN for a degenerate trial and for one
-    whose integer stage failed.
+    degenerate trial; total_error is NaN for a degenerate trial and for a
+    NaN report.ifo, which neither estimator yields (estimator.CfoReport).
     """
     cfg = cfgs[0]
     receivers = [_estimator(estimator)[1](c) for c in cfgs]
@@ -278,8 +281,8 @@ def run_trial(
     offset.  With the fractional stage disabled and an integer true offset,
     this reduces to the resolved integer equalling the offset exactly.  A
     trial whose input carries no usable phase has ffo_error and total_error
-    NaN; one whose integer stage fails keeps its ffo_error and has
-    total_error NaN.  This is the sweep engine's pass over a batch of one.
+    NaN; a NaN integer estimate (none yet: CfoReport) keeps ffo_error and
+    makes total_error NaN.  This is the sweep engine's pass over a batch of one.
     """
     (outcomes,) = _run_trials(
         (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),

@@ -19,7 +19,7 @@ import numpy as np
 
 from cfolab.channel import ChannelProfile, transmit
 from cfolab.estimator import estimate_cfo, estimate_ffo, freq_correlate, resolve_ifo, time_autocorr
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
 from cfolab.simlab import ExperimentConfig, _preamble_for, run_sweep
 
 from conftest import CRITERION_LINES, engine_taps, rayleigh_taps, synth_rx
@@ -112,7 +112,7 @@ def test_criterion_3_closed_form_identities():
             q = int(rng.integers(-n_fft // 2 + 1, n_fft // 2))
             phase0 = rng.uniform(0, 2 * np.pi)
             y = synth_rx(n_fft, rate, taps, float(q), phase0)
-            got = freq_correlate(y, CazacParams(n_fft, rate))
+            got = freq_correlate(y, np.conj(cazac_generate(CazacParams(n_fft, rate))))
             pred = np.zeros(n_fft, dtype=complex)
             for m, h in enumerate(taps):
                 tau = (q - rate * m) % n_fft if q >= 0 else (q - rate * m + n_fft) % n_fft

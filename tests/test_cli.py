@@ -549,14 +549,17 @@ def test_estimate_of_a_capture_without_its_second_symbol_is_degenerate(tmp_path,
 
 
 def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
-    """A capture scaled by any factor gives the same integer and, to float32 precision, ffo."""
+    """A faint or a loud capture gives the same integer and, to float32 precision, ffo.
+
+    The scales span most of float32's range, which is all a capture holds.
+    """
     from cfolab.channel import ChannelProfile, transmit
     from cfolab.signal import CazacParams, PreambleSpec, build_preamble
 
     frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
     stream = transmit(frame, ChannelProfile(4, 2.0), 10.3, 20.0, np.random.default_rng(5)).stream
     reports, float32_eps = [], float(np.finfo(np.float32).eps)
-    for scale in (1.0, 1e-6, 1e-9, 1e-20):
+    for scale in (1.0, 1e-6, 1e-9, 1e-20, 1e6, 1e20, 1e36):
         capture = tmp_path / "capture.iq"
         write_iq(capture, scale * stream)
         assert main(["estimate", "--n", "128", "--in", str(capture)]) == 0, scale
@@ -565,6 +568,21 @@ def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
     for report in reports[1:]:
         assert report["ifo_residual"] == reports[0]["ifo_residual"]
         assert report["ffo"] == pytest.approx(reports[0]["ffo"], rel=float32_eps)
+
+
+# sha256 of the IQ file `cfolab preamble` writes with these flags.
+_PREAMBLE_IQ_SHA256 = [
+    (["--n", "128"], "9574faade7012cb83c78490e48204d23de10b74b29df9e0c999b46aacbd167fb"),
+    (["--n", "1024"], "0aaa905837b0fd5312398f51b23d9e0f921bde5b50fc203cf9fd11d1efeb8e98"),
+    (["--n", "64", "--cp", "0"], "617d5905e1a5ebeb7cae883d5e123e230bf4d56629ed815217c0a22fc2159e37"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", _PREAMBLE_IQ_SHA256, ids=["n128", "n1024", "n64-cp0"])
+def test_preamble_iq_digest_is_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "pre.iq"
+    assert main(["preamble", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # (n_fft, true offset, transmit seed) of the pinned captures: 4 paths, 20 dB.
@@ -996,6 +1014,27 @@ def test_fig2_paper_with_an_explicit_n_is_a_usage_error(tmp_path, capsys, source
     assert captured.err.startswith("error:") and "--paper" in captured.err, captured.err
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has exited: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_fig2_paper_writes_both_sizes_before_stdout_can_fail(tmp_path, capsys, monkeypatch):
+    """A closed stdout pipe exits 2 with its error line, and both sizes' files are written."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["fig2", "--paper", "--trials", "1", "--out", str(tmp_path / "pp.csv")]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pp_n128.csv", "pp_n128.csv.manifest.json", "pp_n64.csv", "pp_n64.csv.manifest.json"
+    ]
 
 
 @pytest.mark.parametrize("target", ["out", "manifest", "missing directory"])

@@ -21,13 +21,18 @@ from cfolab.estimator import (
     wrap_offset,
 )
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
 
 from conftest import chirp, dft_matrix, rayleigh_taps, synth_rx
 
 
 def _spec(n_fft=128, cp=16):
     return PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), cp)
+
+
+def _dechirp(n_fft, rate):
+    """The conjugate reference chirp that freq_correlate takes for one symbol."""
+    return np.conj(cazac_generate(CazacParams(n_fft, rate)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,7 @@ def test_compensate_removes_fractional_rotation():
 
 def test_freq_correlate_single_path_peak():
     y = synth_rx(128, 2, [1.0], cfo=20.0, phase0=0.0)
-    mags = np.abs(freq_correlate(y, CazacParams(128, 2)))
+    mags = np.abs(freq_correlate(y, _dechirp(128, 2)))
     assert int(np.argmax(mags)) == 20
     assert mags[20] > 0.99
     others = np.delete(mags, 20)
@@ -162,7 +167,7 @@ def test_freq_correlate_delayed_path_peak(delay, q):
     taps = np.zeros(delay + 1, dtype=complex)
     taps[delay] = 1.0
     y = synth_rx(n_fft, rate, taps, cfo=float(q), phase0=0.2)
-    mags = np.abs(freq_correlate(y, CazacParams(n_fft, rate)))
+    mags = np.abs(freq_correlate(y, _dechirp(n_fft, rate)))
     assert int(np.argmax(mags)) == (q - rate * delay) % n_fft
 
 
@@ -181,7 +186,7 @@ def _comb_prediction(n_fft, rate, taps, q, phase0):
 def _assert_comb(n_fft, rate, taps, q, phase0):
     """freq_correlate of the noiseless symbol equals _comb_prediction to 1e-9."""
     y = synth_rx(n_fft, rate, taps, cfo=float(q), phase0=phase0)
-    got = freq_correlate(y, CazacParams(n_fft, rate))
+    got = freq_correlate(y, _dechirp(n_fft, rate))
     np.testing.assert_allclose(got, _comb_prediction(n_fft, rate, taps, q, phase0), atol=1e-9)
 
 
@@ -251,12 +256,12 @@ def test_freq_correlate_matches_definitional_sum(n_fft, rate):
     f = dft_matrix(n_fft)
     y = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
     np.testing.assert_allclose(
-        freq_correlate(y, CazacParams(n_fft, rate)),
+        freq_correlate(y, _dechirp(n_fft, rate)),
         _definitional_correlation(y, f, rate), rtol=0, atol=1e-9,
     )
     rates = (rate, 2 * rate)
     stack = rng.standard_normal((3, 2, n_fft)) + 1j * rng.standard_normal((3, 2, n_fft))
-    got = freq_correlate(stack, tuple(CazacParams(n_fft, r) for r in rates))
+    got = freq_correlate(stack, np.stack([_dechirp(n_fft, r) for r in rates]))
     assert got.shape == stack.shape
     for t in range(3):
         for s, r in enumerate(rates):
@@ -270,14 +275,14 @@ def test_freq_correlate_pair_matches_one_chirp_calls_bit_for_bit():
     rng = np.random.default_rng(17)
     spec = _spec()
     stack = rng.standard_normal((11, 2, 128)) + 1j * rng.standard_normal((11, 2, 128))
-    pair = freq_correlate(stack, (spec.params_1, spec.params_2))
-    assert np.array_equal(pair[:, 0], freq_correlate(stack[:, 0], spec.params_1))
-    assert np.array_equal(pair[:, 1], freq_correlate(stack[:, 1], spec.params_2))
+    pair = freq_correlate(stack, spec.dechirp)
+    assert np.array_equal(pair[:, 0], freq_correlate(stack[:, 0], spec.dechirp[0]))
+    assert np.array_equal(pair[:, 1], freq_correlate(stack[:, 1], spec.dechirp[1]))
 
 
 def test_freq_correlate_length_mismatch():
     with pytest.raises(ConfigError):
-        freq_correlate(np.ones(64, dtype=complex), CazacParams(128, 2))
+        freq_correlate(np.ones(64, dtype=complex), _dechirp(128, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +423,17 @@ def test_freq_correlate_has_the_bits_of_the_complex_division(n_fft):
     the value matches (==): the two forms may give it opposite signs.
     """
     rng = np.random.default_rng(n_fft)
-    pair = (CazacParams(n_fft, 2), CazacParams(n_fft, 8))
     conj_x = np.conj(np.stack([chirp(n_fft, 2), chirp(n_fft, 8)]))
     stack = _wide(rng, (40, 2, 1)) * (rng.standard_normal((40, 2, n_fft))
                                       + 1j * rng.standard_normal((40, 2, n_fft)))
-    got = freq_correlate(stack, pair)
+    got = freq_correlate(stack, conj_x)
     np.testing.assert_array_equal(_bits(got), _bits(_old_freq_correlate(stack, conj_x)))
     np.testing.assert_array_equal(
-        _bits(freq_correlate(stack[0, 1], pair[1])),
+        _bits(freq_correlate(stack[0, 1], conj_x[1])),
         _bits(_old_freq_correlate(stack[0, 1], conj_x[1])),
     )
     stack[:, 1] = 0
-    np.testing.assert_array_equal(freq_correlate(stack, pair), _old_freq_correlate(stack, conj_x))
+    np.testing.assert_array_equal(freq_correlate(stack, conj_x), _old_freq_correlate(stack, conj_x))
 
 
 @pytest.mark.parametrize("length", [64, 96, 1000, 1023, 1024])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfolab.channel import ChannelProfile, transmit
 from cfolab.errors import DegenerateSignalError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
-from cfolab.signal import assemble_frame, dft, idft
+from cfolab.signal import dft, idft
 from cfolab.simlab import ExperimentConfig, run_trial
 
 
@@ -89,7 +89,8 @@ def test_preamble_has_the_bits_of_the_plain_construction(n_fft):
     """Table-drawn QPSK, one stacked idft and the kernel-read rejection test change no bit.
 
     Over 500 seeds, with and without a prefix: pn_even_1, pn_2, v and the
-    frame equal the plain construction's, the generator ends in the same
+    frame equal the plain construction's (its frame joined here, each
+    symbol behind its own last cp samples), the generator ends in the same
     state, and the stored kernel is conj(dft(v)) * sqrt(N/2).  At N = 16
     some seeds are redrawn, so the rejection test decides as before.
     """
@@ -102,8 +103,9 @@ def test_preamble_has_the_bits_of_the_plain_construction(n_fft):
             rng = np.random.default_rng(seed)
             pre = sca_build_preamble(n_fft, cp, rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (seed, cp)
+            frame = np.concatenate([part for sym in symbols for part in (sym[n_fft - cp :], sym)])
             for got, want in ((pre.pn_even_1, pn_even_1), (pre.pn_2, pn_2), (pre.v, v),
-                              (pre.frame.samples, assemble_frame(symbols, cp).samples),
+                              (pre.frame.samples, frame),
                               (pre.kernel, np.conj(dft(v)) * math.sqrt(n_fft // 2))):
                 np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"seed {seed}, cp {cp}")
     if n_fft == 16:

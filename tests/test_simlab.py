@@ -18,7 +18,7 @@ from cfolab.cli import main
 from cfolab.errors import ConfigError
 from cfolab.estimator import CfoReport, estimate_cfo, wrap_offset
 from cfolab.sca import sca_build_preamble, sca_estimate
-from cfolab.signal import CazacParams
+from cfolab.signal import build_preamble
 from cfolab.simlab import (
     ExperimentConfig,
     dump_correlations,
@@ -675,21 +675,32 @@ def test_sweep_peak_does_not_grow_with_the_trial_count(monkeypatch):
 ENGINE_CACHES = (
     channel._cfo_ramp,
     channel._tap_stats,
-    estimator._conj_chirps,
+    simlab._preamble_for,
+    simlab._sca_preamble_for,
 )
 
 
 def test_engine_caches_are_bounded_and_read_only():
-    frame = simlab._preamble_for(128, 2, 8, 16)[1]
-    params = (CazacParams(128, 2), CazacParams(128, 8))
+    """Every cached array refuses a write, so no caller can change what later sweeps read."""
+    spec, frame = simlab._preamble_for(128, 2, 8, 16)
+    pre = simlab._sca_preamble_for(1, 128, 16)
     powers, mean_power, std = channel._tap_stats(4, 2.0)
     arrays = (
         channel._cfo_ramp(5.3, frame.n_fft, 2 * frame.block_len),
         powers,
         std,
-        estimator._conj_chirps(params[0]),
-        estimator._conj_chirps(params),
+        frame.samples,
+        spec.dechirp,
+        pre.pn_even_1,
+        pre.pn_2,
+        pre.v,
+        pre.kernel,
+        pre.frame.samples,
     )
+    assert spec.dechirp is spec.dechirp
+    # The builders behind the caches still return arrays their caller may write.
+    assert build_preamble(spec).samples.flags.writeable
+    assert sca_build_preamble(128, 16, np.random.default_rng(1)).frame.samples.flags.writeable
     for cache in ENGINE_CACHES:
         assert cache.cache_info().maxsize is not None, cache
     for values in arrays:
