@@ -15,8 +15,7 @@ _EXPORTS = {
     **dict.fromkeys(("CfoEstimate", "CfoReport", "compensate", "estimate_cfo", "estimate_ffo",
                      "freq_correlate", "resolve_ifo", "time_autocorr", "wrap_offset"), "estimator"),
     **dict.fromkeys(("ScaPreamble", "sca_build_preamble", "sca_estimate"), "sca"),
-    **dict.fromkeys(("CazacParams", "PreambleFrame", "PreambleSpec", "build_preamble", "cazac_generate",
-                     "dft", "idft"), "signal"),
+    **dict.fromkeys(("PreambleFrame", "PreambleSpec", "cazac_generate", "dft", "idft"), "signal"),
     **dict.fromkeys(("ESTIMATORS", "ExperimentConfig", "SweepResult", "dump_correlations", "run_sweep",
                      "run_trial"), "simlab"),
 }

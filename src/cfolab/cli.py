@@ -299,7 +299,7 @@ def _cmd_preamble(args: SimpleNamespace) -> int:
     settings = _settings(args)
     out = Path(args.out)
     _check_targets([out])
-    _, frame = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"])
+    frame = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"]).frame
     write_iq(out, frame.samples)
     write_manifest(out, {"command": "preamble", **settings}, started_at)
     print(f"wrote {frame.samples.size} samples to {out}")
@@ -363,7 +363,7 @@ def _cmd_fig2(args: SimpleNamespace) -> int:
 
 def _cmd_estimate(args: SimpleNamespace) -> int:
     settings = _settings(args)
-    spec, _ = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"])
+    spec = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"])
     samples = read_iq(args.infile)
     if samples.size < spec.frame_len:
         raise ConfigError(

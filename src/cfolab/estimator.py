@@ -292,11 +292,10 @@ def estimate_cfo_batch(
     Raises:
         ConfigError: the streams are not (T, spec.frame_len).
     """
-    ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.params_1.rate, ffo_stage)
+    ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.r1, ffo_stage)
     corr = np.abs(freq_correlate(y, spec.dechirp))
     loc = np.argmax(corr, axis=-1)
-    rate_2, n_fft = spec.params_2.rate, spec.n_fft
-    ifo = np.array([resolve_ifo(l1, l2, rate_2, n_fft) for l1, l2 in loc.tolist()], dtype=float)
+    ifo = np.array([resolve_ifo(l1, l2, spec.r2, spec.n_fft) for l1, l2 in loc.tolist()], dtype=float)
     return CfoReport(ffo, ifo, corr, loc)
 
 

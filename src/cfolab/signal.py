@@ -21,60 +21,51 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class CazacParams:
-    """Parameters of one constant-amplitude chirp symbol.
+# Largest FFT size a preamble may have; the paper's are 64 and 128.  At 2**16
+# a two-trial fig2 sweep takes about 2 s and 111 MB (2 cores, numpy 2.4.6).
+MAX_N_FFT = 2**16
 
-    Attributes:
-        n_fft: symbol length N in samples; must be a power of two.
-        rate: chirp rate; must be even, divide n_fft, and be at most
-            n_fft/2 so the chirp period, n_fft // rate samples, is even.
-            The even period is what makes the sequence exactly periodic
-            mod N and keeps the circular-shift algebra of the frequency
-            comb exact.
+
+def _check_chirp(n_fft: int, rate: int) -> None:
+    """Raise ConfigError unless rate is a chirp rate of an n_fft-sample symbol.
+
+    n_fft must be a power of two of at most MAX_N_FFT.  rate must be even,
+    divide n_fft, and be at most n_fft/2 so the chirp period, n_fft // rate
+    samples, is even.  The even period is what makes the sequence exactly
+    periodic mod N and keeps the circular-shift algebra of the frequency
+    comb exact.
     """
-
-    n_fft: int
-    rate: int
-
-    def __post_init__(self) -> None:
-        if not _is_power_of_two(self.n_fft):
-            raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
-        if self.rate <= 0 or self.n_fft % self.rate != 0:
-            raise ConfigError(
-                f"rate must be a positive divisor of n_fft, got rate={self.rate} n_fft={self.n_fft}"
-            )
-        if self.rate % 2 != 0:
-            raise ConfigError(f"rate must be even, got {self.rate}")
-        if (self.n_fft // self.rate) % 2 != 0:
-            raise ConfigError(
-                f"rate must be at most n_fft/2 (chirp period must be even), got rate={self.rate}"
-            )
+    if not _is_power_of_two(n_fft):
+        raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
+    if n_fft > MAX_N_FFT:
+        raise ConfigError(f"n_fft must be at most {MAX_N_FFT}, got {n_fft}")
+    if rate <= 0 or n_fft % rate != 0:
+        raise ConfigError(f"rate must be a positive divisor of n_fft, got rate={rate} n_fft={n_fft}")
+    if rate % 2 != 0:
+        raise ConfigError(f"rate must be even, got {rate}")
+    if (n_fft // rate) % 2 != 0:
+        raise ConfigError(f"rate must be at most n_fft/2 (chirp period must be even), got rate={rate}")
 
 
 @dataclass(frozen=True)
 class PreambleSpec:
-    """Two chirp symbols plus a common cyclic-prefix length.
+    """Two chirp symbols of n_fft samples, at rates r1 and r2, each behind a cp_len-sample cyclic prefix.
 
-    The first (low-rate) symbol drives the fractional-offset stage and both
-    symbols drive the integer-offset stage.  Both symbols share one FFT size.
+    Both rates pass _check_chirp and 0 <= cp_len <= n_fft.  The first
+    (low-rate) symbol drives the fractional stage, both drive the integer
+    stage.  The dechirp pair and the frame are built on first read, once
+    per spec, and refuse a write.
     """
 
-    params_1: CazacParams
-    params_2: CazacParams
+    n_fft: int
+    r1: int
+    r2: int
     cp_len: int
 
     def __post_init__(self) -> None:
-        if self.params_1.n_fft != self.params_2.n_fft:
-            raise ConfigError(
-                f"both symbols must share one FFT size, got "
-                f"{self.params_1.n_fft} and {self.params_2.n_fft}"
-            )
-        _check_cp(self.cp_len, self.params_1.n_fft)
-
-    @property
-    def n_fft(self) -> int:
-        return self.params_1.n_fft
+        _check_chirp(self.n_fft, self.r1)
+        _check_chirp(self.n_fft, self.r2)
+        _check_cp(self.cp_len, self.n_fft)
 
     @property
     def frame_len(self) -> int:
@@ -83,10 +74,17 @@ class PreambleSpec:
 
     @cached_property
     def dechirp(self) -> np.ndarray:
-        """The receiver's read-only (2, N) conjugate chirp pair, built once per spec."""
-        x = np.conj(np.stack([cazac_generate(self.params_1), cazac_generate(self.params_2)]))
+        """The receiver's read-only (2, N) conjugate chirp pair."""
+        x = np.conj(np.stack([cazac_generate(self.n_fft, self.r1), cazac_generate(self.n_fft, self.r2)]))
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def frame(self) -> PreambleFrame:
+        """The read-only transmit frame: CP + chirp(r1), then CP + chirp(r2)."""
+        frame = assemble_frame(np.conj(self.dechirp), self.cp_len)
+        frame.samples.flags.writeable = False
+        return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +101,11 @@ class PreambleFrame:
         return self.n_fft + self.cp_len
 
 
-def cazac_generate(params: CazacParams) -> np.ndarray:
-    """Generate the unit-modulus chirp exp(j*pi*rate*n^2/n_fft), n = 0..n_fft-1, as a new array."""
-    n = np.arange(params.n_fft)
-    return np.exp(1j * np.pi * params.rate * n * n / params.n_fft)
+def cazac_generate(n_fft: int, rate: int) -> np.ndarray:
+    """The unit-modulus chirp exp(j*pi*rate*n^2/n_fft), n = 0..n_fft-1, as a new array; see _check_chirp."""
+    _check_chirp(n_fft, rate)
+    n = np.arange(n_fft)
+    return np.exp(1j * np.pi * rate * n * n / n_fft)
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -143,15 +142,7 @@ def assemble_frame(symbols: np.ndarray, cp_len: int) -> PreambleFrame:
     return PreambleFrame(n_fft=n_fft, cp_len=cp_len, samples=blocks.ravel())
 
 
-def build_preamble(spec: PreambleSpec) -> PreambleFrame:
-    """Build the transmit frame, a new array: CP + chirp(rate_1), then CP + chirp(rate_2)."""
-    return assemble_frame(np.conj(spec.dechirp), spec.cp_len)
-
-
 @lru_cache(maxsize=8)
-def _preamble_for(n_fft: int, r1: int, r2: int, cp_len: int) -> tuple[PreambleSpec, PreambleFrame]:
-    """The spec and read-only frame of the preamble these parameters name, built once per set."""
-    spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp_len)
-    frame = build_preamble(spec)
-    frame.samples.flags.writeable = False
-    return spec, frame
+def _preamble_for(n_fft: int, r1: int, r2: int, cp_len: int) -> PreambleSpec:
+    """The spec these parameters name, built once per set, so its frame and dechirp pair are too."""
+    return PreambleSpec(n_fft, r1, r2, cp_len)

@@ -43,8 +43,8 @@ from .signal import PreambleFrame, _preamble_for
 
 
 def _proposed(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
-    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    return frame, cfg.r1, partial(estimate_cfo_batch, spec=spec, ffo_stage=cfg.ffo_stage_enabled)
+    spec = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+    return spec.frame, cfg.r1, partial(estimate_cfo_batch, spec=spec, ffo_stage=cfg.ffo_stage_enabled)
 
 
 def _sca(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
@@ -92,10 +92,11 @@ class ExperimentConfig:
     """Full parameterization of one Monte Carlo sweep.
 
     Its axes are the channel modes, the SNR grid and the estimators; every
-    mode sees the same channel profile.  A config holds only what its sweep
-    can run, whatever trials_per_point is: each estimator's frame is built
-    (and cached) here, so an N or CP no frame can have, or a CP the channel
-    memory overruns, is rejected at construction.
+    mode sees the same channel profile, and each cell runs a trial or more.
+    A config holds only what its sweep can run: its PreambleSpec, whose
+    checks cover every rule either estimator's preamble can fail, is built
+    (and cached) here, so an N, rate or CP no preamble can have, or a CP the
+    channel memory overruns, is rejected at construction.
     """
 
     n_fft: int
@@ -120,8 +121,8 @@ class ExperimentConfig:
             )
         if not abs(self.cfo_true) < self.n_fft / 2:
             raise ConfigError(f"|cfo_true| must be < n_fft/2, got {self.cfo_true}")
-        if self.trials_per_point < 0:
-            raise ConfigError(f"trials_per_point must be >= 0, got {self.trials_per_point}")
+        if self.trials_per_point < 1:
+            raise ConfigError(f"trials_per_point must be at least one, got {self.trials_per_point}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must hold at least one SNR")
         if len(self.snr_grid_db) * self.trials_per_point > MAX_SWEEP_TRIALS:
@@ -148,8 +149,7 @@ class ExperimentConfig:
                 raise ConfigError(f"SNR {snr_db} dB repeats a point of snr_grid_db")
             seen.add(snr_db)
             noise_variance(self.channel, snr_db)
-        for est in self.estimators:
-            _estimator(est)[1](self)
+        _preamble_for(self.n_fft, self.r1, self.r2, self.cp_len)
         self.channel.check_cp(self.cp_len)
 
 
@@ -326,8 +326,6 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
     if not cfgs:
         return ()
     trials = cfg.trials_per_point
-    if trials == 0:
-        return tuple(SweepResult(c, (), (), (), (), ()) for c in cfgs)
     width = len(cfg.modes)
     grid = np.array(cfg.snr_grid_db, dtype=float)
     scales = np.array([noise_std(cfg.channel, snr_db) for snr_db in cfg.snr_grid_db])
@@ -376,9 +374,9 @@ def dump_correlations(cfg: ExperimentConfig) -> np.ndarray:
     first SNR, with a generator seeded by its master seed.
     Returns an (n_fft, 3) array with columns (tau, |corr rate-1|, |corr rate-2|).
     """
-    spec, frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+    spec = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
     rng = np.random.default_rng(cfg.master_seed)
-    rx = transmit(frame, cfg.channel, cfg.cfo_true, cfg.snr_grid_db[0], rng, cfg.modes[0])
+    rx = transmit(spec.frame, cfg.channel, cfg.cfo_true, cfg.snr_grid_db[0], rng, cfg.modes[0])
     est = estimate_cfo(rx.stream, spec, ffo_stage=cfg.ffo_stage_enabled)
     tau = np.arange(cfg.n_fft, dtype=float)
     return np.column_stack([tau, *est.profiles])

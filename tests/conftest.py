@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import settings
 
 from cfolab.channel import propagate
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+from cfolab.signal import PreambleSpec
 
 # Tier 1 runs the same examples every time: each @given draws from a seed
 # fixed by its test, keeps its own max_examples, and reads no example
@@ -77,8 +77,7 @@ def engine_taps(profile, mode, rng, count):
     draws no noise.  Row 1 of a frame is its symbol-1 taps and row 2 its
     symbol-2 taps, a copy of row 1 in static mode.
     """
-    spec = PreambleSpec(CazacParams(16, 2), CazacParams(16, 4), profile.path_count - 1)
-    frame = build_preamble(spec)
+    frame = PreambleSpec(16, 2, 4, profile.path_count - 1).frame
     chunks = []
     for start in range(0, count, ENGINE_TAPS_CHUNK):
         frames = min(ENGINE_TAPS_CHUNK, count - start)

@@ -19,7 +19,7 @@ import numpy as np
 
 from cfolab.channel import ChannelProfile, transmit
 from cfolab.estimator import estimate_cfo, estimate_ffo, freq_correlate, resolve_ifo, time_autocorr
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
+from cfolab.signal import PreambleSpec, cazac_generate
 from cfolab.simlab import ExperimentConfig, _preamble_for, run_sweep
 
 from conftest import CRITERION_LINES, engine_taps, rayleigh_taps, synth_rx
@@ -52,8 +52,8 @@ def test_criterion_1_noiseless_end_to_end_exact():
     with criterion(1, "noiseless end-to-end exactness over random draws", budget_s=30):
         rng = np.random.default_rng(2024)
         for n_fft in (64, 128):
-            spec = PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), 16)
-            frame = build_preamble(spec)
+            spec = PreambleSpec(n_fft, 2, 8, 16)
+            frame = spec.frame
             profile = ChannelProfile(path_count=4, decay=2.0)
             limit = n_fft // 2 - 8
             for _ in range(500):
@@ -112,7 +112,7 @@ def test_criterion_3_closed_form_identities():
             q = int(rng.integers(-n_fft // 2 + 1, n_fft // 2))
             phase0 = rng.uniform(0, 2 * np.pi)
             y = synth_rx(n_fft, rate, taps, float(q), phase0)
-            got = freq_correlate(y, np.conj(cazac_generate(CazacParams(n_fft, rate))))
+            got = freq_correlate(y, np.conj(cazac_generate(n_fft, rate)))
             pred = np.zeros(n_fft, dtype=complex)
             for m, h in enumerate(taps):
                 tau = (q - rate * m) % n_fft if q >= 0 else (q - rate * m + n_fft) % n_fft
@@ -147,7 +147,7 @@ def test_criterion_4_correlation_comb_reproduction(tmp_path):
         )
         # replay the same frame in-process to learn the realized taps
         cfg = _fig1_config(seed)
-        frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
+        frame = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len).frame
         rx = transmit(frame, cfg.channel, cfg.cfo_true, 20.0, np.random.default_rng(seed), mode="varying")
         m1 = int(np.argmax(np.abs(rx.taps[0])))
         m2 = int(np.argmax(np.abs(rx.taps[1])))

@@ -18,13 +18,13 @@ from cfolab.channel import (
     transmit,
 )
 from cfolab.errors import ConfigError
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
+from cfolab.signal import PreambleSpec, cazac_generate
 
 from conftest import engine_taps
 
 
 def _frame(n_fft=64, cp=16):
-    return build_preamble(PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), cp))
+    return PreambleSpec(n_fft, 2, 8, cp).frame
 
 
 def test_profile_validation():
@@ -119,8 +119,8 @@ def test_cp_window_equals_circular_convolution():
     rng = np.random.default_rng(21)
     rx = transmit(frame, profile, 3.7, np.inf, rng, mode="varying")
     n = np.arange(64)
-    for s, params in enumerate((CazacParams(64, 2), CazacParams(64, 8))):
-        raw = cazac_generate(params)
+    for s, rate in enumerate((2, 8)):
+        raw = cazac_generate(64, rate)
         circ = np.zeros(64, dtype=complex)
         for m, h in enumerate(rx.taps[s]):
             circ += h * raw[(n - m) % 64]

@@ -55,9 +55,9 @@ def test_preamble_file_size_and_content(tmp_path):
     assert result.returncode == 0
     assert out.stat().st_size == 160 * 8  # 2*(64+16) complex64 samples
     samples = read_iq(out)
-    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+    from cfolab.signal import PreambleSpec
 
-    frame = build_preamble(PreambleSpec(CazacParams(64, 2), CazacParams(64, 8), 16))
+    frame = PreambleSpec(64, 2, 8, 16).frame
     np.testing.assert_allclose(samples, frame.samples, atol=1e-6)  # float32 storage
 
 
@@ -124,9 +124,9 @@ def test_sweeps_reject_snr_the_channel_cannot_model(tmp_path, capsys, command, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--snr-grid=10:2:0", "--estimators="])
+@pytest.mark.parametrize("flag", ["--snr-grid=10:2:0", "--estimators=", "--trials=0"])
 def test_fig2_rejects_a_sweep_without_cells(tmp_path, capsys, flag):
-    """An empty SNR grid or estimator list is a usage error, not a header-only CSV."""
+    """An empty SNR grid or estimator list, or no trials, is a usage error, not a header-only CSV."""
     out = tmp_path / "x.csv"
     assert main(["fig2", "--n", "64", "--trials", "1", flag, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -294,13 +294,38 @@ def test_a_cp_longer_than_its_symbol_is_a_usage_error(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["capture.iq"]
 
 
-@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["preamble"], ["fig1"], ["fig2", "--trials", "1", "--estimators", "sca"], ["estimate"],
+], ids=["preamble", "fig1", "fig2-sca", "estimate"])
+def test_an_fft_size_past_the_bound_is_a_usage_error(tmp_path, capsys, argv):
+    """N = 2**40 is a power of two no chirp can be allocated for: exit 2 before any array, no traceback."""
+    path = ["--in", str(tmp_path / "absent.iq")] if argv[0] == "estimate" else ["--out", str(tmp_path / "x")]
+    assert main([*argv, "--n", "1099511627776", *path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n_fft must be at most 65536, got 1099511627776"), captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("estimators", ["sca", "proposed", "proposed,sca"])
+def test_fig2_rejects_a_rate_no_chirp_can_have_whichever_estimators_run(tmp_path, capsys, estimators):
+    """Each manifest records r1 and r2, so the chirp rule holds for them in a Schmidl-Cox-only sweep too."""
+    out = tmp_path / "x.csv"
+    assert main(["fig2", "--n", "64", "--estimators", estimators, "--r2", "10", "--paths", "1",
+                 "--trials", "1", "--snr-grid", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rate must be a positive divisor of n_fft"), captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("trials", ["1"])
 @pytest.mark.parametrize("flags,reason", [
     (["--n", "100"], "power of two"),
     (["--n", "64", "--cp", "1", "--paths", "4"], "too short for 4 paths"),
 ])
 def test_fig2_rejects_a_config_at_any_trial_count(tmp_path, capsys, flags, reason, trials):
-    """A sweep of no trials is a usage error whenever a sweep of one would be, not a header-only CSV."""
+    """A config no sweep can run is a usage error before its first trial, and writes nothing."""
     out = tmp_path / "x.csv"
     assert main(["fig2", *flags, "--trials", trials, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -535,9 +560,9 @@ def test_estimate_zero_file_is_degenerate(tmp_path):
 def test_estimate_of_a_capture_without_its_second_symbol_is_degenerate(tmp_path, capsys):
     """A zeroed second symbol leaves the integer stage no comb: exit 2 and no report."""
     from cfolab.channel import ChannelProfile, transmit
-    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+    from cfolab.signal import PreambleSpec
 
-    frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
+    frame = PreambleSpec(128, 2, 8, 16).frame
     stream = transmit(frame, ChannelProfile(4, 2.0), 10.3, 30.0, np.random.default_rng(5)).stream
     stream[frame.block_len:] = 0
     capture = tmp_path / "capture.iq"
@@ -554,9 +579,9 @@ def test_estimate_does_not_depend_on_the_capture_scale(tmp_path, capsys):
     The scales span most of float32's range, which is all a capture holds.
     """
     from cfolab.channel import ChannelProfile, transmit
-    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+    from cfolab.signal import PreambleSpec
 
-    frame = build_preamble(PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16))
+    frame = PreambleSpec(128, 2, 8, 16).frame
     stream = transmit(frame, ChannelProfile(4, 2.0), 10.3, 20.0, np.random.default_rng(5)).stream
     reports, float32_eps = [], float(np.finfo(np.float32).eps)
     for scale in (1.0, 1e-6, 1e-9, 1e-20, 1e6, 1e20, 1e36):
@@ -599,11 +624,11 @@ ESTIMATE_STDOUT_SHA256 = "c13c0a23fb3216bb3a74d5548c6f61b7daadc1ba8ac1f361852e64
 def _pinned_captures():
     """The transmit-built captures of _PINNED_CAPTURES, then the first with signed zeros."""
     from cfolab.channel import ChannelProfile, transmit
-    from cfolab.signal import CazacParams, PreambleSpec, build_preamble
+    from cfolab.signal import PreambleSpec
 
     captures = []
     for n_fft, cfo, seed in _PINNED_CAPTURES:
-        frame = build_preamble(PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), 16))
+        frame = PreambleSpec(n_fft, 2, 8, 16).frame
         stream = transmit(frame, ChannelProfile(4, 2.0), cfo, 20.0, np.random.default_rng(seed)).stream
         captures.append((n_fft, stream))
     zeros = captures[0][1].copy()
@@ -1205,7 +1230,7 @@ def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, argv, absent
     Help and usage errors load argparse, and no command's help or flags
     load the engine, fig2's included.
     """
-    write_iq(tmp_path / "cap.iq", _preamble_for(1024, 2, 8, 16)[1].samples)
+    write_iq(tmp_path / "cap.iq", _preamble_for(1024, 2, 8, 16).frame.samples)
     script = ("import sys\nfrom cfolab import cli\ntry:\n    code = cli.main(sys.argv[1:])\n"
               "except SystemExit as exc:\n    code = exc.code\nprint(code, *sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))

@@ -21,18 +21,18 @@ from cfolab.estimator import (
     wrap_offset,
 )
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
-from cfolab.signal import CazacParams, PreambleSpec, build_preamble, cazac_generate
+from cfolab.signal import PreambleSpec, cazac_generate
 
 from conftest import chirp, dft_matrix, rayleigh_taps, synth_rx
 
 
 def _spec(n_fft=128, cp=16):
-    return PreambleSpec(CazacParams(n_fft, 2), CazacParams(n_fft, 8), cp)
+    return PreambleSpec(n_fft, 2, 8, cp)
 
 
 def _dechirp(n_fft, rate):
     """The conjugate reference chirp that freq_correlate takes for one symbol."""
-    return np.conj(cazac_generate(CazacParams(n_fft, rate)))
+    return np.conj(cazac_generate(n_fft, rate))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_freq_correlate_matches_comb_closed_form(seed):
 
 @st.composite
 def _comb_cases(draw):
-    """N from 16 to 256, every rate CazacParams takes, L <= 16 taps and an integer offset.
+    """N from 16 to 256, every chirp rate of that N, L <= 16 taps and an integer offset.
 
     The offset runs over four wraps of N either way, so every residue is
     reached from both signs; synth_rx's phase, 2*pi*q*n/N, keeps its
@@ -341,7 +341,7 @@ def _peak_walk(loc_1, loc_2, rate_2, n_fft):
 
 
 def _rates(n_fft):
-    """Every chirp rate CazacParams accepts for n_fft: even powers of two up to n_fft/2."""
+    """Every chirp rate of n_fft (signal._check_chirp): even powers of two up to n_fft/2."""
     return [2**k for k in range(1, n_fft.bit_length() - 1)]
 
 
@@ -462,7 +462,7 @@ def _transmit(spec, cfo, seed, mode="varying", paths=4):
     """The received frame stream of one noiseless transmission."""
     profile = ChannelProfile(path_count=paths, decay=2.0)
     rng = np.random.default_rng(seed)
-    return transmit(profile=profile, frame=build_preamble(spec), rng=rng,
+    return transmit(profile=profile, frame=spec.frame, rng=rng,
                     cfo=cfo, snr_db=np.inf, mode=mode).stream
 
 
@@ -529,8 +529,7 @@ def _noiseless_cases(draw):
     offset = (st.floats(-bound, bound, exclude_min=True, exclude_max=True) if ffo_stage
               else st.integers(1 - bound, bound - 1).map(float))
     return {
-        "spec": PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2),
-                             draw(st.integers(paths - 1, n_fft))),
+        "spec": PreambleSpec(n_fft, r1, r2, draw(st.integers(paths - 1, n_fft))),
         "profile": ChannelProfile(paths, draw(st.floats(0.1, 1e6))),
         "mode": draw(st.sampled_from(["varying", "static"])),
         "ffo_stage": ffo_stage,
@@ -547,7 +546,7 @@ def test_noiseless_transmit_is_estimated_exactly_over_the_walk_domain(case):
     With the fractional stage the offsets are floats, without it integers.
     """
     spec = case["spec"]
-    rx = transmit(build_preamble(spec), case["profile"], case["offset"], math.inf,
+    rx = transmit(spec.frame, case["profile"], case["offset"], math.inf,
                   np.random.default_rng(case["seed"]), case["mode"])
     est = estimate_cfo(rx.stream, spec, ffo_stage=case["ffo_stage"])
     assert not est.failed
@@ -669,8 +668,8 @@ def test_batch_rows_are_the_one_frame_estimates(case):
     n_fft, (r1, r2), cp = case["n_fft"], case["rates"], case["cp"]
     rng = np.random.default_rng(case["seed"])
     if case["estimator"] == "proposed":
-        spec = PreambleSpec(CazacParams(n_fft, r1), CazacParams(n_fft, r2), cp)
-        frame, receiver = build_preamble(spec), spec
+        spec = PreambleSpec(n_fft, r1, r2, cp)
+        frame, receiver = spec.frame, spec
     else:
         pre = sca_build_preamble(n_fft, cp, rng)
         frame, receiver = pre.frame, pre

@@ -16,7 +16,7 @@ def test_removed_names_are_not_exported():
     for name in ("decompose_cfo", "CfoDecomposition", "ChannelRealization",
                  "ESTIMATOR_PROPOSED", "ESTIMATOR_SCA", "run_single_frame", "run_sweeps",
                  "PeakReport", "SweepCell", "TrialRecord", "wilson_interval", "ImpairmentSpec",
-                 "draw_channel"):
+                 "draw_channel", "CazacParams", "build_preamble"):
         assert name not in cfolab.__all__
         assert not hasattr(cfolab, name)
 

@@ -4,66 +4,52 @@ import numpy as np
 import pytest
 
 from cfolab.errors import ConfigError
-from cfolab.signal import (
-    CazacParams,
-    PreambleSpec,
-    build_preamble,
-    cazac_generate,
-    dft,
-    idft,
-)
+from cfolab.signal import PreambleSpec, cazac_generate, dft, idft
 
 from conftest import chirp, dft_matrix
 
-VALID_PARAMS = [
-    CazacParams(64, 2),
-    CazacParams(64, 8),
-    CazacParams(128, 2),
-    CazacParams(128, 8),
-    CazacParams(4, 2),
-    CazacParams(256, 4),
-]
+# (n_fft, rate) of chirps the rule admits.
+VALID_PARAMS = [(64, 2), (64, 8), (128, 2), (128, 8), (4, 2), (256, 4)]
 
 
 def test_cazac_small_example():
     # exp(j*pi*2*n^2/4) for n = 0..3, evaluated by hand
-    x = cazac_generate(CazacParams(4, 2))
+    x = cazac_generate(4, 2)
     np.testing.assert_allclose(x, [1, 1j, 1, 1j], atol=1e-12)
 
 
 @pytest.mark.parametrize("params", VALID_PARAMS)
 def test_cazac_unit_modulus(params):
-    x = cazac_generate(params)
+    x = cazac_generate(*params)
     assert np.max(np.abs(np.abs(x) - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("params", VALID_PARAMS)
 def test_cazac_matches_direct_formula(params):
-    np.testing.assert_allclose(
-        cazac_generate(params), chirp(params.n_fft, params.rate), atol=1e-12
-    )
+    np.testing.assert_allclose(cazac_generate(*params), chirp(*params), atol=1e-12)
 
 
 def test_cazac_periodicity():
-    x = cazac_generate(CazacParams(64, 2))
+    x = cazac_generate(64, 2)
     np.testing.assert_allclose(x[:32], x[32:], atol=1e-12)
 
 
 @pytest.mark.parametrize("params", VALID_PARAMS)
 def test_cazac_period_property(params):
-    x = cazac_generate(params)
-    p = params.n_fft // params.rate
+    n_fft, rate = params
+    x = cazac_generate(n_fft, rate)
+    p = n_fft // rate
     np.testing.assert_allclose(x, np.roll(x, p), atol=1e-12)
 
 
 @pytest.mark.parametrize("params", VALID_PARAMS)
 def test_cazac_perfect_periodic_autocorrelation(params):
     """Zero at every circular lag off the period comb, unit modulus on it."""
-    x = cazac_generate(params)
-    n = params.n_fft
+    n, rate = params
+    x = cazac_generate(n, rate)
     for d in range(n):
         ac = np.vdot(x, np.roll(x, -d)) / n
-        if d % (params.n_fft // params.rate) == 0:
+        if d % (n // rate) == 0:
             assert abs(abs(ac) - 1.0) < 1e-10
         else:
             assert abs(ac) < 1e-10
@@ -78,11 +64,18 @@ def test_cazac_perfect_periodic_autocorrelation(params):
         (64, 0),
         (64, -2),
         (64, 64),    # period would be odd
+        (2**17, 2),  # past MAX_N_FFT
+        (2**40, 2),  # a power of two no chirp could be allocated for
     ],
 )
 def test_cazac_params_validation(n_fft, rate):
+    """A bad (N, rate) is refused by the chirp generator and by a spec with it as either rate."""
     with pytest.raises(ConfigError):
-        CazacParams(n_fft, rate)
+        cazac_generate(n_fft, rate)
+    with pytest.raises(ConfigError):
+        PreambleSpec(n_fft, rate, 8, 0)
+    with pytest.raises(ConfigError):
+        PreambleSpec(n_fft, 2, rate, 0)
 
 
 def test_dft_impulse():
@@ -143,11 +136,10 @@ def test_dft_linear():
 
 def test_dft_of_cazac_constant_modulus_on_support():
     """The spectrum of an r-rate chirp lives on bins k = 0 mod r, all |X| = sqrt(r)."""
-    params = CazacParams(64, 2)
-    x_f = dft(cazac_generate(params))
-    on = np.arange(0, 64, params.rate)
+    x_f = dft(cazac_generate(64, 2))
+    on = np.arange(0, 64, 2)
     off = np.setdiff1d(np.arange(64), on)
-    assert np.max(np.abs(np.abs(x_f[on]) - np.sqrt(params.rate))) < 1e-10
+    assert np.max(np.abs(np.abs(x_f[on]) - np.sqrt(2))) < 1e-10
     assert np.max(np.abs(x_f[off])) < 1e-10
 
 
@@ -172,19 +164,15 @@ def test_dft_rejects_non_power_of_two(n):
 
 
 def test_build_preamble_without_cp():
-    spec = PreambleSpec(CazacParams(64, 2), CazacParams(64, 8), 0)
-    frame = build_preamble(spec)
+    frame = PreambleSpec(64, 2, 8, 0).frame
     assert frame.samples.size == 128
     np.testing.assert_allclose(
-        frame.samples,
-        np.concatenate([cazac_generate(spec.params_1), cazac_generate(spec.params_2)]),
-        atol=0,
+        frame.samples, np.concatenate([cazac_generate(64, 2), cazac_generate(64, 8)]), atol=0
     )
 
 
 def test_build_preamble_cp_copy():
-    spec = PreambleSpec(CazacParams(64, 2), CazacParams(64, 8), 16)
-    frame = build_preamble(spec)
+    frame = PreambleSpec(64, 2, 8, 16).frame
     assert frame.samples.size == 160
     # each CP is a copy of the corresponding symbol tail
     np.testing.assert_array_equal(frame.samples[0:16], frame.samples[64:80])
@@ -192,8 +180,7 @@ def test_build_preamble_cp_copy():
 
 
 def test_build_preamble_symbol_periods():
-    spec = PreambleSpec(CazacParams(128, 2), CazacParams(128, 8), 16)
-    frame = build_preamble(spec)
+    frame = PreambleSpec(128, 2, 8, 16).frame
     s1, s2 = frame.samples.reshape(2, frame.block_len)[:, frame.cp_len :]
     np.testing.assert_allclose(s1, np.roll(s1, 64), atol=1e-12)
     np.testing.assert_allclose(s2, np.roll(s2, 16), atol=1e-12)
@@ -203,6 +190,16 @@ def test_build_preamble_symbol_periods():
 
 def test_preamble_spec_validation():
     with pytest.raises(ConfigError):
-        PreambleSpec(CazacParams(64, 2), CazacParams(128, 8), 16)
+        PreambleSpec(64, 2, 8, -1)
     with pytest.raises(ConfigError):
-        PreambleSpec(CazacParams(64, 2), CazacParams(64, 8), -1)
+        PreambleSpec(64, 2, 8, 65)
+
+
+def test_a_spec_carries_its_frame_and_dechirp_read_only():
+    """A spec built directly, not through the cache, builds each array once and refuses a write."""
+    spec = PreambleSpec(64, 2, 8, 16)
+    assert spec.frame is spec.frame and spec.dechirp is spec.dechirp
+    for values in (spec.frame.samples, spec.dechirp):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+    np.testing.assert_array_equal(spec.dechirp, np.conj([cazac_generate(64, 2), cazac_generate(64, 8)]))

@@ -18,7 +18,6 @@ from cfolab.cli import main
 from cfolab.errors import ConfigError
 from cfolab.estimator import CfoReport, estimate_cfo, wrap_offset
 from cfolab.sca import sca_build_preamble, sca_estimate
-from cfolab.signal import build_preamble
 from cfolab.simlab import (
     ExperimentConfig,
     dump_correlations,
@@ -145,12 +144,24 @@ def test_config_rejects_an_empty_unknown_or_repeated_mode(modes, reason):
     ({"n_fft": 64, "cp_len": 1, "estimators": ("sca",)}, "too short for 4 paths"),
     ({"n_fft": 64, "cp_len": 200}, "cp_len"),
     ({"n_fft": 64, "cp_len": 200, "estimators": ("sca",)}, "cp_len"),
+    ({"r2": 10, "estimators": ("sca",)}, "rate must be a positive divisor of n_fft"),
+    ({"n_fft": 2**40, "estimators": ("sca",)}, "n_fft must be at most 65536"),
 ])
-@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("trials", [1])
 def test_config_rejects_what_its_sweep_would_at_any_trial_count(overrides, reason, trials):
-    """A config with no trials is still one its sweep could run: its frames and CP are checked."""
+    """A config is one its sweep could run, whichever estimators it lists: its preamble and CP are checked."""
     with pytest.raises(ConfigError, match=re.escape(reason)):
         _cfg(trials_per_point=trials, **overrides)
+
+
+def test_config_checks_its_preamble_without_drawing_a_schmidl_cox_one(monkeypatch):
+    """Validating a config builds its PreambleSpec only; the engine's first pass draws the SCA preamble."""
+    def no_draw(*args):
+        raise AssertionError("drew a Schmidl-Cox preamble to validate a config")
+
+    monkeypatch.setattr(simlab, "_sca_preamble_for", no_draw)
+    cfg = _cfg(estimators=("sca", "proposed"))
+    assert simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len).r2 == cfg.r2
 
 
 @pytest.mark.parametrize("reject", [
@@ -204,9 +215,11 @@ def test_sweep_bit_identical():
     assert run_sweep(cfg) == run_sweep(cfg)
 
 
-def test_sweep_empty_for_zero_trials():
-    result = run_sweep(_cfg(trials_per_point=0))
-    assert list(result.rows()) == []
+def test_config_rejects_zero_trials():
+    """A cell of no trials has no failure probability: the config refuses it."""
+    for trials in (0, -1):
+        with pytest.raises(ConfigError, match=re.escape(f"trials_per_point must be at least one, got {trials}")):
+            _cfg(trials_per_point=trials)
 
 
 def test_sweep_cell_bookkeeping():
@@ -332,7 +345,7 @@ def test_dump_correlations_multipath_comb_support():
 def test_run_single_frame_exposes_realizations():
     """dump_correlations' frame replays with transmit from the same seed, taps and all."""
     cfg = _cfg(modes=("varying",), snr_grid_db=(math.inf,), master_seed=3)
-    frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)[1]
+    frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len).frame
     rx = transmit(frame, cfg.channel, cfg.cfo_true, math.inf, np.random.default_rng(3), mode="varying")
     assert rx.taps.shape == (2, 4)
     m1 = int(np.argmax(np.abs(rx.taps[0])))
@@ -431,8 +444,8 @@ def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
         ffo_stage_enabled=True, snr_grid_db=(snr_db,), estimators=(estimator,),
     )
     if estimator == "proposed":
-        spec, frame = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-        estimate, rate = partial(estimate_cfo, spec=spec), cfg.r1
+        spec = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
+        frame, estimate, rate = spec.frame, partial(estimate_cfo, spec=spec), cfg.r1
     else:
         pre = simlab._sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
         frame, estimate, rate = pre.frame, partial(sca_estimate, pre=pre), 2
@@ -682,8 +695,8 @@ ENGINE_CACHES = (
 
 def test_engine_caches_are_bounded_and_read_only():
     """Every cached array refuses a write, so no caller can change what later sweeps read."""
-    spec, frame = simlab._preamble_for(128, 2, 8, 16)
-    pre = simlab._sca_preamble_for(1, 128, 16)
+    spec = simlab._preamble_for(128, 2, 8, 16)
+    frame, pre = spec.frame, simlab._sca_preamble_for(1, 128, 16)
     powers, mean_power, std = channel._tap_stats(4, 2.0)
     arrays = (
         channel._cfo_ramp(5.3, frame.n_fft, 2 * frame.block_len),
@@ -697,9 +710,8 @@ def test_engine_caches_are_bounded_and_read_only():
         pre.kernel,
         pre.frame.samples,
     )
-    assert spec.dechirp is spec.dechirp
-    # The builders behind the caches still return arrays their caller may write.
-    assert build_preamble(spec).samples.flags.writeable
+    assert spec.dechirp is spec.dechirp and spec.frame is frame
+    # The builder behind the Schmidl-Cox cache still returns arrays its caller may write.
     assert sca_build_preamble(128, 16, np.random.default_rng(1)).frame.samples.flags.writeable
     for cache in ENGINE_CACHES:
         assert cache.cache_info().maxsize is not None, cache
