@@ -59,12 +59,13 @@ EXIT_ESTIMATION = 3
 # Most points a start:step:stop SNR grid may hold; the paper's grid has 11.
 MAX_GRID_POINTS = 10_000
 
-# estimate's report encoder: json.dumps(report, sort_keys=True, allow_nan=False)
-# builds this same encoder on every call.
+# estimate's report encoder and the run manifest's: json.dumps with these
+# arguments builds the same encoder on every call.
 _REPORT_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_MANIFEST_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     """Path.write_text(text, encoding="utf-8"): the same open, truncate, write and close, unbuffered."""
     data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
@@ -243,8 +244,8 @@ def _timestamp() -> str:
         raise ConfigError(f"SOURCE_DATE_EPOCH={epoch!r} is not a usable timestamp: {exc}") from exc
 
 
-def _manifest_path(out_path: Path) -> Path:
-    return out_path.with_name(out_path.name + ".manifest.json")
+def _manifest_path(out_path: str) -> str:
+    return out_path + ".manifest.json"
 
 
 def _json_value(value: Any) -> Any:
@@ -254,7 +255,7 @@ def _json_value(value: Any) -> Any:
     return "inf" if value == math.inf else value
 
 
-def write_manifest(out_path: Path, config: dict, started_at: str) -> None:
+def write_manifest(out_path: str, config: dict, started_at: str) -> None:
     """Serialize the run manifest of the output file out_path next to it, as strict JSON.
 
     started_at is the command's _timestamp(), taken before it wrote anything.
@@ -263,20 +264,24 @@ def write_manifest(out_path: Path, config: dict, started_at: str) -> None:
         "config": {key: _json_value(value) for key, value in config.items()},
         "tool_version": __version__,
         "started_at": started_at,
-        "output_paths": [str(out_path)],
+        "output_paths": [out_path],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _write_text(_manifest_path(out_path), text + "\n")
+    _write_text(_manifest_path(out_path), _MANIFEST_JSON.encode(payload) + "\n")
 
 
-def _check_targets(targets: list[Path]) -> None:
+def _check_targets(targets: list[str]) -> None:
     """Raise ConfigError unless each output file and its manifest can be created.
 
-    Writing commands call this before they compute, so a usage error writes no file.
+    Each target is a str(Path(...)); one whose Path has no name ('.', '/', '') names
+    no file and is rejected.  Writing commands call this before they compute, so a
+    usage error writes no file.
     """
     for target in targets:
-        if not os.path.isdir(target.parent):
-            raise ConfigError(f"{target}: directory {target.parent} does not exist")
+        if os.path.basename(target) in ("", "."):
+            raise ConfigError(f"output path {target!r} names no file")
+        parent = os.path.dirname(target) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{target}: directory {parent} does not exist")
         for path in (target, _manifest_path(target)):
             if os.path.isdir(path):
                 raise ConfigError(f"{path} is a directory")
@@ -297,7 +302,7 @@ def _experiment(settings: dict[str, Any], n_fft: int, modes: tuple[str, ...], **
 def _cmd_preamble(args: SimpleNamespace) -> int:
     started_at = _timestamp()
     settings = _settings(args)
-    out = Path(args.out)
+    out = str(Path(args.out))
     _check_targets([out])
     frame = _preamble_for(settings["n"], settings["r1"], settings["r2"], settings["cp"]).frame
     write_iq(out, frame.samples)
@@ -311,7 +316,7 @@ def _cmd_fig1(args: SimpleNamespace) -> int:
 
     started_at = _timestamp()
     settings = _settings(args)
-    out = Path(args.out)
+    out = str(Path(args.out))
     _check_targets([out])
     cfg = _experiment(settings, settings["n"], ("varying",), snr_grid_db=(settings["snr"],),
                       trials_per_point=1, estimators=("proposed",))
@@ -324,13 +329,13 @@ def _cmd_fig1(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(result: SweepResult) -> list[str]:
-    """result's fig2 CSV rows from its columns; %.9g is format(x, ".9g"), locale-independent."""
+def _sweep_rows(result: SweepResult) -> str:
+    """result's fig2 CSV body: one % of the row template repeated per cell; %.9g is format(x, ".9g")."""
     trials = result.config.trials_per_point
-    return [
-        "%.9g,%s,%s,%d,%d,%.9g,%.9g,%.9g,%.9g" % (snr_db, estimator, mode, trials, *values)
-        for (mode, snr_db, estimator), *values in result.rows()
-    ]
+    fields = []
+    for (mode, snr_db, estimator), *values in result.rows():
+        fields += (snr_db, estimator, mode, trials, *values)
+    return ("%.9g,%s,%s,%d,%d,%.9g,%.9g,%.9g,%.9g\n" * len(result.failures)) % tuple(fields)
 
 
 def _cmd_fig2(args: SimpleNamespace) -> int:
@@ -341,7 +346,9 @@ def _cmd_fig2(args: SimpleNamespace) -> int:
     n_list = [64, 128] if args.paper else [settings["n"]]
     modes = ("varying", "static") if settings["mode"] == "both" else (settings["mode"],)
     out = Path(args.out)
-    targets = [out.with_name(f"{out.stem}_n{n}{out.suffix}") for n in n_list] if args.paper else [out]
+    # A path without a file name has no sized names: _check_targets rejects it.
+    sized = args.paper and out.name
+    targets = [str(out.with_name(f"{out.stem}_n{n}{out.suffix}")) for n in n_list] if sized else [str(out)]
     _check_targets(targets)
     # run_sweeps builds every size's config before its first trial, and the
     # outputs are written after it, so a usage error writes nothing.
@@ -352,9 +359,8 @@ def _cmd_fig2(args: SimpleNamespace) -> int:
     # One pass for every N: each trial's generator and draws serve both sizes.
     results = run_sweeps(cfg, n_list)
     for result, target in zip(results, targets):
-        rows = ["snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse"]
-        rows.extend(_sweep_rows(result))
-        _write_text(target, "\n".join(rows) + "\n")
+        header = "snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse\n"
+        _write_text(target, header + _sweep_rows(result))
         write_manifest(target, {**config, "n": result.config.n_fft}, started_at)
     # Print after every write: a closed stdout pipe must not cost a size its files.
     print("\n".join(f"wrote {len(r.failures)} cells to {t}" for r, t in zip(results, targets)))

@@ -57,6 +57,18 @@ class ScaPreamble:
 _QPSK = np.exp(1j * (np.pi / 2.0 * np.arange(4) + np.pi / 4.0))
 
 
+def _repeats(d: np.ndarray) -> np.ndarray:
+    """Whether v = 1j**d repeats under a nonzero circular shift of its last axis, up to a phase.
+
+    Those shifts form a subgroup of Z_{N/2}, a power of two, so a nonzero one
+    holds h = N/4; v repeats under h iff (d[h:] - d[:h]) % 4 is one constant,
+    and even, as two shifts by h give v back.  Integer arithmetic: no rounding decides.
+    """
+    h = d.shape[-1] // 2
+    e = (d[..., h:] - d[..., :h]) % 4
+    return (h > 0) & np.all((e == e[..., :1]) & (e % 2 == 0), axis=-1)
+
+
 def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> ScaPreamble:
     """Draw the PN sequences and assemble the two training symbols.
 
@@ -66,21 +78,21 @@ def sca_build_preamble(n_fft: int, cp_len: int, rng: np.random.Generator) -> Sca
     differential sequence v repeats under some nonzero circular shift (up to
     a constant phase) is drawn again: B(g) would tie at that shift even
     through a noiseless channel, so the integer search could not resolve it.
-    Such draws only occur with a few even bins (about 1 in 64 for N = 16).
+    Such draws only occur with a few even bins (512 of 65,536, 1 in 128, for N = 16).
     """
     if not _is_power_of_two(n_fft):
         raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
     half = n_fft // 2
     while True:
-        pn_even_1 = _QPSK[rng.integers(0, 4, half)]
-        pn_2 = _QPSK[rng.integers(0, 4, n_fft)]
-        v = pn_2[0::2] / pn_even_1
-        kernel = np.conj(dft(v)) * math.sqrt(half)
-        # |sum_j conj(v(j)) v(j + g)| reaches N/2 only when v(j + g) / v(j)
-        # is the same for every j; |kernel|^2 is the plain |FFT of v|^2.
-        autocorr = np.abs(np.fft.ifft(np.abs(kernel) ** 2))
-        if half == 1 or autocorr[1:].max() < half * (1.0 - 1e-9):
+        a = rng.integers(0, 4, half)
+        b = rng.integers(0, 4, n_fft)
+        # v = pn_2[0::2] / pn_even_1 is 1j**d: each QPSK point is 1j**k times one phase.
+        if not _repeats((b[0::2] - a) % 4):
             break
+    pn_even_1 = _QPSK[a]
+    pn_2 = _QPSK[b]
+    v = pn_2[0::2] / pn_even_1
+    kernel = np.conj(dft(v)) * math.sqrt(half)
     spectra = np.zeros((2, n_fft), dtype=np.complex128)
     spectra[0, 0::2] = pn_even_1
     spectra[1] = pn_2

@@ -240,15 +240,17 @@ def _run_trials(
     snrs: np.ndarray,
     trial_indices: np.ndarray,
     scale: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run a batch of trials as one array pass, for every config of cfgs in each of its modes.
 
     The configs are copies of one config at other FFT sizes (run_sweeps),
     so they differ in nothing but n_fft.  Trial i draws
     from trial_rng(cfgs[0], snrs[i], estimator, trial_indices[i]), one
     generator for every config and mode (see channel.propagate); scale[i]
-    is noise_std at snrs[i].  Returns, per config, (ifo_correct,
-    ffo_error, total_error), each (trials, modes).  ffo_error is NaN for a
+    is noise_std at snrs[i].  Returns (ifo_correct, ffo_error,
+    total_error), each stacked as (configs, trials, modes): the configs
+    share cfo_true and the fractional stage's rate, so each outcome is one
+    array operation over every size.  ffo_error is NaN for a
     degenerate trial; total_error is NaN for a degenerate trial and for a
     NaN report.ifo, which neither estimator yields (estimator.CfoReport).
     """
@@ -258,16 +260,13 @@ def _run_trials(
     streams, _, _ = propagate(
         [frame for frame, _, _ in receivers], cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale
     )
-    outcomes = []
-    for (_, ffo_rate, estimate), stream in zip(receivers, streams):
-        report = estimate(stream)
-        ffo_ref = wrap_offset(cfg.cfo_true, ffo_rate) if cfg.ffo_stage_enabled else 0.0
-        total_error = (report.ifo + report.ffo) - cfg.cfo_true
-        outcomes.append(tuple(
-            a.reshape(-1, len(cfg.modes))
-            for a in (np.abs(total_error) < 0.5, report.ffo - ffo_ref, total_error)
-        ))
-    return outcomes
+    reports = [estimate(stream) for (_, _, estimate), stream in zip(receivers, streams)]
+    shape = (len(cfgs), -1, len(cfg.modes))
+    ifo = np.stack([report.ifo for report in reports]).reshape(shape)
+    ffo = np.stack([report.ffo for report in reports]).reshape(shape)
+    ffo_ref = wrap_offset(cfg.cfo_true, receivers[0][1]) if cfg.ffo_stage_enabled else 0.0
+    total_error = (ifo + ffo) - cfg.cfo_true
+    return np.abs(total_error) < 0.5, ffo - ffo_ref, total_error
 
 
 def run_trial(
@@ -284,11 +283,11 @@ def run_trial(
     NaN; a NaN integer estimate (none yet: CfoReport) keeps ffo_error and
     makes total_error NaN.  This is the sweep engine's pass over a batch of one.
     """
-    (outcomes,) = _run_trials(
+    outcomes = _run_trials(
         (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
         np.array([noise_std(cfg.channel, snr_db)]),
     )
-    return tuple(zip(*(a[0].tolist() for a in outcomes)))
+    return tuple(zip(*(a[0, 0].tolist() for a in outcomes)))
 
 
 def _chunk_trials(cfgs: Sequence[ExperimentConfig]) -> int:
@@ -319,8 +318,11 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
     each N reads its prefix, and so each size gets the draws it would make
     alone.  A size's cells do not depend on the other sizes, nor a mode's on
     the other modes, and every trial equals run_trial for its cell and
-    index.  Each pass adds its outcomes into per-cell tallies, so memory
-    does not grow with the trial count.
+    index.  Each pass returns its outcomes stacked over the sizes and adds
+    them into per-cell tallies with one np.add.at, so memory does not grow
+    with the trial count; failure_prob and its Wilson bounds are then
+    computed in one pass over the (sizes, cells) table, which is split into
+    one SweepResult per size.
     """
     cfgs = tuple(cfg if n_fft == cfg.n_fft else replace(cfg, n_fft=n_fft) for n_fft in n_ffts)
     if not cfgs:
@@ -333,30 +335,30 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
     step = max(1, _chunk_trials(cfgs) // width)
     # Per (config, estimator, snr, mode): failures, the sum of squared finite
     # ffo_error and the finite count, added for each pass as one stacked
-    # block.  ufunc.at adds in index order, so each sum runs in trial order,
-    # as a loop over the trials forms it.
+    # (config, stat, trial, mode) block.  ufunc.at adds in index order, so
+    # each sum runs in trial order, as a loop over the trials forms it.
     tally = np.zeros((len(cfgs), len(cfg.estimators), 3, grid.size, width))
     for e, estimator in enumerate(cfg.estimators):
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
-            for k, (correct, ffo_error, _) in enumerate(
-                _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
-            ):
-                finite = np.isfinite(ffo_error)
-                block = np.stack([~correct, np.where(finite, ffo_error**2, 0.0), finite])
-                np.add.at(tally[k, e], (slice(None), cell), block)
-    return tuple(_result(c, counts) for c, counts in zip(cfgs, tally))
-
-
-def _result(cfg: ExperimentConfig, tally: np.ndarray) -> SweepResult:
-    """cfg's SweepResult from its (estimator, [failures, sq_sum, sq_count], snr, mode) tally."""
-    failures, sq_sum, sq_count = tally.transpose(1, 3, 2, 0).reshape(3, -1)
-    failure_prob = failures / cfg.trials_per_point
-    ci_lo, ci_hi = _wilson(failure_prob, cfg.trials_per_point)
+            correct, ffo_error, _ = _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
+            finite = np.isfinite(ffo_error)
+            block = np.stack([~correct, np.where(finite, ffo_error**2, 0.0), finite], axis=1)
+            np.add.at(tally[:, e], (slice(None), slice(None), cell), block)
+    # Each column as a (config, cell) table, cells in (mode, snr, estimator) order.
+    failures, sq_sum, sq_count = tally.transpose(2, 0, 4, 3, 1).reshape(3, len(cfgs), -1)
+    failure_prob = failures / trials
+    ci_lo, ci_hi = _wilson(failure_prob, trials)
     # math.nan, one object, where no ffo_error is finite: equal sweeps compare equal.
-    ffo_mse = tuple(s / n if n else math.nan for s, n in zip(sq_sum.tolist(), sq_count.tolist()))
+    ffo_mse = [
+        tuple(s / n if n else math.nan for s, n in zip(sums, counts))
+        for sums, counts in zip(sq_sum.tolist(), sq_count.tolist())
+    ]
     columns = (failures.astype(int), failure_prob, ci_lo, ci_hi)
-    return SweepResult(cfg, *(tuple(column.tolist()) for column in columns), ffo_mse)
+    return tuple(
+        SweepResult(c, *map(tuple, values), mse)
+        for c, *values, mse in zip(cfgs, *(column.tolist() for column in columns), ffo_mse)
+    )
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:

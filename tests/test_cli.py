@@ -429,22 +429,27 @@ def test_percent_d_formats_an_int_as_str(n):
 
 
 def test_sweep_rows_equal_the_per_field_join():
-    """The one-string rows equal the old join of _fmt and str fields, NaN ffo_mse and -0 dB included."""
-    cfg = ExperimentConfig(
-        n_fft=64, r1=2, r2=8, cp_len=16, channel=ChannelProfile(4, 2.0), cfo_true=20.3,
-        snr_grid_db=(-0.0, -12.5, math.inf), trials_per_point=3, modes=("varying", "static"),
-        ffo_stage_enabled=True,
-    )
-    result = run_sweep(cfg)
-    result = dataclasses.replace(result, ffo_mse=(math.nan, *result.ffo_mse[1:]))
-    want = [
-        ",".join([_fmt(snr_db), estimator, mode, str(cfg.trials_per_point), str(failures),
-                  _fmt(failure_prob), _fmt(ci_lo), _fmt(ci_hi), _fmt(ffo_mse)])
-        for (mode, snr_db, estimator), failures, failure_prob, ci_lo, ci_hi, ffo_mse in result.rows()
-    ]
-    assert _sweep_rows(result) == want
-    assert want[0].startswith("-0,") and want[0].endswith(",nan") and len(want) == 12
-    assert any(failures not in (0, 3) for failures in result.failures)
+    """The one-format CSV body equals the old join of _fmt and str fields, a line per cell.
+
+    A NaN ffo_mse, -0 dB and a trial count of two digits included.
+    """
+    for trials in (3, 12):
+        cfg = ExperimentConfig(
+            n_fft=64, r1=2, r2=8, cp_len=16, channel=ChannelProfile(4, 2.0), cfo_true=20.3,
+            snr_grid_db=(-0.0, -12.5, math.inf), trials_per_point=trials, modes=("varying", "static"),
+            ffo_stage_enabled=True,
+        )
+        result = run_sweep(cfg)
+        result = dataclasses.replace(result, ffo_mse=(math.nan, *result.ffo_mse[1:]))
+        want = [
+            ",".join([_fmt(snr_db), estimator, mode, str(cfg.trials_per_point), str(failures),
+                      _fmt(failure_prob), _fmt(ci_lo), _fmt(ci_hi), _fmt(ffo_mse)])
+            for (mode, snr_db, estimator), failures, failure_prob, ci_lo, ci_hi, ffo_mse in result.rows()
+        ]
+        assert _sweep_rows(result) == "".join(row + "\n" for row in want)
+        assert want[0].startswith(f"-0,proposed,varying,{trials},") and want[0].endswith(",nan")
+        assert len(want) == 12
+        assert any(failures not in (0, trials) for failures in result.failures)
 
 
 def test_write_text_writes_every_byte_through_short_writes(tmp_path, monkeypatch):
@@ -1085,6 +1090,20 @@ def test_preamble_and_fig1_check_the_output_targets_before_they_compute(
     assert captured.err.startswith("error:") and captured.out == "", captured.err
     assert sorted(tmp_path.iterdir()) == made
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("out", [".", "/", ""], ids=["dot", "root", "empty"])
+@pytest.mark.parametrize("argv", [
+    ["preamble"], ["fig1"], ["fig2", "--n", "64", "--trials", "1"], ["fig2", "--paper", "--trials", "1"],
+], ids=["preamble", "fig1", "fig2", "fig2-paper"])
+def test_an_output_path_without_a_file_name_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, out):
+    """--out '.', '/' or '' names no file to write: exit 2 with an error line, no traceback, no file."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output path ") and "names no file" in captured.err, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # Flags each command takes besides its SETTINGS; the first is required.

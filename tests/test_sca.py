@@ -1,5 +1,6 @@
 """Schmidl-Cox baseline: preamble structure, metric correctness, channel sensitivity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfolab import sca
 from cfolab.channel import ChannelProfile, transmit
 from cfolab.errors import DegenerateSignalError
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
@@ -131,6 +133,24 @@ def test_preamble_differential_sequence_unambiguous():
         v = _preamble(n_fft=16, seed=seed).v
         for g in range(1, 8):
             assert abs(np.vdot(v, np.roll(v, -g))) < 8 - 1e-9, (seed, g)
+
+
+@pytest.mark.parametrize("n_fft,repeating", [(2, 0), (4, 8), (8, 32), (16, 512)])
+def test_integer_redraw_rule_decides_as_the_fft_rule_on_every_sequence(n_fft, repeating):
+    """_repeats on every difference sequence d of N/2 QPSK indices is the FFT autocorrelation rule.
+
+    The rule it replaced: v = 1j**d repeats under a nonzero circular shift
+    when |IFFT(|FFT(v)|^2)| reaches N/2, less a 1e-9 margin, at a nonzero lag.
+    At N = 16, 512 of the 4**8 sequences repeat, 1 in 128.
+    """
+    half = n_fft // 2
+    d = np.array(list(itertools.product(range(4), repeat=half)))
+    v = sca._QPSK[d] / sca._QPSK[0]
+    autocorr = np.abs(np.fft.ifft(np.abs(np.fft.fft(v, axis=-1)) ** 2, axis=-1))
+    want = autocorr[:, 1:].max(axis=-1, initial=0.0) >= half * (1.0 - 1e-9)
+    got = sca._repeats(d)
+    np.testing.assert_array_equal(got, want)
+    assert int(got.sum()) == repeating
 
 
 def _rx(pre, cfo, seed, mode="static", snr_db=np.inf, paths=4):

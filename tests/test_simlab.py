@@ -402,15 +402,16 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
 
     def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
         assert pass_cfgs == (cfg,)
-        (out,) = run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
-        assert all(a.shape == (len(snrs), 2) for a in out)
+        stacked = run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
+        assert all(a.shape == (1, len(snrs), 2) for a in stacked)
+        (out,) = zip(*stacked)
         for m in range(2):
             rows.extend(
                 (m, snr, t, *values)
                 for snr, t, *values in zip(snrs.tolist(), trial_indices.tolist(),
                                            *(a[:, m].tolist() for a in out))
             )
-        return [out]
+        return stacked
 
     monkeypatch.setattr(simlab, "_chunk_trials", lambda cfgs: 7)
     monkeypatch.setattr(simlab, "_run_trials", recording)
