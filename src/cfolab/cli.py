@@ -15,7 +15,8 @@ whole number of 8-byte I/Q pairs.
 Each command declares its settings once, in SETTINGS: every key is both a
 config-file key and a flag (``_`` written ``-``).  Config files are flat
 UTF-8 ``key = value`` lines with ``#`` comments; a flag overrides the file
-value for the same key, and a key the command does not declare is an error.
+value for the same key, and a key the command does not declare, or one set
+twice, is an error.
 A flag given twice takes its last value.  A flag that takes a value takes
 the next token unless it starts with '--', as getopt does: ``--out -x.csv``
 writes -x.csv and ``--cfo -1e1`` is -10.  Each command's flags are declared
@@ -108,25 +109,36 @@ def read_iq(path: str | Path) -> np.ndarray:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` UTF-8 file, a leading byte-order mark dropped; '#' starts a comment."""
+    """Parse a flat ``key = value`` UTF-8 file, a leading byte-order mark dropped; '#' starts a comment.
+
+    A key set twice is a ConfigError that names both lines.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Parse '0:2:20' (start:step:stop inclusive) or '0,5,10' into a grid."""
+    """Parse '0:2:20' (start:step:stop inclusive) or '0,5,10' into a grid.
+
+    Two points that the CSV prints alike (%.9g) are an error, as their rows
+    would share a key; a point given twice is ExperimentConfig's to reject.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -143,8 +155,16 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         span = (stop - start) / step + 1e-9
         if not span < MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-        return tuple(start + i * step for i in range(math.floor(span) + 1))
-    return tuple(float(p) for p in text.split(","))
+        grid = tuple(start + i * step for i in range(math.floor(span) + 1))
+    else:
+        grid = tuple(float(p) for p in text.split(","))
+    printed: dict[str, float] = {}
+    for snr_db in grid:
+        key = "%.9g" % snr_db
+        other = printed.setdefault(key, snr_db)
+        if other is not snr_db and other != snr_db:
+            raise ValueError(f"SNRs {other!r} and {snr_db!r} both print as {key} in the CSV")
+    return grid
 
 
 def _parse_estimators(text: str) -> tuple[str, ...]:

@@ -251,18 +251,19 @@ def resolve_ifo(loc_1: int, loc_2: int, rate_2: int, n_fft: int) -> int:
     return int(resolved)
 
 
-def receive(
-    stream: np.ndarray, n_fft: int, cp_len: int, rate: int, ffo_stage: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def receive(stream: np.ndarray, pre, ffo_stage: bool) -> tuple[np.ndarray, np.ndarray]:
     """Front end of both estimators: (T, 2*(N+cp)) frame streams in, (ffo, windows) out.
 
-    Takes each frame's two CP-stripped symbols as a (T, 2, N) view, then
-    estimates ffo (T,) from the first (NaN where it carries no phase) and
-    derotates both by it; with ffo_stage False, ffo is 0 and the view is
-    returned.  Raises ConfigError for streams of any other shape.
+    pre, a PreambleSpec or an sca.ScaPreamble, gives N and the CP (its
+    frame) and the fractional rate r1.  Takes each frame's two CP-stripped
+    symbols as a (T, 2, N) view, then estimates ffo (T,) from the first
+    (NaN where it carries no phase) at rate r1 and derotates both by it;
+    with ffo_stage False, ffo is 0 and the view is returned.  Raises
+    ConfigError for streams of any other shape.
     """
     stream = np.asarray(stream)
-    block = n_fft + cp_len
+    cp_len = pre.frame.cp_len
+    block = pre.frame.n_fft + cp_len
     if stream.ndim != 2 or stream.shape[1] != 2 * block:
         raise ConfigError(
             f"expected frame streams of 2*(n_fft + cp_len) = {2 * block} samples, "
@@ -271,7 +272,7 @@ def receive(
     windows = stream.reshape(stream.shape[0], 2, block)[:, :, cp_len:]
     if not ffo_stage:
         return np.zeros(stream.shape[0]), windows
-    ffo = estimate_ffo(windows[:, 0], rate)
+    ffo = estimate_ffo(windows[:, 0], pre.r1)
     return ffo, compensate(windows, ffo[:, None])
 
 
@@ -292,7 +293,7 @@ def estimate_cfo_batch(
     Raises:
         ConfigError: the streams are not (T, spec.frame_len).
     """
-    ffo, y = receive(stream, spec.n_fft, spec.cp_len, spec.r1, ffo_stage)
+    ffo, y = receive(stream, spec, ffo_stage)
     corr = np.abs(freq_correlate(y, spec.dechirp))
     loc = np.argmax(corr, axis=-1)
     ifo = np.array([resolve_ifo(l1, l2, spec.r2, spec.n_fft) for l1, l2 in loc.tolist()], dtype=float)

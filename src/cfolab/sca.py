@@ -46,6 +46,9 @@ class ScaPreamble:
     builds one per master seed and FFT size.
     """
 
+    # The fractional stage's rate: symbol 1 repeats every N/r1 = N/2 samples.
+    r1 = 2
+
     pn_even_1: np.ndarray
     pn_2: np.ndarray
     v: np.ndarray
@@ -116,8 +119,7 @@ def sca_estimate_batch(
         ConfigError: the streams are not (T, 2*(N+cp)).
     """
     n = pre.frame.n_fft
-    # The half-symbol correlation is the lag-N/2 autocorrelation.
-    ffo, y = receive(stream, n, pre.frame.cp_len, 2, ffo_stage)
+    ffo, y = receive(stream, pre, ffo_stage)
     x = dft(y)
     energy = np.sum(np.abs(x[:, 1]) ** 2, axis=-1)
 

@@ -19,7 +19,7 @@ import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -39,31 +39,20 @@ from .estimator import estimate_cfo, estimate_cfo_batch, wrap_offset
 # sca_estimate, the one-frame form of sca_estimate_batch, stays bound here
 # beside transmit and estimate_cfo: bench/spans.py traces these names.
 from .sca import ScaPreamble, sca_build_preamble, sca_estimate, sca_estimate_batch  # noqa: F401
-from .signal import PreambleFrame, _preamble_for
+from .signal import _preamble_for
 
-
-def _proposed(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
-    spec = _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-    return spec.frame, cfg.r1, partial(estimate_cfo_batch, spec=spec, ffo_stage=cfg.ffo_stage_enabled)
-
-
-def _sca(cfg: ExperimentConfig) -> tuple[PreambleFrame, int, Callable]:
-    pre = _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
-    return pre.frame, 2, partial(sca_estimate_batch, pre=pre, ffo_stage=cfg.ffo_stage_enabled)
-
-
-# Every estimator a sweep can run: name -> (stream id, receiver).  The id is
-# a word of each trial's seed key (trial_rng), so it never changes.
-# receiver(cfg) returns the frame the estimator's trials transmit, the rate
-# of its fractional stage and its batch form, which maps (T, 2*(N+cp))
-# frame streams to an estimator.CfoReport.
-ESTIMATORS: dict[str, tuple[int, Callable[[ExperimentConfig], tuple]]] = {
-    "proposed": (0, _proposed),
-    "sca": (1, _sca),
+# Every estimator a sweep can run: name -> (stream id, preamble, receiver).
+# The id is a word of each trial's seed key (trial_rng), so it never changes.
+# preamble(cfg) is the cached preamble whose frame the trials transmit and
+# whose r1 is the rate of the fractional stage; the receiver, the batch form
+# receiver(streams, pre, ffo_stage), maps (T, 2*(N+cp)) streams to a CfoReport.
+ESTIMATORS: dict[str, tuple[int, Callable, Callable]] = {
+    "proposed": (0, lambda cfg: _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len), estimate_cfo_batch),
+    "sca": (1, lambda cfg: _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len), sca_estimate_batch),
 }
 
 
-def _estimator(name: str) -> tuple[int, Callable]:
+def _estimator(name: str) -> tuple[int, Callable, Callable]:
     """The ESTIMATORS entry of name; ConfigError for a name it lacks."""
     try:
         return ESTIMATORS[name]
@@ -247,26 +236,32 @@ def _run_trials(
     so they differ in nothing but n_fft.  Trial i draws
     from trial_rng(cfgs[0], snrs[i], estimator, trial_indices[i]), one
     generator for every config and mode (see channel.propagate); scale[i]
-    is noise_std at snrs[i].  Returns (ifo_correct, ffo_error,
+    is noise_std at snrs[i].  Each config's preamble, from the estimator's
+    ESTIMATORS entry, gives the frame its trials transmit, and the entry's
+    receiver runs on them.  Returns (ifo_correct, ffo_error,
     total_error), each stacked as (configs, trials, modes): the configs
-    share cfo_true and the fractional stage's rate, so each outcome is one
-    array operation over every size.  ffo_error is NaN for a
-    degenerate trial; total_error is NaN for a degenerate trial and for a
-    NaN report.ifo, which neither estimator yields (estimator.CfoReport).
+    share cfo_true and the preamble's fractional rate r1, so each outcome
+    is one array operation over every size.  ffo_error is the fractional
+    error modulo r1, in (-r1/2, r1/2], so an estimate across the branch cut
+    is not off by a whole rate; it is NaN for a degenerate trial.
+    total_error is NaN for a degenerate trial and for a NaN report.ifo,
+    which neither estimator yields (estimator.CfoReport).
     """
     cfg = cfgs[0]
-    receivers = [_estimator(estimator)[1](c) for c in cfgs]
+    _, preamble, receiver = _estimator(estimator)
+    pres = [preamble(c) for c in cfgs]
     rngs = (trial_rng(cfg, snr, estimator, t) for snr, t in zip(snrs.tolist(), trial_indices.tolist()))
-    streams, _, _ = propagate(
-        [frame for frame, _, _ in receivers], cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale
-    )
-    reports = [estimate(stream) for (_, _, estimate), stream in zip(receivers, streams)]
+    streams, _, _ = propagate([pre.frame for pre in pres], cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale)
+    reports = [receiver(stream, pre, cfg.ffo_stage_enabled) for pre, stream in zip(pres, streams)]
     shape = (len(cfgs), -1, len(cfg.modes))
     ifo = np.stack([report.ifo for report in reports]).reshape(shape)
     ffo = np.stack([report.ffo for report in reports]).reshape(shape)
-    ffo_ref = wrap_offset(cfg.cfo_true, receivers[0][1]) if cfg.ffo_stage_enabled else 0.0
+    rate = pres[0].r1
+    err = ffo - (wrap_offset(cfg.cfo_true, rate) if cfg.ffo_stage_enabled else 0.0)
+    # Both terms lie in (-rate/2, rate/2]: np.where moves only the errors past it, by one rate.
+    err = np.where(err > rate / 2, err - rate, np.where(err <= -rate / 2, err + rate, err))
     total_error = (ifo + ffo) - cfg.cfo_true
-    return np.abs(total_error) < 0.5, ffo - ffo_ref, total_error
+    return np.abs(total_error) < 0.5, err, total_error
 
 
 def run_trial(
@@ -278,10 +273,12 @@ def run_trial(
     cfg.modes order.  ifo_correct records whether the integer part was
     resolved: the total estimate lies within half a subcarrier of the true
     offset.  With the fractional stage disabled and an integer true offset,
-    this reduces to the resolved integer equalling the offset exactly.  A
-    trial whose input carries no usable phase has ffo_error and total_error
-    NaN; a NaN integer estimate (none yet: CfoReport) keeps ffo_error and
-    makes total_error NaN.  This is the sweep engine's pass over a batch of one.
+    this reduces to the resolved integer equalling the offset exactly.
+    ffo_error is the fractional error modulo the preamble's rate r1, in
+    (-r1/2, r1/2].  A trial whose input carries no usable phase has
+    ffo_error and total_error NaN; a NaN integer estimate (none yet:
+    CfoReport) keeps ffo_error and makes total_error NaN.  This is the
+    sweep engine's pass over a batch of one.
     """
     outcomes = _run_trials(
         (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),

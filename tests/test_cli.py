@@ -184,6 +184,25 @@ def test_fig2_rejects_a_grid_range_with_too_many_points(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid,points", [
+    ("1.0000000001,1.0000000002", "1.0000000001 and 1.0000000002 both print as 1"),
+    ("5,5.0000000001", "5.0 and 5.0000000001 both print as 5"),
+])
+def test_fig2_rejects_a_grid_whose_points_print_alike(tmp_path, capsys, grid, points):
+    """Two SNRs that %.9g prints alike would key two CSV rows alike: a usage error that names both, no file."""
+    out = tmp_path / "x.csv"
+    assert main(["fig2", "--n", "64", "--trials", "1", f"--snr-grid={grid}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --snr-grid: SNRs {points} in the CSV\n"
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"snr_grid = {grid}\n", encoding="utf-8")
+    assert main(["fig2", "--n", "64", "--trials", "1", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config key 'snr_grid': SNRs {points} in the CSV\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+    # Points 1e-10 apart print apart, and a repeated point is ExperimentConfig's to reject.
+    assert len(_parse_snr_grid("0:1e-10:1e-9")) == 11
+    assert _parse_snr_grid("0,0") == (0.0, 0.0)
+
+
 def test_estimate_of_a_directory_is_a_usage_error(tmp_path, capsys):
     assert main(["estimate", "--in", str(tmp_path), "--n", "64"]) == 2
     captured = capsys.readouterr()
@@ -739,6 +758,20 @@ def test_config_file_parser():
     assert load_config_file(path) == {"a": "1", "b": "two words"}
 
 
+def test_config_file_that_sets_a_key_twice_is_a_usage_error(tmp_path, capsys):
+    """A repeated key is an error that names it and both lines; the file writes nothing."""
+    conf = tmp_path / "run.conf"
+    conf.write_text("n = 64\n# comment\nr1 = 2\n\n n = 128  # again\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config_file(conf)
+    assert str(exc.value) == f"{conf}:5: key 'n' is already set on line 1"
+    out = tmp_path / "pre.iq"
+    assert main(["preamble", "--config", str(conf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {conf}:5: key 'n' is already set on line 1\n" and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
 def test_unknown_command():
     result = run_cli("transmogrify")
     assert result.returncode == 2
@@ -976,7 +1009,7 @@ def test_fig2_defaults_to_the_papers_pair_when_the_estimator_table_grows(tmp_pat
     """A third estimator joins fig2 by name only: the default, and so --paper, keeps proposed and sca."""
     from cfolab import simlab
 
-    monkeypatch.setitem(simlab.ESTIMATORS, "comb", (2, simlab.ESTIMATORS["proposed"][1]))
+    monkeypatch.setitem(simlab.ESTIMATORS, "comb", (2, *simlab.ESTIMATORS["proposed"][1:]))
     out = tmp_path / "x.csv"
     assert main(["fig2", "--n", "64", "--trials", "1", "--snr-grid", "0", "--mode", "static",
                  "--out", str(out)]) == 0

@@ -6,7 +6,6 @@ import math
 import re
 import struct
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -188,7 +187,10 @@ def test_fractional_stage_mse_matches_its_analytical_variance():
     keeps the first-order expansion good.  At 5000 trials per cell, master
     seeds 1-3 read 0.97-1.04, so 10% is about 3.5 standard deviations.  At
     r1 = 4 the offset 21.3 wraps to 1.3, and to -0.7 at rate 2, so a wrong
-    fractional rate in ESTIMATORS moves ffo_ref and fails the check.
+    fractional rate on the preamble moves the reference and fails the check.
+    Offsets 21 at r1 = 2 and 22 at r1 = 4 sit on the branch cut at r1/2: the
+    estimates land on both sides of it, and only an error taken modulo the
+    rate is the one this MSE describes.
     """
     profile = ChannelProfile(4, 2.0)
     gain = np.random.default_rng(0).standard_exponential((2_000_000, 4)) @ profile.tap_powers()
@@ -197,6 +199,8 @@ def test_fractional_stage_mse_matches_its_analytical_variance():
         (128, 2, 8, 20.3, "static", 20.0),
         (128, 2, 8, 20.3, "varying", 30.0),
         (256, 4, 16, 21.3, "varying", 20.0),
+        (128, 2, 8, 21.0, "static", 20.0),
+        (256, 4, 16, 22.0, "static", 20.0),
     ]:
         cfg = _cfg(n_fft=n_fft, r1=r1, r2=r2, modes=(mode,), cfo_true=cfo, snr_grid_db=(snr_db,), trials_per_point=5000,
                    estimators=("proposed",), ffo_stage_enabled=True, master_seed=1)
@@ -208,6 +212,43 @@ def test_fractional_stage_mse_matches_its_analytical_variance():
         )
         ratio = run_sweep(cfg).ffo_mse[0] / predicted
         assert 0.9 < ratio < 1.1, (n_fft, r1, mode, snr_db, ratio)
+
+
+@pytest.mark.parametrize("estimator,geometry,wrapped", [
+    ("sca", {}, -0.7),
+    ("proposed", {}, -0.7),
+    ("proposed", {"n_fft": 256, "r1": 4, "r2": 16}, 1.3),
+])
+def test_each_receiver_takes_its_fractional_rate_from_its_preamble(estimator, geometry, wrapped):
+    """Noiseless frames at offset 21.3: an entry's receiver reads ffo = wrap_offset(21.3, pre.r1).
+
+    The rate is stated once, on the preamble (PreambleSpec.r1, ScaPreamble.r1),
+    and estimator.receive reads it there: 21.3 wraps to -0.7 at rate 2 and to 1.3 at rate 4.
+    """
+    cfg = _cfg(cfo_true=21.3, ffo_stage_enabled=True, modes=("static", "varying"), estimators=(estimator,),
+               **geometry)
+    _, preamble, receiver = simlab.ESTIMATORS[estimator]
+    pre = preamble(cfg)
+    assert wrap_offset(cfg.cfo_true, pre.r1) == pytest.approx(wrapped)
+    rngs = [np.random.default_rng(seed) for seed in range(6)]
+    (streams,), _, _ = channel.propagate([pre.frame], cfg.channel, cfg.modes, cfg.cfo_true, rngs, np.zeros(6))
+    np.testing.assert_allclose(receiver(streams, pre, True).ffo, wrapped, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("estimator", ["proposed", "sca"])
+def test_a_fractional_estimate_across_the_branch_cut_is_not_off_by_a_rate(estimator):
+    """At offset 21 the rate-2 estimates straddle +-1; each trial's ffo_error is its total_error.
+
+    With the integer part right and both errors small, the two differ by a
+    whole number of subcarriers, so they are equal.  Unwrapped, the trials
+    whose estimate lands past the cut would read about -2.
+    """
+    cfg = _cfg(n_fft=64, modes=("static",), cfo_true=21.0, ffo_stage_enabled=True, snr_grid_db=(30.0,),
+               estimators=(estimator,))
+    for t in range(40):
+        ((correct, ffo_error, total_error),) = run_trial(cfg, 30.0, estimator, t)
+        assert correct and ffo_error == pytest.approx(total_error, abs=1e-9), t
+    assert run_sweep(dataclasses.replace(cfg, trials_per_point=200)).ffo_mse[0] < 1e-3
 
 
 def test_sweep_bit_identical():
@@ -286,7 +327,7 @@ def test_a_cell_without_a_finite_ffo_error_has_nan_mse_and_equal_sweeps_stay_equ
         nan = np.full(t, math.nan)
         return CfoReport(nan, nan, np.zeros((t, 2, spec.n_fft)), np.zeros((t, 2), dtype=int))
 
-    monkeypatch.setattr(simlab, "estimate_cfo_batch", degenerate)
+    monkeypatch.setitem(simlab.ESTIMATORS, "proposed", (*simlab.ESTIMATORS["proposed"][:2], degenerate))
     cfg = _cfg(snr_grid_db=(10.0,), trials_per_point=3, estimators=("proposed",))
     first, second = run_sweep(cfg), run_sweep(cfg)
     assert first.failures == (3,) and math.isnan(first.ffo_mse[0])
@@ -437,25 +478,22 @@ def test_one_frame_path_replays_a_sweep_trial(estimator, mode, snr_db):
     """transmit from a trial's generator, then the one-frame estimator, gives run_trial's errors.
 
     The one-frame path (transmit, estimate_cfo or sca_estimate) and the
-    engine's batch of one must agree bit for bit on ffo_error and
-    total_error.
+    engine's batch of one must agree bit for bit on ffo_error, the
+    fractional error modulo the preamble's rate, and total_error.
     """
     cfg = _cfg(
         n_fft=64, modes=(mode,), cfo_true=20.3,
         ffo_stage_enabled=True, snr_grid_db=(snr_db,), estimators=(estimator,),
     )
-    if estimator == "proposed":
-        spec = simlab._preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len)
-        frame, estimate, rate = spec.frame, partial(estimate_cfo, spec=spec), cfg.r1
-    else:
-        pre = simlab._sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len)
-        frame, estimate, rate = pre.frame, partial(sca_estimate, pre=pre), 2
+    pre = simlab.ESTIMATORS[estimator][1](cfg)
+    estimate = {"proposed": estimate_cfo, "sca": sca_estimate}[estimator]
     for t in range(20):
         rng = trial_rng(cfg, snr_db, estimator, t)
-        rx = transmit(frame, cfg.channel, cfg.cfo_true, snr_db, rng, mode=mode)
-        est = estimate(rx.stream, ffo_stage=True)
+        rx = transmit(pre.frame, cfg.channel, cfg.cfo_true, snr_db, rng, mode=mode)
+        est = estimate(rx.stream, pre, ffo_stage=True)
         total_error = math.nan if est.failed else est.total - cfg.cfo_true
-        replay = (abs(total_error) < 0.5, est.ffo - wrap_offset(cfg.cfo_true, rate), total_error)
+        ffo_error = wrap_offset(est.ffo - wrap_offset(cfg.cfo_true, pre.r1), pre.r1)
+        replay = (abs(total_error) < 0.5, ffo_error, total_error)
         (outcome,) = run_trial(cfg, snr_db, estimator, t)
         np.testing.assert_array_equal(replay, outcome, err_msg=str(t))
 
