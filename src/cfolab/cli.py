@@ -275,10 +275,12 @@ def _json_value(value: Any) -> Any:
     return "inf" if value == math.inf else value
 
 
-def write_manifest(out_path: str, config: dict, started_at: str) -> None:
+def write_manifest(out_path: str, config: dict, started_at: str, outside_domain: dict | None = None) -> None:
     """Serialize the run manifest of the output file out_path next to it, as strict JSON.
 
     started_at is the command's _timestamp(), taken before it wrote anything.
+    outside_domain maps each estimator whose domain the run leaves to the
+    rule it breaks; the manifest holds the key only when some estimator does.
     """
     payload = {
         "config": {key: _json_value(value) for key, value in config.items()},
@@ -286,6 +288,8 @@ def write_manifest(out_path: str, config: dict, started_at: str) -> None:
         "started_at": started_at,
         "output_paths": [out_path],
     }
+    if outside_domain:
+        payload["outside_domain"] = outside_domain
     _write_text(_manifest_path(out_path), _MANIFEST_JSON.encode(payload) + "\n")
 
 
@@ -359,7 +363,7 @@ def _sweep_rows(result: SweepResult) -> str:
 
 
 def _cmd_fig2(args: SimpleNamespace) -> int:
-    from .simlab import run_sweeps
+    from .simlab import ESTIMATORS, run_sweeps
 
     started_at = _timestamp()
     settings = _settings(args, {"n": "--paper"} if args.paper else None)
@@ -378,11 +382,20 @@ def _cmd_fig2(args: SimpleNamespace) -> int:
     del config["mode"]
     # One pass for every N: each trial's generator and draws serve both sizes.
     results = run_sweeps(cfg, n_list)
+    warnings = []
     for result, target in zip(results, targets):
+        n_fft = result.config.n_fft
+        # Each estimator outside its domain, with the rule it breaks: its
+        # cells count design failures too, so the run is labelled, not refused.
+        outside = {name: rule for name in cfg.estimators if (rule := ESTIMATORS[name][3](result.config))}
         header = "snr_db,estimator,mode,trials,failures,failure_prob,ci_lo,ci_hi,ffo_mse\n"
         _write_text(target, header + _sweep_rows(result))
-        write_manifest(target, {**config, "n": result.config.n_fft}, started_at)
-    # Print after every write: a closed stdout pipe must not cost a size its files.
+        write_manifest(target, {**config, "n": n_fft}, started_at, outside)
+        warnings += (f"warning: {name} at N = {n_fft} is outside its domain: {rule}"
+                     for name, rule in outside.items())
+    # Print after every write: a closed stdout or stderr pipe must not cost a size its files.
+    if warnings:
+        print("\n".join(warnings), file=sys.stderr)
     print("\n".join(f"wrote {len(r.failures)} cells to {t}" for r, t in zip(results, targets)))
     return EXIT_OK
 

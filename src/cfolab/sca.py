@@ -43,7 +43,7 @@ class ScaPreamble:
     every B(g) correlation multiplies by, formed once per preamble.  frame
     is the assembled CP-prefixed waveform with both time symbols scaled to
     unit average power, and holds the FFT size and CP length.  A sweep
-    builds one per master seed and FFT size.
+    builds one per FFT size, from its master seed, before its first pass.
     """
 
     # The fractional stage's rate: symbol 1 repeats every N/r1 = N/2 samples.

@@ -19,7 +19,6 @@ import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -39,20 +38,66 @@ from .estimator import estimate_cfo, estimate_cfo_batch, wrap_offset
 # sca_estimate, the one-frame form of sca_estimate_batch, stays bound here
 # beside transmit and estimate_cfo: bench/spans.py traces these names.
 from .sca import ScaPreamble, sca_build_preamble, sca_estimate, sca_estimate_batch  # noqa: F401
-from .signal import _preamble_for
+from .signal import PreambleSpec, _preamble_for
 
-# Every estimator a sweep can run: name -> (stream id, preamble, receiver).
+
+def _integer_offset(cfg: ExperimentConfig, rate: int) -> int:
+    """q, the integer offset cfg's integer stage must resolve after a fractional stage at rate.
+
+    That is cfo_true with the fractional stage off, and cfo_true less its
+    fractional estimate wrap_offset(cfo_true, rate) with it on.
+    """
+    if not cfg.ffo_stage_enabled:
+        return int(cfg.cfo_true)
+    return round(cfg.cfo_true - wrap_offset(cfg.cfo_true, rate))
+
+
+def _walk_domain(cfg: ExperimentConfig) -> str | None:
+    """The rule of the peak walk's range (estimator.resolve_ifo) that cfg breaks, or None.
+
+    The walk recovers q exactly when r2*(L-1) <= N/2 and |q| < N/2 - r2.
+    """
+    half, delay = cfg.n_fft // 2, cfg.r2 * (cfg.channel.path_count - 1)
+    if delay > half:
+        return f"r2*(L-1) = {delay} exceeds N/2 = {half}"
+    q = _integer_offset(cfg, cfg.r1)
+    if not abs(q) < half - cfg.r2:
+        return f"integer offset {q} is outside |q| < N/2 - r2 = {half - cfg.r2}"
+    return None
+
+
+def _sca_domain(cfg: ExperimentConfig) -> str | None:
+    """The rule of the Schmidl-Cox integer search that cfg breaks, or None.
+
+    B(g) searches the even shifts 2g, g = -N/4..N/4, so q must be even; g =
+    +-N/4 tie and argmax keeps -N/2, so q must not be +N/2.
+    """
+    q = _integer_offset(cfg, ScaPreamble.r1)
+    if q % 2:
+        return f"integer offset {q} is odd, and B(g) searches even shifts only"
+    if q == cfg.n_fft // 2:
+        return f"integer offset {q} is +N/2, which B(g) reads as -N/2"
+    return None
+
+
+# Every estimator a sweep can run: name -> (stream id, preamble, receiver, domain).
 # The id is a word of each trial's seed key (trial_rng), so it never changes.
-# preamble(cfg) is the cached preamble whose frame the trials transmit and
-# whose r1 is the rate of the fractional stage; the receiver, the batch form
-# receiver(streams, pre, ffo_stage), maps (T, 2*(N+cp)) streams to a CfoReport.
-ESTIMATORS: dict[str, tuple[int, Callable, Callable]] = {
-    "proposed": (0, lambda cfg: _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len), estimate_cfo_batch),
-    "sca": (1, lambda cfg: _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len), sca_estimate_batch),
+# preamble(cfg) is the preamble whose frame the trials transmit and whose r1
+# is the rate of the fractional stage; a sweep builds it once per FFT size.
+# The receiver, the batch form receiver(streams, pre, ffo_stage), maps
+# (T, 2*(N+cp)) streams to a CfoReport.  domain(cfg) returns the rule cfg
+# breaks among those under which the receiver recovers every noiseless
+# offset, or None: a sweep outside it also counts the estimator's design
+# failures, so fig2 labels it.
+ESTIMATORS: dict[str, tuple[int, Callable, Callable, Callable]] = {
+    "proposed": (0, lambda cfg: _preamble_for(cfg.n_fft, cfg.r1, cfg.r2, cfg.cp_len), estimate_cfo_batch,
+                 _walk_domain),
+    "sca": (1, lambda cfg: _sca_preamble_for(cfg.master_seed, cfg.n_fft, cfg.cp_len), sca_estimate_batch,
+            _sca_domain),
 }
 
 
-def _estimator(name: str) -> tuple[int, Callable, Callable]:
+def _estimator(name: str) -> tuple[int, Callable, Callable, Callable]:
     """The ESTIMATORS entry of name; ConfigError for a name it lacks."""
     try:
         return ESTIMATORS[name]
@@ -85,7 +130,9 @@ class ExperimentConfig:
     A config holds only what its sweep can run: its PreambleSpec, whose
     checks cover every rule either estimator's preamble can fail, is built
     (and cached) here, so an N, rate or CP no preamble can have, or a CP the
-    channel memory overruns, is rejected at construction.
+    channel memory overruns, is rejected at construction.  A config outside
+    an estimator's domain (ESTIMATORS) is accepted: its sweep runs, and
+    fig2 labels it.
     """
 
     n_fft: int
@@ -195,13 +242,10 @@ def _entropy_words(*keys: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-@lru_cache(maxsize=8)
 def _sca_preamble_for(master_seed: int, n_fft: int, cp_len: int) -> ScaPreamble:
+    """The Schmidl-Cox preamble of a sweep, drawn from a stream of its master seed that no trial draws from."""
     rng = np.random.Generator(np.random.PCG64(_entropy_words(master_seed, _SCA_PREAMBLE_TAG)))
-    pre = sca_build_preamble(n_fft, cp_len, rng)
-    for values in (pre.pn_even_1, pre.pn_2, pre.v, pre.kernel, pre.frame.samples):
-        values.flags.writeable = False
-    return pre
+    return sca_build_preamble(n_fft, cp_len, rng)
 
 
 def _snr_key(snr_db: float) -> int:
@@ -224,36 +268,34 @@ def trial_rng(cfg: ExperimentConfig, snr_db: float, estimator: str, trial_index:
 
 
 def _run_trials(
-    cfgs: Sequence[ExperimentConfig],
+    cfg: ExperimentConfig,
     estimator: str,
+    pres: Sequence[PreambleSpec | ScaPreamble],
     snrs: np.ndarray,
     trial_indices: np.ndarray,
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a batch of trials as one array pass, for every config of cfgs in each of its modes.
+    """Run a batch of trials as one array pass, for every preamble of pres in each mode of cfg.
 
-    The configs are copies of one config at other FFT sizes (run_sweeps),
-    so they differ in nothing but n_fft.  Trial i draws
-    from trial_rng(cfgs[0], snrs[i], estimator, trial_indices[i]), one
-    generator for every config and mode (see channel.propagate); scale[i]
-    is noise_std at snrs[i].  Each config's preamble, from the estimator's
-    ESTIMATORS entry, gives the frame its trials transmit, and the entry's
-    receiver runs on them.  Returns (ifo_correct, ffo_error,
-    total_error), each stacked as (configs, trials, modes): the configs
-    share cfo_true and the preamble's fractional rate r1, so each outcome
-    is one array operation over every size.  ffo_error is the fractional
-    error modulo r1, in (-r1/2, r1/2], so an estimate across the branch cut
-    is not off by a whole rate; it is NaN for a degenerate trial.
-    total_error is NaN for a degenerate trial and for a NaN report.ifo,
-    which neither estimator yields (estimator.CfoReport).
+    pres holds the estimator's preambles, each from its ESTIMATORS entry at
+    one FFT size of cfg (run_sweeps), and every size shares cfg's other
+    fields.  Trial i draws from trial_rng(cfg, snrs[i], estimator,
+    trial_indices[i]), one generator for every size and mode (see
+    channel.propagate); scale[i] is noise_std at snrs[i].  Each preamble's
+    frame is transmitted and the entry's receiver runs on its streams.
+    Returns (ifo_correct, ffo_error, total_error), each stacked as (sizes,
+    trials, modes): the sizes share cfo_true and the preamble's fractional
+    rate r1, so each outcome is one array operation over every size.
+    ffo_error is the fractional error modulo r1, in (-r1/2, r1/2], so an
+    estimate across the branch cut is not off by a whole rate; it is NaN
+    for a degenerate trial.  total_error is NaN for a degenerate trial and
+    for a NaN report.ifo, which neither estimator yields (estimator.CfoReport).
     """
-    cfg = cfgs[0]
-    _, preamble, receiver = _estimator(estimator)
-    pres = [preamble(c) for c in cfgs]
+    receiver = _estimator(estimator)[2]
     rngs = (trial_rng(cfg, snr, estimator, t) for snr, t in zip(snrs.tolist(), trial_indices.tolist()))
     streams, _, _ = propagate([pre.frame for pre in pres], cfg.channel, cfg.modes, cfg.cfo_true, rngs, scale)
     reports = [receiver(stream, pre, cfg.ffo_stage_enabled) for pre, stream in zip(pres, streams)]
-    shape = (len(cfgs), -1, len(cfg.modes))
+    shape = (len(pres), -1, len(cfg.modes))
     ifo = np.stack([report.ifo for report in reports]).reshape(shape)
     ffo = np.stack([report.ffo for report in reports]).reshape(shape)
     rate = pres[0].r1
@@ -281,8 +323,8 @@ def run_trial(
     sweep engine's pass over a batch of one.
     """
     outcomes = _run_trials(
-        (cfg,), estimator, np.array([snr_db], dtype=float), np.array([trial_index]),
-        np.array([noise_std(cfg.channel, snr_db)]),
+        cfg, estimator, [_estimator(estimator)[1](cfg)], np.array([snr_db], dtype=float),
+        np.array([trial_index]), np.array([noise_std(cfg.channel, snr_db)]),
     )
     return tuple(zip(*(a[0, 0].tolist() for a in outcomes)))
 
@@ -306,20 +348,21 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
     own size, in the order of n_ffts; every such config is built, and so
     validated, before a trial runs.  Each result holds trials_per_point
     trials for every (mode, snr, estimator) cell of its config, in that
-    order.  Each estimator's trials over the whole grid, in (snr, trial)
-    order, run as array passes of _chunk_trials trials each, every size's
-    and every mode's trial of a (snr, trial) pair in the same pass.  The
-    stream key (trial_rng) holds no n_fft, so each (snr, estimator, trial)
-    builds one trial_rng generator, and channel.propagate draws its frame
-    once for every size and mode: the noise is drawn for the longest block,
-    each N reads its prefix, and so each size gets the draws it would make
-    alone.  A size's cells do not depend on the other sizes, nor a mode's on
-    the other modes, and every trial equals run_trial for its cell and
-    index.  Each pass returns its outcomes stacked over the sizes and adds
-    them into per-cell tallies with one np.add.at, so memory does not grow
-    with the trial count; failure_prob and its Wilson bounds are then
-    computed in one pass over the (sizes, cells) table, which is split into
-    one SweepResult per size.
+    order.  Each estimator's preamble is built once per size, before its
+    first pass, and every pass reads it.  Its trials over the whole grid, in
+    (snr, trial) order, run as array passes of _chunk_trials trials each,
+    every size's and every mode's trial of a (snr, trial) pair in the same
+    pass.  The stream key (trial_rng) holds no n_fft, so each (snr,
+    estimator, trial) builds one trial_rng generator, and channel.propagate
+    draws its frame once for every size and mode: the noise is drawn for the
+    longest block, each N reads its prefix, and so each size gets the draws
+    it would make alone.  A size's cells do not depend on the other sizes,
+    nor a mode's on the other modes, and every trial equals run_trial for
+    its cell and index.  Each pass returns its outcomes stacked over the
+    sizes and adds them into per-cell tallies with one np.add.at, so memory
+    does not grow with the trial count; failure_prob and its Wilson bounds
+    are then computed in one pass over the (sizes, cells) table, which is
+    split into one SweepResult per size.
     """
     cfgs = tuple(cfg if n_fft == cfg.n_fft else replace(cfg, n_fft=n_fft) for n_fft in n_ffts)
     if not cfgs:
@@ -336,9 +379,10 @@ def run_sweeps(cfg: ExperimentConfig, n_ffts: Iterable[int]) -> tuple[SweepResul
     # each sum runs in trial order, as a loop over the trials forms it.
     tally = np.zeros((len(cfgs), len(cfg.estimators), 3, grid.size, width))
     for e, estimator in enumerate(cfg.estimators):
+        pres = [_estimator(estimator)[1](c) for c in cfgs]
         for lo in range(0, total, step):
             cell, t = np.divmod(np.arange(lo, min(lo + step, total)), trials)
-            correct, ffo_error, _ = _run_trials(cfgs, estimator, grid[cell], t, scales[cell])
+            correct, ffo_error, _ = _run_trials(cfg, estimator, pres, grid[cell], t, scales[cell])
             finite = np.isfinite(ffo_error)
             block = np.stack([~correct, np.where(finite, ffo_error**2, 0.0), finite], axis=1)
             np.add.at(tally[:, e], (slice(None), slice(None), cell), block)

@@ -1100,6 +1100,53 @@ def test_fig2_paper_writes_both_sizes_before_stdout_can_fail(tmp_path, capsys, m
     ]
 
 
+_WALK = "--n 128 --r2 16 --decay 1e9 --snr-grid inf --estimators proposed"
+_EDGE = "--n 64 --ffo on --snr-grid inf --trials 50 --mode static"
+
+
+# The sha256 of each CSV less its ffo_mse column, as it was before fig2
+# labelled runs outside a domain: the label changes no row.  Every run is
+# noiseless, so ffo_mse is 0 or a rounding residue under 1e-20 whose digits
+# move with the BLAS kernel.  The failures, in each row's comment, are the
+# walk's past r2*(L-1) <= N/2 and past |q| < N/2 - r2, Schmidl-Cox's at an
+# odd offset and at q = +32 = +N/2, where B(g) keeps -N/2, and the walk's at
+# q = -32, which it reads as +32.
+@pytest.mark.parametrize("flags,outside,digest", [
+    (f"{_WALK} --paths 6 --cfo -47 --trials 600 --mode static", ["proposed"],  # 104/600
+     "a1af6c457576c9755f2534870626c7ed4afa10149c2b40b7e523d90cb9b1ec7d"),
+    (f"{_WALK} --paths 5 --cfo -60 --trials 400 --mode varying", ["proposed"],  # 37/400
+     "c513ca207e56ec9c8c42fe00fc36f229686df1ff2c865e2846083ba389717b22"),
+    ("--n 64 --cfo 21 --snr-grid inf,20 --trials 200 --mode static", ["sca"],  # sca 200/200
+     "1340cb76097c2375ffbc0f29c1a735fd3d1d68d076d434bb5f47b3945aaecac8"),
+    (f"{_EDGE} --cfo 31.1", ["proposed", "sca"],  # sca 50/50
+     "9332849c15063f4e652fd844bcd503dd6c9ecc083de1c93af5791b65b49d89c5"),
+    (f"{_EDGE} --cfo 31.9", ["proposed", "sca"],  # sca 50/50
+     "9332849c15063f4e652fd844bcd503dd6c9ecc083de1c93af5791b65b49d89c5"),
+    (f"{_EDGE} --cfo -31.9", ["proposed"],  # proposed 50/50
+     "8c8e2e4d2e1b049422af2246a25e921013fea81674fc0d7389b11da36d140893"),
+], ids=["walk-delay", "walk-offset", "sca-odd", "edge+31.1", "edge+31.9", "edge-31.9"])
+def test_fig2_labels_each_estimator_outside_its_domain(tmp_path, capsys, monkeypatch, flags, outside, digest):
+    """A run outside an estimator's domain exits 0 with one warning line per estimator and names it in its manifest.
+
+    The manifest gains only the outside_domain key, each estimator mapped to
+    the rule its warning line states.
+    """
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / "x.csv"
+    assert main(["fig2", *flags.split(), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    n_fft = manifest["config"]["n"]
+    assert sorted(manifest) == ["config", "output_paths", "outside_domain", "started_at", "tool_version"]
+    assert list(manifest["outside_domain"]) == outside
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {name} at N = {n_fft} is outside its domain: {rule}"
+        for name, rule in manifest["outside_domain"].items()
+    ]
+    rows = [line.rsplit(",", 1) for line in out.read_text().splitlines()]
+    assert hashlib.sha256("".join(row + "\n" for row, _ in rows).encode()).hexdigest() == digest
+    assert all(float(ffo_mse) < 1e-20 for _, ffo_mse in rows[1:])
+
+
 @pytest.mark.parametrize("target", ["out", "manifest", "missing directory"])
 @pytest.mark.parametrize("command,compute", [("preamble", "_preamble_for"),
                                              ("fig1", "dump_correlations")])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfolab.channel import ChannelProfile, transmit
@@ -22,6 +22,7 @@ from cfolab.estimator import (
 )
 from cfolab.sca import sca_build_preamble, sca_estimate, sca_estimate_batch
 from cfolab.signal import PreambleSpec, cazac_generate
+from cfolab.simlab import ESTIMATORS, ExperimentConfig
 
 from conftest import chirp, dft_matrix, rayleigh_taps, synth_rx
 
@@ -356,10 +357,21 @@ def test_resolve_ifo_equals_peak_walk(n_fft):
                 assert got == _peak_walk(loc_1, loc_2, rate_2, n_fft), (rate_2, loc_1, loc_2)
 
 
+def _walk_rule(n_fft, r1, r2, paths, offset=0.0, ffo_stage=False):
+    """The rule of the proposed estimator's domain (simlab.ESTIMATORS) that a separable config breaks, or None."""
+    cfg = ExperimentConfig(
+        n_fft=n_fft, r1=r1, r2=r2, cp_len=paths - 1, channel=ChannelProfile(paths, 2.0), cfo_true=offset,
+        snr_grid_db=(math.inf,), trials_per_point=1, estimators=("proposed",), ffo_stage_enabled=ffo_stage,
+    )
+    return ESTIMATORS["proposed"][3](cfg)
+
+
 def _separable_configs():
     """Every (N, r1, r2, L) with 8 <= N <= 512 that the separability rule r1*L <= r2 < N/L admits.
 
-    r2 = N/2 is left out: no offset lies inside |q| < N/2 - r2 there.
+    r2 = N/2 is left out: no offset lies inside |q| < N/2 - r2 there.  A
+    config outside the proposed estimator's domain at offset 0 is an
+    expected failure.
     """
     for n_fft in (8, 16, 32, 64, 128, 256, 512):
         for r1 in _rates(n_fft):
@@ -368,7 +380,7 @@ def _separable_configs():
                     if not r1 * paths <= r2 < n_fft / paths:
                         continue
                     marks = ()
-                    if r2 * (paths - 1) > n_fft / 2:
+                    if _walk_rule(n_fft, r1, r2, paths) is not None:
                         marks = pytest.mark.xfail(
                             strict=True,
                             reason="a rate-2 path delay r2*(L-1) > N/2 can leave loc_2 in "
@@ -503,32 +515,33 @@ def test_estimate_cfo_integer_range(n_fft):
         assert abs(est.total - cfo) < 1e-6, cfo
 
 
-# Every (N, r1, r2, L) with 16 <= N <= 256 and L <= 16 inside the peak walk's
-# stated domain: r1*L <= r2 < N/L, r2*(L-1) <= N/2, and r2 < N/2 so that some
-# offset satisfies |q| < N/2 - r2.  L reaches 8, at N = 256.
+# Every (N, r1, r2, L) with 16 <= N <= 256 and L <= 16 that the separability
+# rule r1*L <= r2 < N/L admits and where the proposed estimator's domain holds
+# some offset: offset 0 lies in it whenever any does.  L reaches 8, at N = 256.
 _WALK_DOMAIN = [
     (n_fft, r1, r2, paths)
     for n_fft in (16, 32, 64, 128, 256)
     for r1 in _rates(n_fft)
-    for r2 in _rates(n_fft)[:-1]
+    for r2 in _rates(n_fft)
     for paths in range(1, 17)
-    if r1 * paths <= r2 < n_fft / paths and r2 * (paths - 1) <= n_fft / 2
+    if r1 * paths <= r2 < n_fft / paths and _walk_rule(n_fft, r1, r2, paths) is None
 ]
 
 
 @st.composite
 def _noiseless_cases(draw):
-    """A config of the walk's domain, a CP that absorbs the channel and an offset it resolves.
+    """A config of the walk's domain, a CP that absorbs the channel and an offset of the domain.
 
-    The path count is drawn first, so that every L of the domain is drawn often.
+    The path count is drawn first, so that every L of the domain is drawn
+    often.  The offset is drawn from |cfo| < N/2 and kept where the domain holds.
     """
     paths = draw(st.integers(1, max(config[-1] for config in _WALK_DOMAIN)))
     n_fft, r1, r2, _ = draw(st.sampled_from([c for c in _WALK_DOMAIN if c[-1] == paths]))
     ffo_stage = draw(st.booleans())
-    bound = n_fft // 2 - r2
-    offset = (st.floats(-bound, bound, exclude_min=True, exclude_max=True) if ffo_stage
-              else st.integers(1 - bound, bound - 1).map(float))
-    return {
+    half = n_fft // 2
+    offset = (st.floats(-half, half, exclude_min=True, exclude_max=True) if ffo_stage
+              else st.integers(1 - half, half - 1).map(float))
+    case = {
         "spec": PreambleSpec(n_fft, r1, r2, draw(st.integers(paths - 1, n_fft))),
         "profile": ChannelProfile(paths, draw(st.floats(0.1, 1e6))),
         "mode": draw(st.sampled_from(["varying", "static"])),
@@ -536,6 +549,8 @@ def _noiseless_cases(draw):
         "offset": draw(offset),
         "seed": draw(st.integers(0, 2**64 - 1)),
     }
+    assume(_walk_rule(n_fft, r1, r2, paths, case["offset"], ffo_stage) is None)
+    return case
 
 
 @settings(max_examples=300)

@@ -227,7 +227,7 @@ def test_each_receiver_takes_its_fractional_rate_from_its_preamble(estimator, ge
     """
     cfg = _cfg(cfo_true=21.3, ffo_stage_enabled=True, modes=("static", "varying"), estimators=(estimator,),
                **geometry)
-    _, preamble, receiver = simlab.ESTIMATORS[estimator]
+    _, preamble, receiver, _ = simlab.ESTIMATORS[estimator]
     pre = preamble(cfg)
     assert wrap_offset(cfg.cfo_true, pre.r1) == pytest.approx(wrapped)
     rngs = [np.random.default_rng(seed) for seed in range(6)]
@@ -441,9 +441,9 @@ def test_sweep_trials_replay_through_run_trial(monkeypatch, estimator, mode, ffo
     rows = []
     run_batch = simlab._run_trials
 
-    def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
-        assert pass_cfgs == (cfg,)
-        stacked = run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
+    def recording(pass_cfg, estimator, pres, snrs, trial_indices, scale):
+        assert pass_cfg == cfg and [pre.frame.n_fft for pre in pres] == [64]
+        stacked = run_batch(pass_cfg, estimator, pres, snrs, trial_indices, scale)
         assert all(a.shape == (1, len(snrs), 2) for a in stacked)
         (out,) = zip(*stacked)
         for m in range(2):
@@ -549,10 +549,10 @@ def test_sweeps_over_fft_sizes_equal_one_sweep_per_size(monkeypatch, ffo):
     chunks = []
     run_batch = simlab._run_trials
 
-    def recording(pass_cfgs, estimator, snrs, trial_indices, scale):
-        assert pass_cfgs == cfgs
+    def recording(pass_cfg, estimator, pres, snrs, trial_indices, scale):
+        assert pass_cfg == cfg and [pre.frame.n_fft for pre in pres] == [64, 128]
         chunks.append(snrs.tolist())
-        return run_batch(pass_cfgs, estimator, snrs, trial_indices, scale)
+        return run_batch(pass_cfg, estimator, pres, snrs, trial_indices, scale)
 
     generators = []
     build = simlab.trial_rng
@@ -576,6 +576,40 @@ def test_sweeps_over_fft_sizes_equal_one_sweep_per_size(monkeypatch, ffo):
         assert result.config == size_cfg
         assert result == want
         assert _ffo_mse_bits(result.rows()) == _ffo_mse_bits(want.rows())
+
+
+def test_a_sweep_builds_each_schmidl_cox_preamble_once(monkeypatch):
+    """run_sweeps over N = 64 and 128 draws one Schmidl-Cox preamble per size, and every pass reads it."""
+    cfg = _cfg(n_fft=64, snr_grid_db=(10.0,), trials_per_point=40, estimators=("sca",))
+    monkeypatch.setattr(simlab, "CHUNK_BYTES", 10 * 32 * (64 + 16 + 128 + 16))
+    passes, builds = [], []
+    run_batch, build = simlab._run_trials, simlab.sca_build_preamble
+
+    def recording(*args):
+        passes.append(args[2])
+        return run_batch(*args)
+
+    def counting(n_fft, cp_len, rng):
+        builds.append(n_fft)
+        return build(n_fft, cp_len, rng)
+
+    monkeypatch.setattr(simlab, "_run_trials", recording)
+    monkeypatch.setattr(simlab, "sca_build_preamble", counting)
+    simlab.run_sweeps(cfg, (64, 128))
+    assert len(passes) >= 3 and all(pres is passes[0] for pres in passes)
+    assert builds == [64, 128]
+
+
+@pytest.mark.parametrize("ffo,cfo", [(False, 20.0), (True, 20.3)])
+@pytest.mark.parametrize("n_fft", [64, 128])
+def test_every_paper_config_is_in_every_estimators_domain(n_fft, ffo, cfo):
+    """fig2 --paper's configs, with the fractional stage off and on, leave no estimator's domain.
+
+    _cfg's base is fig2's default config: r1 2, r2 8, CP 16, L = 4, offset 20.
+    """
+    cfg = _cfg(n_fft=n_fft, cfo_true=cfo, ffo_stage_enabled=ffo, modes=("varying", "static"))
+    for name, (*_, domain) in simlab.ESTIMATORS.items():
+        assert domain(cfg) is None, name
 
 
 def test_sweeps_over_no_fft_size_return_nothing(monkeypatch):
@@ -728,14 +762,13 @@ ENGINE_CACHES = (
     channel._cfo_ramp,
     channel._tap_stats,
     simlab._preamble_for,
-    simlab._sca_preamble_for,
 )
 
 
 def test_engine_caches_are_bounded_and_read_only():
     """Every cached array refuses a write, so no caller can change what later sweeps read."""
     spec = simlab._preamble_for(128, 2, 8, 16)
-    frame, pre = spec.frame, simlab._sca_preamble_for(1, 128, 16)
+    frame = spec.frame
     powers, mean_power, std = channel._tap_stats(4, 2.0)
     arrays = (
         channel._cfo_ramp(5.3, frame.n_fft, 2 * frame.block_len),
@@ -743,15 +776,8 @@ def test_engine_caches_are_bounded_and_read_only():
         std,
         frame.samples,
         spec.dechirp,
-        pre.pn_even_1,
-        pre.pn_2,
-        pre.v,
-        pre.kernel,
-        pre.frame.samples,
     )
     assert spec.dechirp is spec.dechirp and spec.frame is frame
-    # The builder behind the Schmidl-Cox cache still returns arrays its caller may write.
-    assert sca_build_preamble(128, 16, np.random.default_rng(1)).frame.samples.flags.writeable
     for cache in ENGINE_CACHES:
         assert cache.cache_info().maxsize is not None, cache
     for values in arrays:
