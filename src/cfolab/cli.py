@@ -100,12 +100,12 @@ def read_iq(path: str | Path) -> np.ndarray:
         data = handle.read()
     if len(data) % 8 != 0:
         raise ConfigError(f"{path}: {len(data)} bytes, not a whole number of float32 I/Q pairs")
-    raw = np.frombuffer(data, dtype="<f4")
-    finite = np.isfinite(raw)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    samples = np.frombuffer(data, dtype="<c8")
+    if not np.isfinite(samples).all():
+        raw = samples.view("<f4")
+        bad = int(np.argmin(np.isfinite(raw)))
         raise ConfigError(f"{path}: sample {bad // 2} is not finite ({raw[bad]})")
-    return raw.view("<c8").astype(np.complex128)
+    return samples.astype(np.complex128)
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:

@@ -56,15 +56,15 @@ def wrap_offset(eps: float, rate: float) -> float:
 class CfoEstimate:
     """One frame's receiver report: a row of CfoReport.
 
-    On success, total == ifo_residual + ffo.  Where the report's ifo is NaN,
-    which no estimator yields yet (CfoReport), failed is True, ifo_residual
-    and total are None, and ffo keeps the fractional estimate.  profiles
-    (k, M) and peaks are the row's CfoReport fields.
+    total == ifo_residual + ffo, the resolved integer plus the fractional
+    estimate.  profiles (k, M) and peaks are the row's CfoReport fields.
+    failed stays False until a detection margin sets it (ROADMAP item 18);
+    a flagged row keeps its numbers.
     """
 
     ffo: float
-    ifo_residual: int | None
-    total: float | None
+    ifo_residual: int
+    total: float
     profiles: np.ndarray
     peaks: tuple[int, ...]
     failed: bool = False
@@ -75,8 +75,7 @@ class CfoReport:
     """Both stages' output for a stack of T frames; every field has a leading trial axis.
 
     ffo (T,) is NaN for a degenerate row.  ifo (T,) is the resolved integer
-    as a float; a NaN would mark an unresolved row, which neither estimator
-    yields (ROADMAP item 18 would give failed a source).  profiles
+    offset, an integer array: the integer stage resolves every row.  profiles
     (T, k, M) holds what the integer stage searched: the two correlation
     magnitudes (k = 2, M = N) for the proposed estimator, B(g) over
     g = -N/4..N/4 (k = 1, M = N/2 + 1) for Schmidl-Cox.  peaks (T, k) is
@@ -97,9 +96,11 @@ class CfoReport:
     def __post_init__(self) -> None:
         # A profile's maximum is its value at its peak, NaN included.  The
         # ufuncs' own reduce gives ndarray.max/min's values without their
-        # Python-level wrappers, which a one-frame call would pay for.
-        at_peak = np.minimum.reduce(np.maximum.reduce(self.profiles, axis=-1), axis=-1)
-        self.ffo[~(at_peak > 0)] = np.nan
+        # Python-level wrappers, which a one-frame call would pay for, as it
+        # would the masked write on a stack without a degenerate row.
+        live = np.minimum.reduce(np.maximum.reduce(self.profiles, axis=-1), axis=-1) > 0
+        if not live.all():
+            self.ffo[~live] = np.nan
 
     def row(self, t: int) -> CfoEstimate:
         """Row t as a CfoEstimate.
@@ -107,13 +108,10 @@ class CfoReport:
         Raises:
             DegenerateSignalError: row t is degenerate (NaN ffo).
         """
-        ffo, ifo = float(self.ffo[t]), float(self.ifo[t])
+        ffo, ifo = float(self.ffo[t]), int(self.ifo[t])
         if math.isnan(ffo):
             raise DegenerateSignalError("preamble symbols carry no usable phase or energy")
-        profiles, peaks = self.profiles[t], tuple(self.peaks[t].tolist())
-        if math.isnan(ifo):
-            return CfoEstimate(ffo, None, None, profiles, peaks, failed=True)
-        return CfoEstimate(ffo, int(ifo), ifo + ffo, profiles, peaks)
+        return CfoEstimate(ffo, ifo, ifo + ffo, self.profiles[t], tuple(self.peaks[t].tolist()))
 
 
 def time_autocorr(y: np.ndarray, rate: int) -> np.complex128 | np.ndarray:
@@ -124,16 +122,21 @@ def time_autocorr(y: np.ndarray, rate: int) -> np.complex128 | np.ndarray:
     sum_m |h(m)|^2 * exp(j*2*pi*cfo/rate): the cross-path terms cancel, so
     the phase encodes the offset modulo the rate.  y may carry leading axes
     (a stack of symbols along the last axis); the result has those axes,
-    so one symbol gives a numpy scalar (np.complex128).
+    so one symbol gives a numpy scalar (np.complex128).  The real and
+    imaginary parts are summed apart, with np.add.reduce over real
+    products, which no BLAS kernel and no numpy SIMD dispatch rounds
+    differently.
     """
     y = np.asarray(y)
     n = y.shape[-1]
     if rate < 2 or n % rate != 0:
         raise ConfigError(f"rate must be >= 2 and divide the buffer length, got rate={rate} len={n}")
     lag = n // rate
-    # A stacked (1, k) @ (k, 1) product is one BLAS dot per symbol: the sum
-    # np.vdot forms, bit for bit, which np.sum and einsum are not.
-    return (np.conj(y[..., None, : n - lag]) @ y[..., lag:, None])[..., 0, 0] / (n - lag)
+    x, z = y[..., : n - lag], y[..., lag:]
+    r = np.empty(y.shape[:-1], dtype=np.complex128)
+    np.add.reduce(x.real * z.real + x.imag * z.imag, axis=-1, out=r.real)
+    np.add.reduce(x.real * z.imag - x.imag * z.real, axis=-1, out=r.imag)
+    return r / (n - lag)
 
 
 def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
@@ -148,13 +151,15 @@ def estimate_ffo(y: np.ndarray, rate: int) -> float | np.ndarray:
     not stop the others.  The floor is relative to the symbol's mean power,
     so scale alone does not trip it for sample magnitudes of about 1e-150 to
     1e150, every float32 capture included; past that the row reads NaN.
+    Like the autocorrelation, the energy is summed without BLAS, so the
+    estimate has the same bits under every BLAS kernel.
     """
     y = np.asarray(y)
     if y.ndim == 1:
         return estimate_ffo(y[None], rate)[0]
     r_t = time_autocorr(y, rate)
-    # The symbol's energy as one BLAS dot per symbol, like time_autocorr's sum.
-    energy = (np.conj(y[..., None, :]) @ y[..., :, None])[..., 0, 0].real
+    # The symbol's energy, summed over real products like time_autocorr's sums.
+    energy = np.add.reduce(y.real * y.real + y.imag * y.imag, axis=-1)
     # np.abs, not abs(): Python's complex magnitude differs from numpy's in
     # the last bit for about a third of values, which could move a row
     # across the floor.
@@ -212,7 +217,7 @@ def freq_correlate(y_comp: np.ndarray, dechirp: np.ndarray) -> np.ndarray:
         raise ConfigError(f"buffer length {y_comp.shape[-1]} does not match n_fft {n_fft}")
     corr = dft(dechirp * y_comp)
     np.conj(corr, out=corr)
-    corr *= 1.0 / np.sqrt(n_fft)
+    corr *= 1.0 / math.sqrt(n_fft)
     return corr
 
 
@@ -296,7 +301,7 @@ def estimate_cfo_batch(
     ffo, y = receive(stream, spec, ffo_stage)
     corr = np.abs(freq_correlate(y, spec.dechirp))
     loc = np.argmax(corr, axis=-1)
-    ifo = np.array([resolve_ifo(l1, l2, spec.r2, spec.n_fft) for l1, l2 in loc.tolist()], dtype=float)
+    ifo = np.array([resolve_ifo(l1, l2, spec.r2, spec.n_fft) for l1, l2 in loc.tolist()], dtype=int)
     return CfoReport(ffo, ifo, corr, loc)
 
 

@@ -111,7 +111,7 @@ def sca_estimate_batch(
 
     In the report, ffo (T,) is NaN for rows without a usable phase or with
     a training symbol that is all zero, ifo (T,) is the even integer
-    estimate 2g as a float, profiles (T, 1, N/2+1) holds B(g) for
+    estimate 2g, profiles (T, 1, N/2+1) holds B(g) for
     g = -N/4..N/4, which spans every distinct even shift, and peaks (T, 1)
     is the index of its argmax.
 
@@ -141,7 +141,7 @@ def sca_estimate_batch(
     energy[energy == 0] = np.nan
     metric = (np.abs(corr[:, shifts % half]) / energy[:, None]) ** 2 / 2.0
     peak = np.argmax(metric, axis=-1)
-    return CfoReport(ffo, 2.0 * shifts[peak], metric[:, None], peak[:, None])
+    return CfoReport(ffo, 2 * shifts[peak], metric[:, None], peak[:, None])
 
 
 def sca_estimate(stream: np.ndarray, pre: ScaPreamble, ffo_stage: bool = True) -> CfoEstimate:

@@ -288,8 +288,7 @@ def _run_trials(
     rate r1, so each outcome is one array operation over every size.
     ffo_error is the fractional error modulo r1, in (-r1/2, r1/2], so an
     estimate across the branch cut is not off by a whole rate; it is NaN
-    for a degenerate trial.  total_error is NaN for a degenerate trial and
-    for a NaN report.ifo, which neither estimator yields (estimator.CfoReport).
+    for a degenerate trial, and so is total_error.
     """
     receiver = _estimator(estimator)[2]
     rngs = (trial_rng(cfg, snr, estimator, t) for snr, t in zip(snrs.tolist(), trial_indices.tolist()))
@@ -318,9 +317,8 @@ def run_trial(
     this reduces to the resolved integer equalling the offset exactly.
     ffo_error is the fractional error modulo the preamble's rate r1, in
     (-r1/2, r1/2].  A trial whose input carries no usable phase has
-    ffo_error and total_error NaN; a NaN integer estimate (none yet:
-    CfoReport) keeps ffo_error and makes total_error NaN.  This is the
-    sweep engine's pass over a batch of one.
+    ffo_error and total_error NaN.  This is the sweep engine's pass over a
+    batch of one.
     """
     outcomes = _run_trials(
         cfg, estimator, [_estimator(estimator)[1](cfg)], np.array([snr_db], dtype=float),

@@ -556,20 +556,21 @@ def test_estimate_loopback(tmp_path, cfo):
     assert report["failed"] is False
 
 
-def test_estimate_reports_an_unresolved_offset_as_failed(tmp_path, capsys, monkeypatch):
-    """A resolver that finds no offset (NaN) exits 3: failed true, fractional estimate kept."""
-    from cfolab import estimator as estimator_module
-
+def test_estimate_reports_a_flagged_estimate_as_failed_with_its_numbers(tmp_path, capsys, monkeypatch):
+    """A flagged estimate exits 3 with failed true; every other key is the unflagged run's."""
     pre = tmp_path / "pre.iq"
     assert main(["preamble", "--n", "128", "--out", str(pre)]) == 0
     write_iq(pre, read_iq(pre) * np.exp(2j * np.pi * 20.3 * np.arange(288) / 128))
     capsys.readouterr()
-    monkeypatch.setattr(estimator_module, "resolve_ifo", lambda *args: math.nan)
+    assert main(["estimate", "--in", str(pre), "--n", "128"]) == 0
+    unflagged = json.loads(capsys.readouterr().out)
+    estimate = cli.estimate_cfo
+    monkeypatch.setattr(cli, "estimate_cfo",
+                        lambda *args, **kwargs: dataclasses.replace(estimate(*args, **kwargs), failed=True))
     assert main(["estimate", "--in", str(pre), "--n", "128"]) == 3
-    report = json.loads(capsys.readouterr().out)
-    assert report["failed"] is True
-    assert report["total"] is None and report["ifo_residual"] is None
-    assert abs(report["ffo"] - 0.3) < 1e-6
+    flagged = json.loads(capsys.readouterr().out)
+    assert unflagged.pop("failed") is False and flagged.pop("failed") is True
+    assert flagged == unflagged
 
 
 def test_estimate_zero_file_is_degenerate(tmp_path):
@@ -1129,7 +1130,9 @@ def test_fig2_labels_each_estimator_outside_its_domain(tmp_path, capsys, monkeyp
     """A run outside an estimator's domain exits 0 with one warning line per estimator and names it in its manifest.
 
     The manifest gains only the outside_domain key, each estimator mapped to
-    the rule its warning line states.
+    the rule its warning line states.  In the edge runs Schmidl-Cox resolves
+    a wrong integer on every trial and its ffo_mse stays under 1e-20: a
+    wrong integer keeps its fractional error.
     """
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     out = tmp_path / "x.csv"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cfolab.channel import ChannelProfile, transmit
+from cfolab.channel import ChannelProfile, noise_std, propagate, transmit
 from cfolab.errors import ConfigError, DegenerateSignalError
 from cfolab.estimator import (
     compensate,
@@ -602,9 +602,37 @@ _ESTIMATORS = {
 
 def _row_bits(est):
     """Everything a one-frame estimate reports, floats as their bit patterns."""
-    total = None if est.total is None else est.total.hex()
-    return (est.ffo.hex(), est.ifo_residual, total, est.peaks, est.failed,
+    return (est.ffo.hex(), est.ifo_residual, est.total.hex(), est.peaks, est.failed,
             est.profiles.shape, est.profiles.tobytes())
+
+
+@pytest.mark.parametrize("ffo_stage", [True, False])
+@pytest.mark.parametrize("mode", ["static", "varying"])
+@pytest.mark.parametrize("n_fft", [64, 128])
+def test_both_receivers_report_an_integer_offset(n_fft, mode, ffo_stage):
+    """Each report's ifo is an integer array, and each row's total is its integer plus its ffo, exactly.
+
+    The frames are noisy, down to -5 dB, so some rows resolve a wrong
+    integer; a zeroed first row is degenerate and is the only row skipped.
+    """
+    cfo = 20.3 if ffo_stage else 20.0
+    profile = ChannelProfile(4, 2.0)
+    snrs = np.repeat([-5.0, 5.0, 20.0], 8)
+    scale = np.array([noise_std(profile, snr) for snr in snrs])
+    pres = {"proposed": PreambleSpec(n_fft, 2, 8, 16),
+            "sca": sca_build_preamble(n_fft, 16, np.random.default_rng(1))}
+    for name, pre in pres.items():
+        rngs = [np.random.default_rng(seed) for seed in range(len(snrs))]
+        (streams,), _, _ = propagate([pre.frame], profile, (mode,), cfo, rngs, scale)
+        streams[0] = 0
+        report = _ESTIMATORS[name][0](streams, pre, ffo_stage)
+        assert report.ifo.dtype.kind == "i", name
+        live = np.flatnonzero(~np.isnan(report.ffo)).tolist()
+        assert live == list(range(1, len(snrs))), name
+        for t in live:
+            est = report.row(t)
+            assert type(est.ifo_residual) is int, (name, t)
+            assert est.total == est.ifo_residual + est.ffo, (name, t)
 
 
 @pytest.mark.parametrize("ffo_stage", [True, False])
